@@ -344,6 +344,8 @@ def main(argv=None) -> int:
         threads = _thread_cap()
         if args.budget < 1:
             raise ValidationError("--budget must be >= 1")
+        if args.max_exact_dim < 1:
+            raise ValidationError("--max-exact-dim must be >= 1")
         if args.tolerance <= 0:
             raise ValidationError("--tolerance must be > 0")
         result = _RUNNERS[args.subcommand](args)

@@ -11,13 +11,17 @@ attained -- e.g. a single point forces an unattained supremum under any
 continuous CDF).  Exact mode enumerates all cells; cost is the product of
 the per-axis grid sizes, so it is gated by a dimension limit and a cell
 budget, beyond which only the randomized lower-bound search is offered.
+
+Exact mode streams the grid in slabs of whole axis-0 rows (about 2^16 cells
+each), carrying the prefix counts of one slab's last row into the next, so
+peak memory is a per-slab constant rather than a multiple of the grid size.
+The cell budget therefore bounds time, not memory.  The measure supplies its
+CDF tables slab by slab through one ``_cdf_table`` method per measure class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +29,9 @@ from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .measures import (
     AT_POINT,
     LEFT_LIMIT,
-    AnalyticCdfMeasure,
-    DiscreteMeasure,
-    ProductMeasure,
-    UniformMeasure,
     _limit_flags,
     _unit_point,
+    _upper_axis,
     cdf_one_sided,
 )
 from .variation import Box
@@ -38,6 +39,12 @@ from .variation import Box
 #: Default gate for exact cell enumeration.
 MAX_EXACT_DIMENSION = 4
 CELL_BUDGET = 10**8
+
+#: Cells per slab of the streamed critical grid (rounded down to whole
+#: axis-0 rows, at least one row).
+_SLAB_CELLS = 2**16
+#: Rows at least this long take the axis-0 prefix sum one row at a time.
+_ROW_LOOP_CELLS = 512
 
 EXACT_GRID = "exact"
 RANDOM_SEARCH = "search"
@@ -135,77 +142,70 @@ def _critical_grids(ps: PointSet, m) -> list[np.ndarray]:
     return grids
 
 
-def _vertex_counts(ps: PointSet, grids: Sequence[np.ndarray]) -> np.ndarray:
-    shape = tuple(g.size for g in grids)
-    counts = np.zeros(shape, dtype=np.int64)
-    idx = tuple(
-        np.searchsorted(g, ps.points[:, s], side="right") - 1
-        for s, g in enumerate(grids)
-    )
-    np.add.at(counts, idx, 1)
-    for s in range(len(grids)):
-        np.cumsum(counts, axis=s, out=counts)
-    return counts
+def _slab_maxima(ps: PointSet, grids, table_of):
+    """Largest ``count/N - F`` at the cells' lower corners and largest
+    ``F(upper-) - count/N`` over the critical grid, each with the grid index
+    of its first occurrence in C order.
 
+    The grid is walked in slabs of whole axis-0 rows: the points of a slab's
+    rows are histogrammed, summed along axes 1..d-1, then along axis 0
+    starting from the previous slab's last row, and compared with the
+    measure's CDF tables for the same rows.  Memory is a per-slab constant;
+    an earlier slab keeps a tie, as one argmax over the whole grid would.
+    """
+    d = ps.dimension
+    sizes = [g.size for g in grids]
+    f_lo = table_of(grids, [np.zeros(g.size, dtype=bool) for g in grids])
+    uppers = [_upper_axis(g[1:]) for g in grids]
+    f_hi = table_of([c for c, _ in uppers], [f for _, f in uppers])
 
-def _outer(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.multiply.outer, arrays)
+    # grid cell of every point, the points ordered by axis-0 row
+    cells = [np.searchsorted(g, ps.points[:, s], side="right") - 1 for s, g in enumerate(grids)]
+    order = np.argsort(cells[0], kind="stable")
+    cells = [c[order] for c in cells]
 
+    row_cells = int(np.prod(sizes[1:], dtype=np.int64))
+    step = min(sizes[0], max(1, _SLAB_CELLS // row_cells))
+    # one set of slab buffers for the whole walk: no large allocation per slab
+    counts = np.empty((step,) + tuple(sizes[1:]), dtype=np.int64)
+    frac, table = np.empty(counts.shape), np.empty(counts.shape)
+    carry = np.zeros(sizes[1:], dtype=np.int64)
+    lo_candidates, hi_candidates = [], []
+    for start in range(0, sizes[0], step):
+        stop = min(start + step, sizes[0])
+        rows = stop - start
+        first, last = np.searchsorted(cells[0], [start, stop])
+        flat = np.ravel_multi_index(
+            [cells[0][first:last] - start] + [c[first:last] for c in cells[1:]],
+            counts.shape,
+        )
+        c = counts[:rows]
+        c.fill(0)
+        np.add.at(counts.reshape(-1), flat, 1)
+        for s in range(1, d):
+            np.cumsum(c, axis=s, out=c)
+        c[0] += carry
+        if row_cells < _ROW_LOOP_CELLS:
+            np.cumsum(c, axis=0, out=c)
+        else:  # a strided cumsum over long rows is slower than a row loop
+            for r in range(1, rows):
+                c[r] += c[r - 1]
+        np.copyto(carry, c[-1])
+        share = np.divide(c, ps.n, out=frac[:rows])
 
-def _vertex_cdf_arrays(m, grids: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """CDF at every cell's lower corner, and the one-sided limit at its
-    upper corner (left limits except on the degenerate final interval)."""
-    d = len(grids)
-    if isinstance(m, UniformMeasure):
-        lo = _outer(grids)
-        hi = _outer([np.concatenate([g[1:], [1.0]]) for g in grids])
-        return lo, hi
-    if isinstance(m, ProductMeasure):
-        lo = _outer([ax.values_at(g) for ax, g in zip(m.axes, grids)])
-        hi_axes = [
-            np.concatenate([ax.left_values_at(g[1:]), [ax.value(1.0)]])
-            for ax, g in zip(m.axes, grids)
-        ]
-        return lo, _outer(hi_axes)
-    if isinstance(m, DiscreteMeasure):
-        shape = tuple(g.size for g in grids)
-        lo = np.zeros(shape)
-        support = m.support
-        if len(support):
-            idx = tuple(
-                np.searchsorted(g, support.locations[:, s])
-                for s, g in enumerate(grids)
-            )
-            np.add.at(lo, idx, support.weights)
-            for s in range(d):
-                np.cumsum(lo, axis=s, out=lo)
-        # atoms lie on the grid, so the limit at the next vertex equals the
-        # value at this one
-        return lo, lo
-    if isinstance(m, AnalyticCdfMeasure):
-        shape = tuple(g.size for g in grids)
-        lo = np.empty(shape)
-        hi = np.empty(shape)
-        uppers = [np.concatenate([g[1:], [1.0]]) for g in grids]
-        point = np.empty(d)
-        for index in np.ndindex(shape):
-            for s in range(d):
-                point[s] = grids[s][index[s]]
-            lo[index] = m.cdf(point)
-        if m.continuous:
-            for index in np.ndindex(shape):
-                for s in range(d):
-                    point[s] = uppers[s][index[s]]
-                hi[index] = m.cdf(point)
-        else:
-            for index in np.ndindex(shape):
-                flags = []
-                for s in range(d):
-                    point[s] = uppers[s][index[s]]
-                    flags.append(AT_POINT if index[s] == shape[s] - 1 else LEFT_LIMIT)
-                hi[index] = m.cdf_one_sided(point, tuple(flags))
-        return lo, hi
-    raise ValidationError(f"unsupported measure type {type(m).__name__}")
+        t = table[:rows]
+        dev = np.subtract(share, f_lo(start, stop, t), out=t)
+        i = int(np.argmax(dev))  # largest at a lower corner (attained)
+        lo_candidates.append((dev.flat[i], start * row_cells + i))
+        dev = np.subtract(f_hi(start, stop, t), share, out=t)
+        i = int(np.argmax(dev))  # approached at an upper corner (one-sided)
+        hi_candidates.append((dev.flat[i], start * row_cells + i))
+
+    def first_max(candidates):
+        value, flat_index = candidates[int(np.argmax([v for v, _ in candidates]))]
+        return float(value), np.unravel_index(flat_index, sizes)
+
+    return first_max(lo_candidates), first_max(hi_candidates)
 
 
 def star_discrepancy(
@@ -237,15 +237,10 @@ def star_discrepancy(
             "use random_search_lower_bound"
         )
 
-    counts = _vertex_counts(ps, grids) / ps.n
-    f_lo, f_hi = _vertex_cdf_arrays(m, grids)
-
-    dev_lo = counts - f_lo  # largest at a cell's lower corner (attained)
-    dev_hi = f_hi - counts  # approached at its upper corner (one-sided)
-    best_lo_idx = np.unravel_index(int(np.argmax(dev_lo)), dev_lo.shape)
-    best_hi_idx = np.unravel_index(int(np.argmax(dev_hi)), dev_hi.shape)
-    best_lo = float(dev_lo[best_lo_idx])
-    best_hi = float(dev_hi[best_hi_idx])
+    table_of = getattr(m, "_cdf_table", None)
+    if table_of is None:
+        raise ValidationError(f"unsupported measure type {type(m).__name__}")
+    (best_lo, best_lo_idx), (best_hi, best_hi_idx) = _slab_maxima(ps, grids, table_of)
 
     if best_lo >= best_hi:
         witness = tuple(float(grids[s][best_lo_idx[s]]) for s in range(d))

@@ -12,19 +12,12 @@ of a bug rather than of quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+
 import numpy as np
 
 from .discrepancy import PointSet, star_discrepancy
 from .errors import UnsupportedIntegrandError, ValidationError
-from .measures import (
-    AnalyticCdfMeasure,
-    DiscreteMeasure,
-    LEFT_LIMIT,
-    AT_POINT,
-    ProductMeasure,
-    UniformMeasure,
-)
+from .measures import DiscreteMeasure, UniformMeasure, _upper_axis
 from .variation import ANCHOR_ONE, STEP, GridFunction, hk_variation
 
 #: Certificate slack absorbing floating point accumulation.
@@ -65,32 +58,14 @@ def _generalized_cell_masses(m, breakpoints) -> np.ndarray:
     degenerate slab ``{1}``; every mass is a mixed difference of one-sided
     CDF evaluations, so atoms on cell boundaries land exactly once.
     """
-    d = len(breakpoints)
-    if isinstance(m, UniformMeasure):
-        axis_vals = [np.concatenate([b, [1.0]]) for b in breakpoints]
-        table = reduce(np.multiply.outer, axis_vals)
-    elif isinstance(m, ProductMeasure):
-        axis_vals = [
-            np.concatenate([ax.left_values_at(b), [ax.value(1.0)]])
-            for ax, b in zip(m.axes, breakpoints)
-        ]
-        table = reduce(np.multiply.outer, axis_vals)
-    elif isinstance(m, AnalyticCdfMeasure):
-        coords = [np.concatenate([b, [1.0]]) for b in breakpoints]
-        shape = tuple(c.size for c in coords)
-        table = np.empty(shape)
-        point = np.empty(d)
-        for index in np.ndindex(shape):
-            flags = []
-            for s in range(d):
-                point[s] = coords[s][index[s]]
-                flags.append(AT_POINT if index[s] == shape[s] - 1 else LEFT_LIMIT)
-            table[index] = m.cdf_one_sided(point, tuple(flags))
-    else:
+    table_of = getattr(m, "_cdf_table", None)
+    if table_of is None:
         raise UnsupportedIntegrandError(
             f"no exact cell masses for measure type {type(m).__name__}"
         )
-    for s in range(d):
+    coords, left = zip(*(_upper_axis(np.asarray(b, dtype=float)) for b in breakpoints))
+    table = table_of(coords, left)(0, coords[0].size, np.empty([c.size for c in coords]))
+    for s in range(len(coords)):
         table = np.diff(table, axis=s)
     return table
 

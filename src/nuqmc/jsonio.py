@@ -46,26 +46,52 @@ def load_json(path) -> object:
 
 
 def _require(obj: dict, field: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where}: expected an object")
     if field not in obj:
         raise ValidationError(f"{where}: missing field {field!r}")
     return obj[field]
 
 
+def _integer(obj: dict, field: str, where: str) -> int:
+    value = _require(obj, field, where)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{where}.{field}: expected an integer, got {value!r}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """A (possibly nested) list of numbers as a float array."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list of numbers")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"{where}: expected a list of numbers ({err})") from err
+
+
 def measure_from_dict(obj, where: str = "measure"):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object")
     kind = _require(obj, "type", where)
     if kind == "uniform":
-        return UniformMeasure(int(_require(obj, "d", where)))
+        return UniformMeasure(_integer(obj, "d", where))
     if kind == "discrete":
         atoms = _require(obj, "atoms", where)
         if not isinstance(atoms, list) or not atoms:
             raise ValidationError(f"{where}.atoms: expected a nonempty list")
         locs, ws = [], []
         for i, atom in enumerate(atoms):
-            locs.append(_require(atom, "x", f"{where}.atoms[{i}]"))
-            ws.append(float(_require(atom, "w", f"{where}.atoms[{i}]")))
-        d = len(locs[0])
+            at = f"{where}.atoms[{i}]"
+            locs.append(_numbers(_require(atom, "x", at), f"{at}.x"))
+            ws.append(_number(_require(atom, "w", at), f"{at}.w"))
+        d = locs[0].size
         return DiscreteMeasure(DiscreteSignedMeasure(d, zip(locs, ws)))
     if kind == "product":
         axes = _require(obj, "axes", where)
@@ -73,13 +99,13 @@ def measure_from_dict(obj, where: str = "measure"):
             raise ValidationError(f"{where}.axes: expected a nonempty list")
         built = []
         for i, ax in enumerate(axes):
-            built.append(
-                AxisCdf(
-                    _require(ax, "breakpoints", f"{where}.axes[{i}]"),
-                    _require(ax, "values", f"{where}.axes[{i}]"),
-                    ax.get("values_left"),
-                )
-            )
+            at = f"{where}.axes[{i}]"
+            breakpoints = _numbers(_require(ax, "breakpoints", at), f"{at}.breakpoints")
+            values = _numbers(_require(ax, "values", at), f"{at}.values")
+            left = ax.get("values_left")
+            built.append(AxisCdf(
+                breakpoints, values, None if left is None else _numbers(left, f"{at}.values_left")
+            ))
         return ProductMeasure(built)
     if kind == "chelson":
         return chelson_measure()
@@ -87,10 +113,8 @@ def measure_from_dict(obj, where: str = "measure"):
 
 
 def points_from_dict(obj, where: str = "points"):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object")
-    d = int(_require(obj, "d", where))
-    pts = _require(obj, "points", where)
+    d = _integer(obj, "d", where)
+    pts = _numbers(_require(obj, "points", where), f"{where}.points")
     return PointSet(d, pts)
 
 
@@ -99,12 +123,13 @@ def points_to_dict(ps: PointSet) -> dict:
 
 
 def grid_function_from_dict(obj, where: str = "function") -> GridFunction:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where}: expected an object")
     bps = _require(obj, "breakpoints", where)
-    values = _require(obj, "values", where)
+    if not isinstance(bps, list):
+        raise ValidationError(f"{where}.breakpoints: expected a list of axes")
+    bps = [_numbers(b, f"{where}.breakpoints[{i}]") for i, b in enumerate(bps)]
+    values = _numbers(_require(obj, "values", where), f"{where}.values")
     interp = obj.get("interp", STEP)
-    return GridFunction(bps, np.asarray(values, dtype=float), interp)
+    return GridFunction(bps, values, interp)
 
 
 def grid_function_to_dict(f: GridFunction) -> dict:

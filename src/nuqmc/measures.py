@@ -10,6 +10,15 @@ representations are provided:
   (:class:`AxisCdf`), each allowed to carry jumps (atoms) and plateaus,
 * :class:`AnalyticCdfMeasure` -- a closed-form CDF callback.
 
+Every one of them also has a private ``_cdf_table(coords, left)``: the CDF
+on the product grid ``coords[0] x ... x coords[d-1]`` (nondecreasing
+coordinate arrays), taking the left limit on axis ``s`` wherever the boolean
+array ``left[s]`` is True.  It returns ``rows(start, stop, out)``, which
+writes the table's axis-0 indices ``start:stop`` into the C-contiguous float
+array ``out`` and returns it, so that a caller can stream a large table in
+slabs through one buffer.  The exact discrepancy engine and the exact cell
+masses of :mod:`nuqmc.integrate` both read their CDF values through it.
+
 Signed measures are restricted to the purely atomic case
 (:class:`DiscreteSignedMeasure`), which is all the function/measure
 correspondence of :mod:`nuqmc.variation` produces.  Jordan decomposition and
@@ -25,7 +34,8 @@ synchronization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from functools import reduce
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +78,37 @@ def _limit_flags(flags, dimension: int) -> tuple[str, ...]:
         if f not in (AT_POINT, LEFT_LIMIT):
             raise ValidationError(f"unknown limit flag {f!r}")
     return out
+
+
+def _upper_axis(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates ``xs`` approached from below, followed by the closed end
+    ``1``: the per-axis ``(coords, left)`` pair of a :meth:`_cdf_table` call
+    that evaluates the one-sided limits at cell upper corners."""
+    coords = np.concatenate([xs, [1.0]])
+    return coords, np.arange(coords.size) < xs.size
+
+
+def _product_table(factors: Sequence[np.ndarray]):
+    """Row reader of the table ``factors[0] x ... x factors[-1]``, built in
+    ``reduce(np.multiply.outer, ...)`` axis order so that every entry is the
+    same floating point product whichever rows are read."""
+
+    def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        axes = [factors[0][start:stop], *factors[1:]]
+        head = reduce(np.multiply.outer, axes[:-1], 1.0)  # 1.0 * x == x exactly
+        return np.multiply.outer(head, axes[-1], out=out)
+
+    return rows
+
+
+def _covering_index(coords: np.ndarray, left: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """First index ``j`` with ``x < coords[j]``, or ``x <= coords[j]`` where
+    ``left[j]`` is False; ``coords.size`` when there is none.  ``coords`` is
+    nondecreasing, and among equal coordinates the left limits come first."""
+    lo = np.searchsorted(coords, xs, side="left")
+    hi = np.searchsorted(coords, xs, side="right")
+    n_left = np.concatenate([[0], np.cumsum(left)])
+    return lo + n_left[hi] - n_left[lo]
 
 
 @dataclass(frozen=True)
@@ -332,6 +373,10 @@ class UniformMeasure:
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return np.empty(0)
 
+    def _cdf_table(self, coords, left):
+        """CDF table on a product grid (see the module docstring)."""
+        return _product_table([np.asarray(c, dtype=float) for c in coords])
+
 
 class DiscreteMeasure:
     """A probability measure on finitely many atoms (all weights positive,
@@ -365,6 +410,38 @@ class DiscreteMeasure:
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self.support.axis_coordinates(axis)
 
+    def _cdf_table(self, coords, left):
+        """CDF table on a product grid (see the module docstring).
+
+        Each atom lands in the first table cell that covers it; the rows read
+        are prefix sums along axis 0, then axis 1, and so on.  Atoms covered
+        only by earlier rows are summed into the first row read, in the
+        support's axis-0 order, which reproduces the axis-0 prefix sum of
+        the whole table bit for bit.
+        """
+        shape = tuple(len(c) for c in coords)
+        locations, weights = self.support.locations, self.support.weights
+        cells = [
+            _covering_index(np.asarray(c, dtype=float), np.asarray(f, dtype=bool), locations[:, s])
+            for s, (c, f) in enumerate(zip(coords, left))
+        ]
+        covered = np.all([j < n for j, n in zip(cells, shape)], axis=0)
+        cells = [j[covered] for j in cells]
+        weights = weights[covered]
+
+        def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+            keep = cells[0] < stop
+            flat = np.ravel_multi_index(
+                [np.maximum(cells[0][keep] - start, 0)] + [j[keep] for j in cells[1:]], out.shape
+            )
+            out.fill(0.0)
+            np.add.at(out.reshape(-1), flat, weights[keep])  # in support order
+            for s in range(out.ndim):
+                np.cumsum(out, axis=s, out=out)
+            return out
+
+        return rows
+
 
 class ProductMeasure:
     """Product of one-dimensional CDFs: ``F(a) = prod_s G_s(a_s)``."""
@@ -391,6 +468,13 @@ class ProductMeasure:
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self.axes[axis].breakpoints
+
+    def _cdf_table(self, coords, left):
+        """CDF table on a product grid (see the module docstring)."""
+        return _product_table([
+            np.where(f, ax.left_values_at(c), ax.values_at(c))
+            for ax, c, f in zip(self.axes, coords, left)
+        ])
 
 
 class AnalyticCdfMeasure:
@@ -445,18 +529,35 @@ class AnalyticCdfMeasure:
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self._hints[axis]
 
+    def _cdf_table(self, coords, left):
+        """CDF table on a product grid (see the module docstring): one
+        callback call per cell, ``cdf`` unless a left limit is needed."""
+        d = self.dimension
+        coords = [np.asarray(c, dtype=float) for c in coords]
+        left = [np.asarray(f, dtype=bool) for f in left]
 
-MeasureSpec = Union[UniformMeasure, DiscreteMeasure, ProductMeasure, AnalyticCdfMeasure]
+        def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+            axes = [coords[0][start:stop]] + coords[1:]
+            flags = [left[0][start:stop]] + left[1:]
+            point = np.empty(d)
+            for index in np.ndindex(out.shape):
+                for s in range(d):
+                    point[s] = axes[s][index[s]]
+                if self.continuous or not any(flags[s][index[s]] for s in range(d)):
+                    out[index] = self.cdf(point)
+                else:
+                    out[index] = self.cdf_one_sided(point, tuple(
+                        LEFT_LIMIT if flags[s][index[s]] else AT_POINT for s in range(d)
+                    ))
+            return out
 
-
-def measure_dimension(m) -> int:
-    return m.dimension
+        return rows
 
 
 def cdf_eval(m, a) -> float:
     """Anchored CDF ``F(a) = m([0, a])`` of a measure at a point.
 
-    Accepts any :data:`MeasureSpec` as well as a raw
+    Accepts any of the measure classes above as well as a raw
     :class:`DiscreteSignedMeasure`.
     """
     return m.cdf(a)

@@ -2,24 +2,29 @@
 
 The oracles are deliberately independent of the library code paths they
 check: variation by enumerating every sub-partition of a grid, discrepancy
-by dense-grid evaluation of the deviation itself, and the piecewise-constant
+by dense-grid evaluation of the deviation itself (or, for the streamed exact
+engine, by the whole-grid reduction it replaced), and the piecewise-constant
 density integrated segment by segment rather than through its closed-form
 CDF.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
 
 from nuqmc import (
+    AnalyticCdfMeasure,
     AxisCdf,
     DiscreteMeasure,
     DiscreteSignedMeasure,
     GridFunction,
     PointSet,
+    ProductMeasure,
     STEP,
+    UniformMeasure,
     one_sided_deviation,
 )
 
@@ -118,6 +123,71 @@ def brute_force_star_discrepancy(ps: PointSet, m, per_axis) -> float:
         for flags in product(("at", "left"), repeat=ps.dimension):
             best = max(best, one_sided_deviation(corner, ps, m, flags))
     return best
+
+
+def _dense_cdf_arrays(m, grids):
+    """CDF at every cell's lower corner, and the one-sided limit at its
+    upper corner (left limits except on the degenerate final interval),
+    as whole-grid arrays."""
+    d = len(grids)
+    shape = tuple(g.size for g in grids)
+    uppers = [np.concatenate([g[1:], [1.0]]) for g in grids]
+    if isinstance(m, UniformMeasure):
+        return reduce(np.multiply.outer, grids), reduce(np.multiply.outer, uppers)
+    if isinstance(m, ProductMeasure):
+        lo = reduce(np.multiply.outer, [ax.values_at(g) for ax, g in zip(m.axes, grids)])
+        hi = reduce(np.multiply.outer, [
+            np.concatenate([ax.left_values_at(g[1:]), [ax.value(1.0)]])
+            for ax, g in zip(m.axes, grids)
+        ])
+        return lo, hi
+    if isinstance(m, DiscreteMeasure):
+        lo = np.zeros(shape)
+        idx = tuple(np.searchsorted(g, m.support.locations[:, s]) for s, g in enumerate(grids))
+        np.add.at(lo, idx, m.support.weights)
+        for s in range(d):
+            np.cumsum(lo, axis=s, out=lo)
+        return lo, lo  # atoms lie on the grid: the limit at the next vertex
+    if isinstance(m, AnalyticCdfMeasure):
+        lo, hi = np.empty(shape), np.empty(shape)
+        for index in np.ndindex(shape):
+            lo[index] = m.cdf([grids[s][index[s]] for s in range(d)])
+            flags = tuple("at" if index[s] == shape[s] - 1 else "left" for s in range(d))
+            hi[index] = m.cdf_one_sided([uppers[s][index[s]] for s in range(d)], flags)
+        return lo, hi
+    raise TypeError(f"no dense CDF arrays for {type(m).__name__}")
+
+
+def dense_star_discrepancy(ps: PointSet, m):
+    """Exact star-discrepancy by whole-grid reduction: vertex counts and CDF
+    arrays over the entire critical grid, then one argmax of each deviation.
+
+    Returns ``(value, witness, flags, attained)`` with the same tie rule as
+    the library (first occurrence in C order; the attained term wins ties).
+    """
+    d = ps.dimension
+    grids = [
+        np.unique(np.concatenate([[0.0, 1.0], ps.points[:, s],
+                                  np.asarray(m.axis_coordinates(s), dtype=float)]))
+        for s in range(d)
+    ]
+    counts = np.zeros(tuple(g.size for g in grids), dtype=np.int64)
+    idx = tuple(np.searchsorted(g, ps.points[:, s], side="right") - 1 for s, g in enumerate(grids))
+    np.add.at(counts, idx, 1)
+    for s in range(d):
+        np.cumsum(counts, axis=s, out=counts)
+    frac = counts / ps.n
+    f_lo, f_hi = _dense_cdf_arrays(m, grids)
+    dev_lo, dev_hi = frac - f_lo, f_hi - frac
+    lo_idx = np.unravel_index(int(np.argmax(dev_lo)), dev_lo.shape)
+    hi_idx = np.unravel_index(int(np.argmax(dev_hi)), dev_hi.shape)
+    if dev_lo[lo_idx] >= dev_hi[hi_idx]:
+        witness = tuple(float(grids[s][lo_idx[s]]) for s in range(d))
+        return float(dev_lo[lo_idx]), witness, ("at",) * d, True
+    last = [hi_idx[s] == grids[s].size - 1 for s in range(d)]
+    witness = tuple(1.0 if last[s] else float(grids[s][hi_idx[s] + 1]) for s in range(d))
+    flags = tuple("at" if last[s] else "left" for s in range(d))
+    return float(dev_hi[hi_idx]), witness, flags, False
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,31 @@ class TestDiscrepancyCommand:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_max_exact_dim_below_one_is_invalid(self, capsys, points_file, uniform_file, value):
+        code, _, err = run_cli(
+            capsys, "discrepancy", "--points", points_file, "--measure", uniform_file,
+            "--max-exact-dim", value,
+        )
+        assert code == 2
+        assert "--max-exact-dim" in err
+
+    @pytest.mark.parametrize("measure, points", [
+        ({"type": "uniform", "d": "x"}, None),
+        ({"type": "uniform", "d": 2.7}, None),
+        ({"type": "discrete", "atoms": [5]}, None),
+        ({"type": "product", "axes": [3]}, None),
+        (None, {"d": 2, "points": [[0.1, "a"]]}),
+    ], ids=["string-d", "fractional-d", "atom-not-object", "axis-not-object", "text-coordinate"])
+    def test_malformed_schema_exit_code(self, capsys, tmp_path, points_file, uniform_file,
+                                        measure, points):
+        mfile = uniform_file if measure is None else write_json(tmp_path / "m.json", measure)
+        pfile = points_file if points is None else write_json(tmp_path / "p.json", points)
+        code, _, err = run_cli(capsys, "discrepancy", "--points", pfile, "--measure", mfile)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_missing_field_exit_code(self, capsys, tmp_path, points_file):
         mfile = write_json(tmp_path / "m.json", {"type": "discrete"})
         code, _, err = run_cli(

@@ -1,8 +1,11 @@
 """Exact star-discrepancy engine and the randomized lower-bound search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import nuqmc.discrepancy as engine
 from nuqmc import (
     AxisCdf,
     BudgetExceededError,
@@ -13,6 +16,7 @@ from nuqmc import (
     UniformMeasure,
     ValidationError,
     chelson_measure,
+    halton,
     local_discrepancy,
     one_sided_deviation,
     random_search_lower_bound,
@@ -20,6 +24,7 @@ from nuqmc import (
 )
 from helpers import (
     brute_force_star_discrepancy,
+    dense_star_discrepancy,
     dense_uniform_star_discrepancy,
     random_discrete_probability,
     random_general_axis_cdf,
@@ -245,6 +250,73 @@ class TestStarDiscrepancyExact:
         ps = PointSet(2, rng.random((40, 2)))
         with pytest.raises(BudgetExceededError):
             star_discrepancy(ps, UniformMeasure(2), cell_budget=100)
+
+
+def _slab_case(kind):
+    rng = np.random.default_rng(["uniform-d2", "uniform-d3", "uniform-d4", "jump-product",
+                                 "discrete-on-points", "chelson", "d1"].index(kind))
+    if kind.startswith("uniform"):
+        d = int(kind[-1])
+        n = {2: 600, 3: 80, 4: 20}[d]
+        return PointSet(d, rng.random((n, d))), UniformMeasure(d)
+    if kind == "jump-product":
+        pts = rng.random((600, 2))
+        pts[:40] = rng.integers(0, 9, (40, 2)) / 8.0  # duplicates, and points at 0 and 1
+        return PointSet(2, pts), ProductMeasure([random_general_axis_cdf(rng) for _ in range(2)])
+    if kind == "discrete-on-points":
+        pts = rng.random((600, 2))
+        atoms = np.concatenate([pts[:60], rng.random((20, 2))])
+        w = rng.random(80) + 0.05
+        return PointSet(2, pts), DiscreteMeasure.from_points(2, atoms, w / w.sum())
+    if kind == "chelson":
+        return PointSet(2, rng.random((20, 2))), chelson_measure()
+    return PointSet(1, rng.random((3000, 1))), UniformMeasure(1)
+
+
+def _summary(res):
+    return res.value, res.witness_box.upper, res.witness_flags, res.attained
+
+
+class TestSlabEngine:
+    """The streamed exact engine against the whole-grid reduction it
+    replaced: equal values, witnesses and flags, not merely close ones."""
+
+    @pytest.mark.parametrize("slab_cells", [None, 97])
+    @pytest.mark.parametrize("kind", ["uniform-d2", "uniform-d3", "uniform-d4", "jump-product",
+                                      "discrete-on-points", "chelson", "d1"])
+    def test_matches_dense_reduction(self, kind, slab_cells, monkeypatch):
+        # the default slab size splits the large grids into several slabs;
+        # 97 cells splits every grid, including Chelson's and the 1-d one
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        ps, m = _slab_case(kind)
+        assert _summary(star_discrepancy(ps, m)) == dense_star_discrepancy(ps, m)
+
+    @pytest.mark.parametrize("points, witness, flags, attained", [
+        # symmetric set: 27/64 at (1/8, 5/8) in row 1 and at (5/8, 1/8) in row 2
+        ([[0.875, 0.875], [0.625, 0.125], [0.125, 0.625], [0.125, 0.125]],
+         (0.125, 0.625), ("at", "at"), True),
+        # 3/8 approached at four upper corners, in rows 1, 3 and 4
+        ([[0.75, 0.625], [0.625, 0.875], [0.625, 0.375], [0.125, 0.5]],
+         (0.625, 1.0), ("left", "left"), False),
+    ])
+    def test_earlier_slab_wins_a_tie(self, points, witness, flags, attained, monkeypatch):
+        ps = PointSet(2, points)
+        expect = dense_star_discrepancy(ps, UniformMeasure(2))
+        assert expect[1:] == (witness, flags, attained)
+        monkeypatch.setattr(engine, "_SLAB_CELLS", 1)  # one grid row per slab
+        assert _summary(star_discrepancy(ps, UniformMeasure(2))) == expect
+
+    def test_peak_memory_is_a_slab_constant(self):
+        # 2050^2 = 4.2e6 cells: about 168 MB as whole-grid arrays
+        ps = PointSet(2, halton(2048, 2).points)
+        tracemalloc.start()
+        try:
+            star_discrepancy(ps, UniformMeasure(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestRandomSearch:
