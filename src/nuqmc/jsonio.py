@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .measures import AxisCdf, DiscreteMeasure, DiscreteSignedMeasure, ProductMeasure, UniformMeasure
 from .discrepancy import PointSet
 from .transforms import chelson_measure
@@ -92,7 +92,13 @@ def measure_from_dict(obj, where: str = "measure"):
             locs.append(_numbers(_require(atom, "x", at), f"{at}.x"))
             ws.append(_number(_require(atom, "w", at), f"{at}.w"))
         d = locs[0].size
-        return DiscreteMeasure(DiscreteSignedMeasure(d, zip(locs, ws)))
+        for i, loc in enumerate(locs):
+            if loc.size != d:
+                raise DimensionMismatchError(
+                    f"{where}.atoms[{i}].x has {loc.size} coordinates, expected {d}"
+                )
+        locations = np.array([loc.reshape(-1) for loc in locs])
+        return DiscreteMeasure(DiscreteSignedMeasure._from_arrays(d, locations, ws))
     if kind == "product":
         axes = _require(obj, "axes", where)
         if not isinstance(axes, list) or not axes:

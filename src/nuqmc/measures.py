@@ -8,7 +8,8 @@ representations are provided:
 * :class:`DiscreteMeasure` -- a probability measure on finitely many atoms,
 * :class:`ProductMeasure` -- a product of one-dimensional CDFs
   (:class:`AxisCdf`), each allowed to carry jumps (atoms) and plateaus,
-* :class:`AnalyticCdfMeasure` -- a closed-form CDF callback.
+* :class:`AnalyticCdfMeasure` -- a closed-form CDF callback, evaluated on
+  whole ``(k, d)`` batches of points.
 
 Every one of them also has a private ``_cdf_table(coords, left)``: the CDF
 on the product grid ``coords[0] x ... x coords[d-1]`` (nondecreasing
@@ -18,11 +19,14 @@ writes the table's axis-0 indices ``start:stop`` into the C-contiguous float
 array ``out`` and returns it, so that a caller can stream a large table in
 slabs through one buffer.  The exact discrepancy engine and the exact cell
 masses of :mod:`nuqmc.integrate` both read their CDF values through it.
+Every table read works on whole arrays: an analytic measure calls its
+callback once per read, never once per cell.
 
 Signed measures are restricted to the purely atomic case
 (:class:`DiscreteSignedMeasure`), which is all the function/measure
 correspondence of :mod:`nuqmc.variation` produces.  Jordan decomposition and
-total variation are exact there.
+total variation are exact there.  Its atoms are validated and merged as
+arrays; a merged weight is the same float a sequential sum would give.
 
 All numeric comparisons in this package use a documented floating point
 tolerance of ``1e-12`` (non-dyadic rational fixtures make bit-exact
@@ -124,48 +128,64 @@ class DiscreteSignedMeasure:
 
     Atoms at identical locations are merged at construction (weights summed,
     exact zeros dropped), which makes Jordan decomposition and total
-    variation canonical.
+    variation canonical.  ``atoms`` is an iterable of :class:`Atom` objects
+    or ``(location, weight)`` pairs; code holding the atoms as arrays builds
+    the measure with :meth:`_from_arrays` instead.
     """
 
     def __init__(self, dimension: int, atoms: Iterable) -> None:
-        if dimension < 1:
-            raise ValidationError("dimension must be >= 1")
-        self.dimension = int(dimension)
         locs: list[np.ndarray] = []
         ws: list[float] = []
         for atom in atoms:
-            if isinstance(atom, Atom):
-                loc, w = atom.location, atom.weight
-            else:
-                loc, w = atom
-            locs.append(_unit_point(loc, self.dimension, "atom location"))
-            w = float(w)
-            if not np.isfinite(w):
-                raise ValidationError("atom weight must be finite")
-            ws.append(w)
-        if locs:
-            locations = np.asarray(locs)
-            weights = np.asarray(ws)
-            # merge duplicates: lexicographic sort, sum runs of equal rows
-            order = np.lexsort(locations.T[::-1])
-            locations = locations[order]
-            weights = weights[order]
-            keep_locs: list[np.ndarray] = []
-            keep_ws: list[float] = []
-            for loc, w in zip(locations, weights):
-                if keep_locs and np.array_equal(keep_locs[-1], loc):
-                    keep_ws[-1] += w
-                else:
-                    keep_locs.append(loc)
-                    keep_ws.append(w)
-            locations = np.asarray(keep_locs)
-            weights = np.asarray(keep_ws)
-            nonzero = weights != 0.0
-            locations = locations[nonzero]
-            weights = weights[nonzero]
-        else:
-            locations = np.empty((0, self.dimension))
-            weights = np.empty(0)
+            loc, w = (atom.location, atom.weight) if isinstance(atom, Atom) else atom
+            loc = np.asarray(loc, dtype=float).reshape(-1)
+            if loc.size != dimension:
+                raise DimensionMismatchError(
+                    f"atom location has {loc.size} coordinates, expected {dimension}"
+                )
+            locs.append(loc)
+            ws.append(float(w))
+        # an empty input takes the shape (0, d); _init_arrays rejects d < 1
+        locations = np.asarray(locs) if locs else np.empty((0, max(int(dimension), 0)))
+        self._init_arrays(dimension, locations, np.asarray(ws, dtype=float))
+
+    @classmethod
+    def _from_arrays(cls, dimension: int, locations, weights) -> "DiscreteSignedMeasure":
+        """The measure with atoms at the rows of the ``(n, d)`` array
+        ``locations`` and the ``(n,)`` weights ``weights``."""
+        nu = cls.__new__(cls)
+        nu._init_arrays(dimension, np.asarray(locations, dtype=float),
+                        np.asarray(weights, dtype=float))
+        return nu
+
+    def _init_arrays(self, dimension: int, locations: np.ndarray, weights: np.ndarray) -> None:
+        if dimension < 1:
+            raise ValidationError("dimension must be >= 1")
+        self.dimension = int(dimension)
+        n = weights.size
+        if weights.ndim != 1 or locations.shape != (n, self.dimension):
+            raise DimensionMismatchError(
+                f"atom locations have shape {locations.shape} and weights shape "
+                f"{weights.shape}, expected ({n}, {self.dimension}) and ({n},)"
+            )
+        if not np.all(np.isfinite(locations)):
+            raise ValidationError("atom locations have non-finite coordinates")
+        if np.any(locations < 0.0) or np.any(locations > 1.0):
+            raise ValidationError("atom locations must lie in [0,1]^d")
+        if not np.all(np.isfinite(weights)):
+            raise ValidationError("atom weight must be finite")
+        # merge duplicates: lexicographic sort, then sum each run of equal
+        # rows; bincount adds a run's weights one after another in sorted
+        # order, so every sum is the same float as a sequential loop's
+        order = np.lexsort(locations.T[::-1])
+        locations = locations[order]
+        weights = weights[order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = np.any(locations[1:] != locations[:-1], axis=1)
+        weights = np.bincount(np.cumsum(starts) - 1, weights=weights)
+        nonzero = weights != 0.0
+        locations = locations[starts][nonzero]
+        weights = weights[nonzero]
         locations.flags.writeable = False
         weights.flags.writeable = False
         self.locations = locations
@@ -225,13 +245,11 @@ def jordan_decompose_measure(
     """
     pos_mask = nu.weights > 0
     neg_mask = nu.weights < 0
-    positive = DiscreteSignedMeasure(
-        nu.dimension,
-        zip(nu.locations[pos_mask], nu.weights[pos_mask]),
+    positive = DiscreteSignedMeasure._from_arrays(
+        nu.dimension, nu.locations[pos_mask], nu.weights[pos_mask]
     )
-    negative = DiscreteSignedMeasure(
-        nu.dimension,
-        zip(nu.locations[neg_mask], -nu.weights[neg_mask]),
+    negative = DiscreteSignedMeasure._from_arrays(
+        nu.dimension, nu.locations[neg_mask], -nu.weights[neg_mask]
     )
     return positive, negative
 
@@ -277,6 +295,9 @@ class AxisCdf:
             vl = np.asarray(values_left, dtype=float)
             if vl.shape != bp.shape:
                 raise ValidationError("values_left must match breakpoints in length")
+        if not all(np.all(np.isfinite(arr)) for arr in (bp, va, vl)):
+            # NaN slips through the ordering checks below: every comparison is False
+            raise ValidationError("breakpoints and CDF values must be finite")
         if vl[0] != 0.0:
             raise ValidationError("values_left[0] must be 0 (no mass below 0)")
         chain = np.empty(2 * bp.size)
@@ -392,14 +413,16 @@ class DiscreteMeasure:
 
     @classmethod
     def from_points(cls, dimension: int, locations, weights) -> "DiscreteMeasure":
-        return cls(DiscreteSignedMeasure(dimension, zip(locations, weights)))
+        """Atoms at the rows of the ``(n, d)`` array ``locations`` with the
+        ``(n,)`` weights ``weights``."""
+        return cls(DiscreteSignedMeasure._from_arrays(dimension, locations, weights))
 
     @classmethod
     def empirical(cls, points: np.ndarray) -> "DiscreteMeasure":
         """Empirical measure of a point set (weight 1/N per point, duplicates merge)."""
         pts = np.asarray(points, dtype=float)
         n = pts.shape[0]
-        return cls(DiscreteSignedMeasure(pts.shape[1], zip(pts, np.full(n, 1.0 / n))))
+        return cls(DiscreteSignedMeasure._from_arrays(pts.shape[1], pts, np.full(n, 1.0 / n)))
 
     def cdf(self, a) -> float:
         return self.support.cdf(a)
@@ -478,21 +501,26 @@ class ProductMeasure:
 
 
 class AnalyticCdfMeasure:
-    """Measure given by a closed-form anchored CDF callback ``F(a)``.
+    """Measure given by a closed-form anchored CDF callback ``F``.
 
+    The callbacks work on batches of points.  ``cdf(a)`` takes a ``(k, d)``
+    float array and returns the ``(k,)`` values ``F(a[i])``.
     ``continuous=True`` declares that the CDF has no atoms so that left
-    limits coincide with point values; otherwise a ``left_limit`` callback
-    ``(a, flags) -> float`` must be supplied for one-sided evaluation.
-    ``grid_hints`` may list per-axis coordinates worth injecting into exact
-    discrepancy grids (kinks, say); correctness does not depend on them.
+    limits coincide with point values; otherwise a ``left_limit(a, left)``
+    callback must be supplied for one-sided evaluation.  It takes ``(k, d)``
+    points and a ``(k, d)`` boolean array, True where the limit from the left
+    is taken on that axis, and returns ``(k,)`` values; a row with no True
+    entry asks for ``F`` itself.  ``grid_hints`` may list per-axis
+    coordinates worth injecting into exact discrepancy grids (kinks, say);
+    correctness does not depend on them.
     """
 
     def __init__(
         self,
         dimension: int,
-        cdf: Callable[[np.ndarray], float],
+        cdf: Callable[[np.ndarray], np.ndarray],
         continuous: bool = True,
-        left_limit: Callable[[np.ndarray, tuple[str, ...]], float] | None = None,
+        left_limit: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         grid_hints: Sequence[Sequence[float]] | None = None,
         label: str = "analytic",
     ) -> None:
@@ -511,44 +539,42 @@ class AnalyticCdfMeasure:
         if abs(norm - 1.0) > TOLERANCE:
             raise ValidationError(f"F(1,...,1) must equal 1, got {norm}")
 
-    def cdf(self, a) -> float:
-        a = _unit_point(a, self.dimension)
-        return float(self._cdf(a))
-
-    def cdf_one_sided(self, a, flags) -> float:
-        a = _unit_point(a, self.dimension)
-        flags = _limit_flags(flags, self.dimension)
-        if all(f == AT_POINT for f in flags) or self.continuous:
-            return self.cdf(a)
+    def _evaluate(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """``F`` at the rows of ``points``, taking the left limit on the axes
+        where ``left`` is True: one callback call for the whole batch."""
+        if self.continuous or not left.any():
+            return self._cdf(points)
         if self._left_limit is None:
             raise UnsupportedMeasureError(
                 "analytic CDF declared discontinuous has no one-sided limit callback"
             )
-        return float(self._left_limit(a, flags))
+        return self._left_limit(points, left)
+
+    def cdf(self, a) -> float:
+        a = _unit_point(a, self.dimension)
+        return float(self._cdf(a[None, :])[0])
+
+    def cdf_one_sided(self, a, flags) -> float:
+        a = _unit_point(a, self.dimension)
+        left = np.array([f == LEFT_LIMIT for f in _limit_flags(flags, self.dimension)])
+        return float(self._evaluate(a[None, :], left[None, :])[0])
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self._hints[axis]
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring): one
-        callback call per cell, ``cdf`` unless a left limit is needed."""
-        d = self.dimension
+        callback call per read, on all the corners of the rows read."""
         coords = [np.asarray(c, dtype=float) for c in coords]
         left = [np.asarray(f, dtype=bool) for f in left]
 
+        def corners(axes):
+            return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
         def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-            axes = [coords[0][start:stop]] + coords[1:]
-            flags = [left[0][start:stop]] + left[1:]
-            point = np.empty(d)
-            for index in np.ndindex(out.shape):
-                for s in range(d):
-                    point[s] = axes[s][index[s]]
-                if self.continuous or not any(flags[s][index[s]] for s in range(d)):
-                    out[index] = self.cdf(point)
-                else:
-                    out[index] = self.cdf_one_sided(point, tuple(
-                        LEFT_LIMIT if flags[s][index[s]] else AT_POINT for s in range(d)
-                    ))
+            points = corners([coords[0][start:stop]] + coords[1:])
+            flags = corners([left[0][start:stop]] + left[1:])
+            out[...] = np.reshape(self._evaluate(points, flags), out.shape)
             return out
 
         return rows

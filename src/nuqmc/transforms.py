@@ -149,17 +149,16 @@ def chelson_density(y) -> float:
     return 0.5 if y[0] <= y[1] else 1.5
 
 
-def chelson_cdf(a) -> float:
-    """Closed-form anchored CDF of the Chelson density.
+def chelson_cdf(a) -> np.ndarray:
+    """Closed-form anchored CDF of the Chelson density, for a ``(k, 2)``
+    batch of points (``(k,)`` values) or a single point ``(a1, a2)``.
 
     Splits at the diagonal: ``a1^2/2 + a1*a2/2`` for ``a1 <= a2`` and
     ``3*a1*a2/2 - a2^2/2`` otherwise.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    a1, a2 = float(a[0]), float(a[1])
-    if a1 <= a2:
-        return 0.5 * a1 * a1 + 0.5 * a1 * a2
-    return 1.5 * a1 * a2 - 0.5 * a2 * a2
+    a = np.asarray(a, dtype=float)
+    a1, a2 = a[..., 0], a[..., 1]
+    return np.where(a1 <= a2, 0.5 * a1 * a1 + 0.5 * a1 * a2, 1.5 * a1 * a2 - 0.5 * a2 * a2)
 
 
 def chelson_marginal(y1: float) -> float:

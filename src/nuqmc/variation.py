@@ -380,7 +380,7 @@ def function_to_measure(f: GridFunction) -> DiscreteSignedMeasure:
     coords = f.vertex_coordinates()
     weights = w.reshape(-1)
     mask = weights != 0.0
-    return DiscreteSignedMeasure(f.dimension, zip(coords[mask], weights[mask]))
+    return DiscreteSignedMeasure._from_arrays(f.dimension, coords[mask], weights[mask])
 
 
 def measure_to_function(nu: DiscreteSignedMeasure) -> GridFunction:

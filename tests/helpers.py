@@ -3,13 +3,15 @@
 The oracles are deliberately independent of the library code paths they
 check: variation by enumerating every sub-partition of a grid, discrepancy
 by dense-grid evaluation of the deviation itself (or, for the streamed exact
-engine, by the whole-grid reduction it replaced), and the piecewise-constant
-density integrated segment by segment rather than through its closed-form
-CDF.
+engine, by the whole-grid reduction it replaced), signed measures by the
+per-atom merge loop the array constructor replaced, and the
+piecewise-constant Chelson density integrated segment by segment (in floats
+and as exact rationals) rather than through its closed-form CDF.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 
@@ -17,6 +19,7 @@ import numpy as np
 
 from nuqmc import (
     AnalyticCdfMeasure,
+    Atom,
     AxisCdf,
     DiscreteMeasure,
     DiscreteSignedMeasure,
@@ -211,6 +214,66 @@ def chelson_box_mass(lower, upper) -> float:
         below = max(0.0, min(h2, y1) - l2)
         total += (0.5 * above + 1.5 * below) * (b - a)
     return total
+
+
+def chelson_cdf_scalar(a) -> float:
+    """The Chelson CDF at one point, evaluated with Python floats: the
+    formula the batched :func:`nuqmc.chelson_cdf` must reproduce bit for bit."""
+    a1, a2 = float(a[0]), float(a[1])
+    if a1 <= a2:
+        return 0.5 * a1 * a1 + 0.5 * a1 * a2
+    return 1.5 * a1 * a2 - 0.5 * a2 * a2
+
+
+def chelson_cdf_exact(a) -> Fraction:
+    """``F(a)`` of the Chelson density as an exact rational, integrated from
+    the density rather than taken from the closed form.
+
+    For fixed ``y1`` the density is 3/2 on ``y2 < y1`` and 1/2 above, so the
+    inner integral over ``[0, a2]`` is linear in ``y1`` on each side of the
+    kink ``y1 = a2`` and the midpoint rule on each side is exact.
+    """
+    a1, a2 = Fraction(a[0]), Fraction(a[1])
+    kink = min(a1, a2)
+    total = Fraction(0)
+    for lo, hi in ((Fraction(0), kink), (kink, a1)):
+        y1 = (lo + hi) / 2
+        below = min(y1, a2)
+        total += (Fraction(3, 2) * below + Fraction(1, 2) * (a2 - below)) * (hi - lo)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# signed-measure oracle
+# ---------------------------------------------------------------------------
+
+def reference_signed_measure(dimension: int, atoms) -> tuple[np.ndarray, np.ndarray]:
+    """``(locations, weights)`` of the merged measure, by the per-atom loop
+    the array constructor of :class:`DiscreteSignedMeasure` replaced: stable
+    lexicographic sort, then each weight added to its run's running sum in
+    sorted order, then exact zeros dropped."""
+    locs, ws = [], []
+    for atom in atoms:
+        loc, w = (atom.location, atom.weight) if isinstance(atom, Atom) else atom
+        locs.append(np.asarray(loc, dtype=float).reshape(-1))
+        ws.append(float(w))
+    if not locs:
+        return np.empty((0, dimension)), np.empty(0)
+    locations = np.asarray(locs)
+    weights = np.asarray(ws)
+    order = np.lexsort(locations.T[::-1])
+    keep_locs: list[np.ndarray] = []
+    keep_ws: list[float] = []
+    for loc, w in zip(locations[order], weights[order]):
+        if keep_locs and np.array_equal(keep_locs[-1], loc):
+            keep_ws[-1] += w
+        else:
+            keep_locs.append(loc)
+            keep_ws.append(w)
+    locations = np.asarray(keep_locs)
+    weights = np.asarray(keep_ws)
+    nonzero = weights != 0.0
+    return locations[nonzero], weights[nonzero]
 
 
 # ---------------------------------------------------------------------------

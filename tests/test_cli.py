@@ -100,7 +100,11 @@ class TestDiscrepancyCommand:
         ({"type": "discrete", "atoms": [5]}, None),
         ({"type": "product", "axes": [3]}, None),
         (None, {"d": 2, "points": [[0.1, "a"]]}),
-    ], ids=["string-d", "fractional-d", "atom-not-object", "axis-not-object", "text-coordinate"])
+        ({"type": "product", "axes": [{"breakpoints": [0, 0.5, 1], "values": [0, float("nan"), 1]}]},
+         {"d": 1, "points": [[0.25]]}),
+        ({"type": "discrete", "atoms": [{"x": [0.5, 0.5], "w": 0.5}, {"x": [0.5], "w": 0.5}]}, None),
+    ], ids=["string-d", "fractional-d", "atom-not-object", "axis-not-object", "text-coordinate",
+            "nan-axis-value", "ragged-atoms"])
     def test_malformed_schema_exit_code(self, capsys, tmp_path, points_file, uniform_file,
                                         measure, points):
         mfile = uniform_file if measure is None else write_json(tmp_path / "m.json", measure)

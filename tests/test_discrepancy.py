@@ -7,6 +7,7 @@ import pytest
 
 import nuqmc.discrepancy as engine
 from nuqmc import (
+    AnalyticCdfMeasure,
     AxisCdf,
     BudgetExceededError,
     DiscreteMeasure,
@@ -15,6 +16,7 @@ from nuqmc import (
     ProductMeasure,
     UniformMeasure,
     ValidationError,
+    chelson_cdf,
     chelson_measure,
     halton,
     local_discrepancy,
@@ -196,20 +198,16 @@ class TestStarDiscrepancyExact:
     def test_analytic_cdf_with_an_atom(self):
         # closed-form mixture of the uniform measure and a point mass; the
         # declared-discontinuous path must use the left-limit callback
-        from nuqmc import AnalyticCdfMeasure
-
         def mixture(c, w_atom):
             c = np.asarray(c, float)
             w_uni = 1.0 - w_atom
 
             def cdf(a):
-                return w_uni * float(np.prod(a)) + (w_atom if np.all(c <= a) else 0.0)
+                return w_uni * np.prod(a, axis=1) + np.where(np.all(c <= a, axis=1), w_atom, 0.0)
 
             def left(a, flags):
-                ok = True
-                for s, f in enumerate(flags):
-                    ok &= (c[s] < a[s]) if f == "left" else (c[s] <= a[s])
-                return w_uni * float(np.prod(a)) + (w_atom if ok else 0.0)
+                ok = np.all(np.where(flags, c < a, c <= a), axis=1)
+                return w_uni * np.prod(a, axis=1) + np.where(ok, w_atom, 0.0)
 
             return AnalyticCdfMeasure(
                 2, cdf, continuous=False, left_limit=left,
@@ -317,6 +315,23 @@ class TestSlabEngine:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_analytic_callback_is_called_once_per_table_read(self):
+        # one slab here, so one read of lower-corner and one of upper-corner
+        # CDF values; a per-cell loop would call the callback about 5000 times
+        batches = []
+
+        def counting_cdf(a):
+            batches.append(a.shape)
+            return chelson_cdf(a)
+
+        m = AnalyticCdfMeasure(2, counting_cdf, continuous=True, label="chelson")
+        ps = PointSet(2, np.random.default_rng(24).random((48, 2)))
+        batches.clear()
+        res = star_discrepancy(ps, m)
+        assert len(batches) <= 4
+        assert all(len(shape) == 2 and shape[1] == 2 for shape in batches)
+        assert res.value == star_discrepancy(ps, chelson_measure()).value
 
 
 class TestRandomSearch:

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from nuqmc import (
     AnalyticCdfMeasure,
+    Atom,
     AxisCdf,
     DiscreteMeasure,
     DiscreteSignedMeasure,
+    DimensionMismatchError,
     ProductMeasure,
     UniformMeasure,
     ValidationError,
@@ -26,6 +28,7 @@ from helpers import (
     random_discrete_probability,
     random_general_axis_cdf,
     random_signed_measure,
+    reference_signed_measure,
 )
 
 TOL = 1e-12
@@ -186,7 +189,7 @@ class TestBoxMeasure:
         assert box_measure(m, (0.5, 0.0), (0.5, 0.5)) == pytest.approx(0.5)
 
     def test_analytic_without_limits_raises(self):
-        m = AnalyticCdfMeasure(1, lambda a: float(a[0]), continuous=False)
+        m = AnalyticCdfMeasure(1, lambda a: a[:, 0], continuous=False)
         with pytest.raises(UnsupportedMeasureError):
             box_measure(m, (0.2,), (0.7,), upper_open=(True,))
 
@@ -261,3 +264,85 @@ def test_atoms_merge_and_drop_zeros():
     nu = DiscreteSignedMeasure(2, [((0.5, 0.5), 1.0), ((0.5, 0.5), 2.0), ((0.1, 0.1), 0.0)])
     assert len(nu) == 1
     assert nu.weights[0] == 3.0
+
+
+class TestSignedMeasureArrays:
+    """The array constructor against the per-atom merge loop it replaced:
+    equal locations and weights, bit for bit."""
+
+    @staticmethod
+    def _atoms(rng, d):
+        pool = rng.choice([0.0, 0.25, 0.5, 1.0, *rng.random(4)], size=(8, d))
+        pool[0] = 0.0
+        rows = rng.integers(0, pool.shape[0], size=160)  # runs of about 20 per location
+        locs = pool[rows]
+        # weights over 16 orders of magnitude: a sum's last bit depends on its order
+        ws = rng.standard_normal(rows.size) * 10.0 ** rng.integers(-8, 8, size=rows.size)
+        # a location whose weights cancel to an exact 0
+        locs = np.vstack([locs, np.full((3, d), 0.75)])
+        ws = np.concatenate([ws, [0.5, 0.25, -0.75]])
+        # -0.0 coordinates at the origin, where the pool already has 0.0
+        neg = np.flatnonzero(rows == 0)[::2]
+        locs[neg] = -0.0
+        order = rng.permutation(ws.size)
+        locs, ws = locs[order], ws[order]
+        return [
+            Atom(tuple(loc), w) if i % 3 == 0 else (list(loc) if i % 3 == 1 else loc, w)
+            for i, (loc, w) in enumerate(zip(locs, ws))
+        ], locs, ws
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_the_per_atom_loop(self, d):
+        rng = np.random.default_rng(300 + d)
+        for _ in range(5):
+            atoms, locs, ws = self._atoms(rng, d)
+            ref_locs, ref_ws = reference_signed_measure(d, atoms)
+            for nu in (DiscreteSignedMeasure(d, atoms),
+                       DiscreteSignedMeasure._from_arrays(d, locs, ws)):
+                assert np.array_equal(nu.locations, ref_locs)
+                assert np.array_equal(np.signbit(nu.locations), np.signbit(ref_locs))
+                assert np.array_equal(nu.weights, ref_ws)
+                assert not np.any(np.all(nu.locations == 0.75, axis=1))
+
+    def test_empty(self):
+        for nu in (DiscreteSignedMeasure(3, []),
+                   DiscreteSignedMeasure._from_arrays(3, np.empty((0, 3)), np.empty(0))):
+            assert nu.locations.shape == (0, 3)
+            assert nu.weights.shape == (0,)
+            assert nu.mass == 0.0
+
+    @pytest.mark.parametrize("atoms", [
+        [((0.5,), 1.0)],
+        [((0.5, 0.5, 0.5), 1.0)],
+        [((0.5, 0.5), 1.0), ((0.5,), 1.0)],
+    ], ids=["short", "long", "ragged"])
+    def test_wrong_location_length(self, atoms):
+        with pytest.raises(DimensionMismatchError):
+            DiscreteSignedMeasure(2, atoms)
+
+    def test_wrong_array_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            DiscreteSignedMeasure._from_arrays(2, np.full((3, 3), 0.5), np.ones(3))
+        with pytest.raises(DimensionMismatchError):
+            DiscreteSignedMeasure._from_arrays(2, np.full((3, 2), 0.5), np.ones(4))
+
+    @pytest.mark.parametrize("loc, w", [
+        ((0.5, np.nan), 1.0), ((np.inf, 0.5), 1.0), ((0.5, 1.5), 1.0), ((-0.1, 0.5), 1.0),
+        ((0.5, 0.5), np.nan), ((0.5, 0.5), np.inf),
+    ], ids=["nan", "inf", "above", "below", "nan-weight", "inf-weight"])
+    def test_invalid_atom(self, loc, w):
+        with pytest.raises(ValidationError) as err:
+            DiscreteSignedMeasure(2, [((0.25, 0.25), 1.0), (loc, w)])
+        assert err.type is ValidationError
+
+
+class TestAxisCdfFinite:
+    @pytest.mark.parametrize("breakpoints, values, values_left", [
+        ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0], None),
+        ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+        ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0], None),
+        ([0.0, 0.5, 1.0], [0.0, np.inf, 1.0], None),
+    ], ids=["nan-value", "nan-left-value", "nan-breakpoint", "inf-value"])
+    def test_non_finite_data_is_rejected(self, breakpoints, values, values_left):
+        with pytest.raises(ValidationError):
+            AxisCdf(breakpoints, values, values_left)

@@ -1,6 +1,8 @@
 """Pseudo-inverse CDFs, product and conditional transforms, and the failure
 of the transformed-discrepancy identity for non-product measures."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from nuqmc import (
 from nuqmc.transforms import chelson_marginal
 from helpers import (
     chelson_box_mass,
+    chelson_cdf_exact,
+    chelson_cdf_scalar,
     random_general_axis_cdf,
     random_point_set,
     random_strict_axis_cdf,
@@ -160,6 +164,23 @@ class TestChelsonFixture:
         for _ in range(100):
             a = rng.random(2)
             assert chelson_cdf(a) == pytest.approx(chelson_box_mass((0, 0), a), abs=1e-9)
+
+    def test_batched_cdf_matches_the_scalar_formula(self):
+        rng = np.random.default_rng(67)
+        a = rng.random((500, 2))
+        a[::5, 1] = a[::5, 0]  # on the diagonal, where the two formulas meet
+        a[1::7] = rng.choice([0.0, 1.0], size=(a[1::7].shape[0], 2))
+        got = chelson_cdf(a)
+        assert got.shape == (500,)
+        assert np.array_equal(got, [chelson_cdf_scalar(p) for p in a])
+        assert chelson_cdf(a[3]) == chelson_cdf_scalar(a[3])
+
+    def test_cdf_is_exact_at_dyadic_points(self):
+        rng = np.random.default_rng(68)
+        a = rng.integers(0, 2**10 + 1, size=(300, 2)) / 2**10
+        a[::4, 1] = a[::4, 0]
+        for point, value in zip(a, chelson_cdf(a)):
+            assert Fraction(float(value)) == chelson_cdf_exact(point)
 
     def test_identity_check_reports_failure(self):
         ps = PointSet(2, [[56 / 81, 20 / 23]])
