@@ -15,7 +15,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -59,14 +59,15 @@ from .variation import (
 DEFAULT_POINT = (56.0 / 81.0, 20.0 / 23.0)
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tolerance", type=float, default=1e-12)
+def _output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", default=None, help="report destination (default stdout)")
+
+
+def _exact_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget", type=int, default=10**8,
                         help="cell budget for exact discrepancy grids")
     parser.add_argument("--max-exact-dim", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--out", default=None, help="report destination (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,33 +83,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--search", type=int, default=None, metavar="TRIALS",
                    help="randomized lower bound instead of the exact grid")
-    _common(p)
+    p.add_argument("--seed", type=int, default=0)
+    _exact_flags(p)
+    _output_flags(p)
 
     p = sub.add_parser("variation", help="Vitali and Hardy-Krause variation")
     p.add_argument("--function", required=True)
-    _common(p)
+    _output_flags(p)
 
     p = sub.add_parser("decompose", help="monotone decompositions and the measure round-trip")
     p.add_argument("--function", required=True)
-    _common(p)
+    _output_flags(p)
 
     p = sub.add_parser("transform", help="map points through a product measure's inverse CDFs")
     p.add_argument("--points", required=True)
     p.add_argument("--measure", required=True)
-    _common(p)
+    _output_flags(p)
 
     p = sub.add_parser("integrate", help="QMC estimate, optionally certified")
     p.add_argument("--f", "--function", dest="function", required=True)
     p.add_argument("--measure", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--certify", action="store_true")
-    _common(p)
+    _exact_flags(p)
+    _output_flags(p)
 
     p = sub.add_parser("generate", help="low-discrepancy point sets")
     p.add_argument("--kind", choices=("halton",), default="halton")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    _common(p)
+    _output_flags(p)
 
     p = sub.add_parser("counterexample",
                        help="failure report for the conditional-transform identity")
@@ -118,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary-csv", default=None,
                    help="write a CSV sampling of the image-set boundary here")
     p.add_argument("--boundary-samples", type=int, default=256)
-    _common(p)
+    p.add_argument("--tolerance", type=float, default=1e-12)
+    _output_flags(p)
 
     return parser
 
@@ -133,10 +138,11 @@ def _parse_pair(text: str, name: str) -> tuple[float, float]:
         raise ValidationError(f"{name}: {err}") from err
 
 
-def _config_dict(args: argparse.Namespace, threads: int | None) -> dict:
-    cfg = dict(vars(args))
-    cfg["threads"] = threads
-    return cfg
+def _check_exact_flags(args: argparse.Namespace) -> None:
+    if args.budget < 1:
+        raise ValidationError("--budget must be >= 1")
+    if args.max_exact_dim < 1:
+        raise ValidationError("--max-exact-dim must be >= 1")
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:
@@ -182,6 +188,7 @@ def _discrepancy_result_dict(res) -> dict:
 
 
 def _run_discrepancy(args) -> dict:
+    _check_exact_flags(args)
     ps = load_points(args.points)
     m = load_measure(args.measure)
     if args.search is not None:
@@ -240,6 +247,7 @@ def _run_transform(args) -> dict:
 
 
 def _run_integrate(args) -> dict:
+    _check_exact_flags(args)
     f = load_grid_function(args.function)
     m = load_measure(args.measure)
     ps = load_points(args.points)
@@ -264,6 +272,10 @@ def _run_generate(args) -> dict:
 
 
 def _run_counterexample(args) -> dict:
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValidationError("--tolerance must be finite and > 0")
+    if args.boundary_samples < 0:
+        raise ValidationError("--boundary-samples must be >= 0")
     x = DEFAULT_POINT if args.point is None else _parse_pair(args.point, "--point")
     probe = _parse_pair(args.box, "--box")
     cdf = chelson_conditional()
@@ -294,9 +306,6 @@ def _run_counterexample(args) -> dict:
         "uniform_discrepancy_original": report.uniform_discrepancy,
         "difference": report.difference,
         "identity_holds": report.identity_holds,
-        "forward_map_fixed_point_check": list(
-            forward_cdf_map(report.probe, cdf)
-        ),
         "rationals": {
             "input_point": [_fraction(c) for c in x],
             "transformed_point": [_fraction(c) for c in z],
@@ -322,32 +331,10 @@ _RUNNERS = {
 }
 
 
-def _thread_cap() -> int | None:
-    """QMK_THREADS caps internal parallelism; evaluation here is vectorized
-    single-threaded, so any positive cap is trivially honored."""
-    raw = os.environ.get("QMK_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"QMK_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise ValidationError(f"QMK_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _thread_cap()
-        if args.budget < 1:
-            raise ValidationError("--budget must be >= 1")
-        if args.max_exact_dim < 1:
-            raise ValidationError("--max-exact-dim must be >= 1")
-        if args.tolerance <= 0:
-            raise ValidationError("--tolerance must be > 0")
         result = _RUNNERS[args.subcommand](args)
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -366,7 +353,7 @@ def main(argv=None) -> int:
         Path(out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         result = {"written": out, "n": len(payload["points"]), "d": payload["d"]}
         out = None
-    report = {"config": _config_dict(args, threads), "result": result}
+    report = {"config": vars(args), "result": result}
     _emit(report, args.format, out)
     return 0
 

@@ -358,20 +358,29 @@ class AxisCdf:
 
     def pseudo_inverse(self, y: float) -> float:
         """Smallest ``x`` with ``G(x) >= y``; exact on the piecewise data."""
-        if not 0.0 <= y <= 1.0:
+        return float(self._pseudo_inverse_at(np.asarray([y], dtype=float))[0])
+
+    def _pseudo_inverse_at(self, ys: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`pseudo_inverse`."""
+        if not np.all((ys >= 0.0) & (ys <= 1.0)):
             raise ValidationError("pseudo-inverse argument outside [0,1]")
         bp, va, vl = self.breakpoints, self.values, self.values_left
-        if va[0] >= y:
-            return 0.0
-        for j in range(1, bp.size):
-            # interior of the segment (bp[j-1], bp[j]): continuous ramp to vl[j]
-            if va[j - 1] < y <= vl[j]:
-                t = (y - va[j - 1]) / (vl[j] - va[j - 1])
-                return float(bp[j - 1] + t * (bp[j] - bp[j - 1]))
-            # jump at bp[j] reaches y
-            if vl[j] < y <= va[j]:
-                return float(bp[j])
-        return 1.0  # unreachable for valid data: G(1) = 1 >= y
+        # nondecreasing chain va[0], vl[1], va[1], ..., vl[n-1], va[n-1]: its
+        # first entry >= y is va[0] (index 0, answer 0), the end vl[j] of the
+        # ramp over (bp[j-1], bp[j]) (odd index 2j-1), or the top va[j] of the
+        # jump at bp[j] (even index 2j); past the end only when G(1) < y
+        chain = np.empty(2 * bp.size - 1)
+        chain[0::2] = va
+        chain[1::2] = vl[1:]
+        k = np.searchsorted(chain, ys, side="left")
+        inside = k < chain.size
+        j = np.minimum((k + 1) // 2, bp.size - 1)
+        out = np.where(inside, bp[j], 1.0)
+        ramp = inside & (k % 2 == 1)
+        j = j[ramp]
+        t = (ys[ramp] - va[j - 1]) / (vl[j] - va[j - 1])
+        out[ramp] = bp[j - 1] + t * (bp[j] - bp[j - 1])
+        return out
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ def product_transform(ps: PointSet, m: ProductMeasure) -> PointSet:
         raise DimensionMismatchError("measure and point set dimensions differ")
     out = np.empty_like(ps.points)
     for s, ax in enumerate(m.axes):
-        out[:, s] = [ax.pseudo_inverse(x) for x in ps.points[:, s]]
+        out[:, s] = ax._pseudo_inverse_at(ps.points[:, s])
     return PointSet(ps.dimension, out)
 
 

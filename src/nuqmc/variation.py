@@ -72,6 +72,8 @@ class FaceSelector:
         axes = tuple(sorted(set(int(a) for a in self.axes)))
         if not axes:
             raise ValidationError("face needs at least one free axis")
+        if axes[0] < 0:
+            raise ValidationError("face axes must be >= 0")
         if self.anchor not in (ANCHOR_ONE, ANCHOR_ZERO):
             raise ValidationError(f"unknown anchor {self.anchor!r}")
         object.__setattr__(self, "axes", axes)
@@ -212,15 +214,33 @@ class JordanPair:
     f_minus: GridFunction
 
 
-def _cell_sum(values: np.ndarray, axes: Sequence[int], pin_index: int | None) -> float:
-    """Sum of |quasi-volume| over the finest cells of a face restriction."""
+def _faces(d: int):
+    """Every nonempty axis subset, by size and then lexicographically."""
+    for r in range(1, d + 1):
+        yield from combinations(range(d), r)
+
+
+def _face_differences(values: np.ndarray, axes: Sequence[int],
+                      pin_index: int | None) -> np.ndarray:
+    """Quasi-volumes of the finest cells of a face restriction.
+
+    Axes outside ``axes`` are pinned at ``pin_index`` (kept as length-1
+    axes), or left free when it is None; then mixed first differences are
+    taken along ``axes``.
+    """
     v = values
-    for s in range(values.ndim):
-        if s not in axes and pin_index is not None:
-            v = np.take(v, [pin_index], axis=s)
+    if pin_index is not None:
+        for s in range(values.ndim):
+            if s not in axes:
+                v = np.take(v, [pin_index], axis=s)
     for s in axes:
         v = np.diff(v, axis=s)
-    return float(np.abs(v).sum())
+    return v
+
+
+def _cell_sum(values: np.ndarray, axes: Sequence[int], pin_index: int | None) -> float:
+    """Sum of |quasi-volume| over the finest cells of a face restriction."""
+    return float(np.abs(_face_differences(values, axes, pin_index)).sum())
 
 
 def quasi_volume(f: GridFunction, box: Box) -> float:
@@ -264,11 +284,9 @@ def hk_variation(f: GridFunction, anchor: str = ANCHOR_ONE) -> float:
     if anchor not in (ANCHOR_ONE, ANCHOR_ZERO):
         raise ValidationError(f"unknown anchor {anchor!r}")
     pin = -1 if anchor == ANCHOR_ONE else 0
-    d = f.dimension
     total = 0.0
-    for r in range(1, d + 1):
-        for axes in combinations(range(d), r):
-            total += _cell_sum(f.values, axes, pin)
+    for axes in _faces(f.dimension):
+        total += _cell_sum(f.values, axes, pin)
     return total
 
 
@@ -277,22 +295,14 @@ def hk0_prefix_grid(f: GridFunction) -> np.ndarray:
 
     Returned as an array over the grid; the origin entry is 0.
     """
-    vals = f.values
     d = f.dimension
-    out = np.zeros(vals.shape)
-    for r in range(1, d + 1):
-        for axes in combinations(range(d), r):
-            v = vals
-            for s in range(d):
-                if s not in axes:
-                    v = np.take(v, [0], axis=s)
-            for s in axes:
-                v = np.diff(v, axis=s)
-            v = np.abs(v)
-            for s in axes:
-                v = np.cumsum(v, axis=s)
-            pad = [(1, 0) if s in axes else (0, 0) for s in range(d)]
-            out += np.pad(v, pad)
+    out = np.zeros(f.shape)
+    for axes in _faces(d):
+        v = np.abs(_face_differences(f.values, axes, 0))
+        for s in axes:
+            v = np.cumsum(v, axis=s)
+        pad = [(1, 0) if s in axes else (0, 0) for s in range(d)]
+        out += np.pad(v, pad)
     return out
 
 
@@ -341,14 +351,10 @@ def is_completely_monotone(f: GridFunction, tol: float = MONOTONE_TOL) -> bool:
     every grid position; adjacent-cell boxes suffice since larger boxes are
     sums of adjacent ones.  Cost grows like ``3^d`` times the grid size.
     """
-    d = f.dimension
-    for r in range(1, d + 1):
-        for axes in combinations(range(d), r):
-            v = f.values
-            for s in axes:
-                v = np.diff(v, axis=s)
-            if v.size and float(v.min()) < -tol:
-                return False
+    for axes in _faces(f.dimension):
+        v = _face_differences(f.values, axes, None)
+        if v.size and float(v.min()) < -tol:
+            return False
     return True
 
 
@@ -404,31 +410,10 @@ def measure_to_function(nu: DiscreteSignedMeasure) -> GridFunction:
     return GridFunction(bps, vals, STEP)
 
 
-def box_indicator(upper) -> GridFunction:
-    """Step indicator of the half-open anchored box ``[0, upper)``.
-
-    The closed-box indicator is not right-continuous, so this is the step
-    representative; counts and masses agree with the closed box whenever no
-    point or atom sits exactly on the boundary.
-    """
-    u = np.asarray(upper, dtype=float).reshape(-1)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValidationError("box corner must lie in [0,1]^d")
-    bps = [np.unique(np.concatenate([[0.0, 1.0], [c]])) for c in u]
-    vals = np.ones(tuple(b.size for b in bps))
-    for s, b in enumerate(bps):
-        shape = [1] * len(bps)
-        shape[s] = b.size
-        vals = vals * (b < u[s]).astype(float).reshape(shape)
-    return GridFunction(bps, vals, STEP)
-
-
-def corner_indicator(lower) -> GridFunction:
-    """Step indicator of the closed corner box ``[lower, 1]``.
-
-    This one is right-continuous, hence exactly representable.
-    """
-    c = np.asarray(lower, dtype=float).reshape(-1)
+def _indicator(corner, inside) -> GridFunction:
+    """Step function that is 1 where ``inside(b, corner[s])`` holds on every
+    axis ``s`` and 0 elsewhere, on the grid ``{0, corner[s], 1}``."""
+    c = np.asarray(corner, dtype=float).reshape(-1)
     if np.any(c < 0.0) or np.any(c > 1.0):
         raise ValidationError("box corner must lie in [0,1]^d")
     bps = [np.unique(np.concatenate([[0.0, 1.0], [x]])) for x in c]
@@ -436,5 +421,23 @@ def corner_indicator(lower) -> GridFunction:
     for s, b in enumerate(bps):
         shape = [1] * len(bps)
         shape[s] = b.size
-        vals = vals * (b >= c[s]).astype(float).reshape(shape)
+        vals = vals * inside(b, c[s]).astype(float).reshape(shape)
     return GridFunction(bps, vals, STEP)
+
+
+def box_indicator(upper) -> GridFunction:
+    """Step indicator of the half-open anchored box ``[0, upper)``.
+
+    The closed-box indicator is not right-continuous, so this is the step
+    representative; counts and masses agree with the closed box whenever no
+    point or atom sits exactly on the boundary.
+    """
+    return _indicator(upper, np.less)
+
+
+def corner_indicator(lower) -> GridFunction:
+    """Step indicator of the closed corner box ``[lower, 1]``.
+
+    This one is right-continuous, hence exactly representable.
+    """
+    return _indicator(lower, np.greater_equal)

@@ -6,7 +6,11 @@ by dense-grid evaluation of the deviation itself (or, for the streamed exact
 engine, by the whole-grid reduction it replaced), signed measures by the
 per-atom merge loop the array constructor replaced, and the
 piecewise-constant Chelson density integrated segment by segment (in floats
-and as exact rationals) rather than through its closed-form CDF.
+and as exact rationals) rather than through its closed-form CDF.  The face
+loops of the variation module, its two indicator builders and the
+segment-by-segment pseudo-inverse are kept here as written before they were
+folded into shared code paths, so the shared paths can be compared with them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -274,6 +278,100 @@ def reference_signed_measure(dimension: int, atoms) -> tuple[np.ndarray, np.ndar
     weights = np.asarray(keep_ws)
     nonzero = weights != 0.0
     return locations[nonzero], weights[nonzero]
+
+
+# ---------------------------------------------------------------------------
+# reference face loops, indicator builders and pseudo-inverse
+# ---------------------------------------------------------------------------
+
+def reference_cell_sum(values: np.ndarray, axes, pin_index) -> float:
+    """Sum of |quasi-volume| over the finest cells of a face restriction."""
+    v = values
+    for s in range(values.ndim):
+        if s not in axes and pin_index is not None:
+            v = np.take(v, [pin_index], axis=s)
+    for s in axes:
+        v = np.diff(v, axis=s)
+    return float(np.abs(v).sum())
+
+
+def reference_hk_variation(f: GridFunction, pin_index: int) -> float:
+    """Hardy-Krause variation with the pinned axes at ``pin_index``
+    (-1 for the anchor at one, 0 for the anchor at zero)."""
+    d = f.dimension
+    total = 0.0
+    for r in range(1, d + 1):
+        for axes in combinations(range(d), r):
+            total += reference_cell_sum(f.values, axes, pin_index)
+    return total
+
+
+def reference_hk0_prefix_grid(f: GridFunction) -> np.ndarray:
+    vals = f.values
+    d = f.dimension
+    out = np.zeros(vals.shape)
+    for r in range(1, d + 1):
+        for axes in combinations(range(d), r):
+            v = vals
+            for s in range(d):
+                if s not in axes:
+                    v = np.take(v, [0], axis=s)
+            for s in axes:
+                v = np.diff(v, axis=s)
+            v = np.abs(v)
+            for s in axes:
+                v = np.cumsum(v, axis=s)
+            pad = [(1, 0) if s in axes else (0, 0) for s in range(d)]
+            out += np.pad(v, pad)
+    return out
+
+
+def reference_is_completely_monotone(f: GridFunction, tol: float) -> bool:
+    d = f.dimension
+    for r in range(1, d + 1):
+        for axes in combinations(range(d), r):
+            v = f.values
+            for s in axes:
+                v = np.diff(v, axis=s)
+            if v.size and float(v.min()) < -tol:
+                return False
+    return True
+
+
+def reference_box_indicator(upper) -> GridFunction:
+    u = np.asarray(upper, dtype=float).reshape(-1)
+    bps = [np.unique(np.concatenate([[0.0, 1.0], [c]])) for c in u]
+    vals = np.ones(tuple(b.size for b in bps))
+    for s, b in enumerate(bps):
+        shape = [1] * len(bps)
+        shape[s] = b.size
+        vals = vals * (b < u[s]).astype(float).reshape(shape)
+    return GridFunction(bps, vals, STEP)
+
+
+def reference_corner_indicator(lower) -> GridFunction:
+    c = np.asarray(lower, dtype=float).reshape(-1)
+    bps = [np.unique(np.concatenate([[0.0, 1.0], [x]])) for x in c]
+    vals = np.ones(tuple(b.size for b in bps))
+    for s, b in enumerate(bps):
+        shape = [1] * len(bps)
+        shape[s] = b.size
+        vals = vals * (b >= c[s]).astype(float).reshape(shape)
+    return GridFunction(bps, vals, STEP)
+
+
+def reference_pseudo_inverse(ax: AxisCdf, y: float) -> float:
+    """Smallest ``x`` with ``G(x) >= y``, one segment at a time."""
+    bp, va, vl = ax.breakpoints, ax.values, ax.values_left
+    if va[0] >= y:
+        return 0.0
+    for j in range(1, bp.size):
+        if va[j - 1] < y <= vl[j]:
+            t = (y - va[j - 1]) / (vl[j] - va[j - 1])
+            return float(bp[j - 1] + t * (bp[j] - bp[j - 1]))
+        if vl[j] < y <= va[j]:
+            return float(bp[j])
+    return 1.0
 
 
 # ---------------------------------------------------------------------------

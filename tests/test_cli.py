@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nuqmc import chelson_conditional, forward_cdf_map
 from nuqmc.cli import main
 
 
@@ -256,6 +257,33 @@ class TestCounterexampleCommand:
         assert lines[0] == "y1,image_x,image_y"
         assert len(lines) == 17
 
+    def test_probe_box_image_is_the_forward_map_of_the_probe(self, capsys):
+        code, out, _ = run_cli(capsys, "counterexample", "--box", "0.9,0.7")
+        assert code == 0
+        result = json.loads(out)["result"]
+        image = forward_cdf_map(tuple(result["probe_box"]), chelson_conditional())
+        assert result["probe_box_image"] == list(image)
+        assert "forward_map_fixed_point_check" not in result
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, value):
+        code, out, err = run_cli(capsys, "counterexample", "--tolerance", value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--tolerance" in err
+
+    def test_negative_boundary_samples(self, capsys, tmp_path):
+        csv_path = tmp_path / "boundary.csv"
+        code, out, err = run_cli(
+            capsys, "counterexample", "--boundary-csv", str(csv_path),
+            "--boundary-samples", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--boundary-samples" in err
+        assert "Traceback" not in err
+        assert not csv_path.exists()
+
 
 class TestReportPlumbing:
     def test_byte_identical_reports(self, capsys, points_file, uniform_file):
@@ -285,15 +313,32 @@ class TestReportPlumbing:
         assert "value" in json.loads(out_path.read_text())["result"]
 
     def test_thread_cap_env_validation(self, capsys, monkeypatch, points_file, uniform_file):
+        # QMK_THREADS is no longer read: it changes neither the exit code
+        # nor the report, and config lists only the subcommand's own flags
+        argv = ["discrepancy", "--points", points_file, "--measure", uniform_file]
+        _, plain, _ = run_cli(capsys, *argv)
         monkeypatch.setenv("QMK_THREADS", "zero")
-        code, _, err = run_cli(
-            capsys, "discrepancy", "--points", points_file, "--measure", uniform_file
-        )
-        assert code == 2
-        assert "QMK_THREADS" in err
-        monkeypatch.setenv("QMK_THREADS", "4")
-        code, out, _ = run_cli(
-            capsys, "discrepancy", "--points", points_file, "--measure", uniform_file
-        )
-        assert code == 0
-        assert json.loads(out)["config"]["threads"] == 4
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == plain
+        config = json.loads(out)["config"]
+        assert "threads" not in config
+        assert set(config) == {"subcommand", "points", "measure", "search", "seed",
+                               "budget", "max_exact_dim", "format", "out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "4", "--d", "2", "--seed", "3"],
+    ["variation", "--function", "f.json", "--budget", "5"],
+    ["decompose", "--function", "f.json", "--max-exact-dim", "2"],
+    ["transform", "--points", "p.json", "--measure", "m.json", "--tolerance", "1e-9"],
+    ["integrate", "--f", "f.json", "--measure", "m.json", "--points", "p.json", "--seed", "1"],
+    ["counterexample", "--budget", "5"],
+    ["discrepancy", "--points", "p.json", "--measure", "m.json", "--tolerance", "1e-9"],
+], ids=["generate-seed", "variation-budget", "decompose-max-exact-dim", "transform-tolerance",
+        "integrate-seed", "counterexample-budget", "discrepancy-tolerance"])
+def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from nuqmc import (
     chelson_conditional,
     chelson_density,
     chelson_identity_check,
+    ValidationError,
     chelson_measure,
     conditional_transform_2d,
     forward_cdf_map,
@@ -32,6 +33,7 @@ from helpers import (
     random_general_axis_cdf,
     random_point_set,
     random_strict_axis_cdf,
+    reference_pseudo_inverse,
 )
 
 TOL = 1e-12
@@ -71,6 +73,33 @@ class TestPseudoInverse:
         assert ax.value(inv) >= y - TOL
         assert pseudo_inverse(ax, ax.value(x)) <= x + TOL
 
+    def test_array_path_matches_the_segment_loop(self):
+        rng = np.random.default_rng(64)
+        axes = [random_general_axis_cdf(rng, max_segments=6) for _ in range(150)]
+        axes += [random_strict_axis_cdf(rng) for _ in range(30)]
+        axes += [dirac_half_cdf(), AxisCdf([0.0, 0.5, 1.0], [0.0, 0.5, 1.0 - 5e-13])]
+        compared = 0
+        for ax in axes:
+            data = np.concatenate([ax.values, ax.values_left])
+            ys = np.concatenate([data, np.nextafter(data, 0.0), np.nextafter(data, 1.0),
+                                 rng.random(32), [0.0, -0.0, 1.0]])
+            ys = ys[(ys >= 0.0) & (ys <= 1.0)]
+            want = np.array([reference_pseudo_inverse(ax, y) for y in ys])
+            got = ax._pseudo_inverse_at(ys)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal([ax.pseudo_inverse(y) for y in ys], want)
+            compared += ys.size
+        assert compared > 10_000
+
+    @pytest.mark.parametrize("y", [-0.1, 1.5, float("nan")])
+    def test_argument_outside_the_unit_interval(self, y):
+        ax = random_general_axis_cdf(np.random.default_rng(65))
+        with pytest.raises(ValidationError):
+            ax.pseudo_inverse(y)
+        with pytest.raises(ValidationError):
+            ax._pseudo_inverse_at(np.array([0.5, y]))
+
 
 class TestProductTransform:
     def test_identity_axes(self):
@@ -101,6 +130,14 @@ class TestProductTransform:
             left = star_discrepancy(image, m).value
             right = star_discrepancy(ps, UniformMeasure(d)).value
             assert left <= right + TOL
+
+    def test_matches_the_pointwise_segment_loop(self):
+        rng = np.random.default_rng(66)
+        for d in (1, 2, 3):
+            m = ProductMeasure([random_general_axis_cdf(rng, max_segments=6) for _ in range(d)])
+            ps = random_point_set(rng, d, max_points=64)
+            want = [[reference_pseudo_inverse(ax, x) for ax, x in zip(m.axes, p)] for p in ps.points]
+            assert np.array_equal(product_transform(ps, m).points, np.array(want).reshape(-1, d))
 
 
 class TestConditionalTransform:

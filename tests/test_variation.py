@@ -1,6 +1,8 @@
 """Grid-function variation, monotone decompositions, and the
 function/measure correspondence, checked against enumeration oracles."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from nuqmc import (
     MULTILINEAR,
     STEP,
     ValidationError,
+    box_indicator,
     cdf_eval,
     chelson_cdf,
     corner_indicator,
@@ -38,6 +41,12 @@ from helpers import (
     measures_match,
     random_grid_function,
     random_signed_measure,
+    reference_box_indicator,
+    reference_cell_sum,
+    reference_corner_indicator,
+    reference_hk0_prefix_grid,
+    reference_hk_variation,
+    reference_is_completely_monotone,
     vitali_by_enumeration,
 )
 
@@ -99,6 +108,12 @@ class TestVitaliVariation:
         f = corner_indicator((0.5, 0.5))
         assert vitali_variation(f, FaceSelector((0,), ANCHOR_ONE)) == 1.0
         assert vitali_variation(f, FaceSelector((0,), ANCHOR_ZERO)) == 0.0
+
+    def test_negative_face_axis_is_rejected(self):
+        with pytest.raises(ValidationError):
+            vitali_variation(corner_indicator((0.5, 0.5)), FaceSelector((-1,)))
+        with pytest.raises(ValidationError):
+            FaceSelector((0, -2), ANCHOR_ZERO)
 
 
 class TestHKVariation:
@@ -466,3 +481,85 @@ class TestRefinement:
                 )
                 assert vitali_variation(refined) >= vitali_variation(f) - 1e-10
                 assert hk_variation(refined, ANCHOR_ZERO) >= hk_variation(f, ANCHOR_ZERO) - 1e-10
+
+
+def bit_equal(a, b) -> bool:
+    """Same shape, same values and same sign bits (so ``-0.0 != 0.0``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def kernel_cases(d: int):
+    """Step and multilinear functions of dimension ``d``: random values,
+    rounded values (ties, exact and negative zeros), and completely
+    monotone functions with a dip just inside and just outside the
+    default tolerance."""
+    rng = np.random.default_rng(400 + d)
+    for interp in (STEP, MULTILINEAR):
+        for _ in range(5):
+            f = random_grid_function(rng, d=d, max_intervals=3, interp=interp)
+            yield f
+            yield f.with_values(np.round(f.values))
+        for dip in (0.5e-12, 2e-12):
+            bps = [np.array([0.0, 0.3, 0.6, 1.0])] * d
+            vals = completely_monotone_function(rng, bps).values.copy()
+            vals[(1,) * d] -= dip
+            yield GridFunction(bps, vals, interp)
+
+
+def all_faces(d: int):
+    for r in range(1, d + 1):
+        yield from combinations(range(d), r)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+class TestSharedFaceKernel:
+    """The face loops share one kernel; every float must stay as the
+    separate loops computed it."""
+
+    def test_vitali_on_the_full_grid_and_every_face(self, d):
+        for f in kernel_cases(d):
+            assert bit_equal(vitali_variation(f), reference_cell_sum(f.values, tuple(range(d)), None))
+            for anchor, pin in ((ANCHOR_ONE, -1), (ANCHOR_ZERO, 0)):
+                for axes in all_faces(d):
+                    assert bit_equal(vitali_variation(f, FaceSelector(axes, anchor)),
+                                     reference_cell_sum(f.values, axes, pin))
+
+    def test_hk_variation_at_both_anchors(self, d):
+        for f in kernel_cases(d):
+            assert bit_equal(hk_variation(f, ANCHOR_ONE), reference_hk_variation(f, -1))
+            assert bit_equal(hk_variation(f, ANCHOR_ZERO), reference_hk_variation(f, 0))
+
+    def test_prefix_grid_and_decompositions(self, d):
+        for f in kernel_cases(d):
+            prefix = reference_hk0_prefix_grid(f)
+            assert bit_equal(hk0_prefix_grid(f), prefix)
+            f1, f2 = leonov_decompose(f)
+            assert bit_equal(f1.values, prefix)
+            assert bit_equal(f2.values, prefix - f.values)
+            pair = jordan_decompose_function(f)
+            centered = f.values - f.value_at_origin()
+            assert bit_equal(pair.f_plus.values, 0.5 * (prefix + centered))
+            assert bit_equal(pair.f_minus.values, 0.5 * (prefix - centered))
+
+    def test_complete_monotonicity(self, d):
+        verdicts = set()
+        for f in kernel_cases(d):
+            for tol in (0.0, 1e-12):
+                verdict = reference_is_completely_monotone(f, tol)
+                assert is_completely_monotone(f, tol) is verdict
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_indicators(self, d):
+        rng = np.random.default_rng(500 + d)
+        corners = [np.zeros(d), np.ones(d), np.full(d, 0.5), rng.random(d),
+                   rng.choice([0.0, 0.25, 1.0], size=d)]
+        for c in corners:
+            for build, reference in ((box_indicator, reference_box_indicator),
+                                     (corner_indicator, reference_corner_indicator)):
+                got, want = build(c), reference(c)
+                assert got.interp == want.interp == STEP
+                assert all(bit_equal(a, b) for a, b in zip(got.breakpoints, want.breakpoints))
+                assert bit_equal(got.values, want.values)
