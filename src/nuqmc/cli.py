@@ -336,25 +336,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = _RUNNERS[args.subcommand](args)
+        out = args.out
+        if args.subcommand in ("transform", "generate") and out:
+            # --out receives the point-set file itself (loadable by --points);
+            # the config-stamped report still goes to stdout
+            payload = result["points"]
+            Path(out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            result = {"written": out, "n": len(payload["points"]), "d": payload["d"]}
+            out = None
+        _emit({"config": vars(args), "result": result}, args.format, out)
     except BudgetExceededError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValidationError, NuqmcError) as err:
+    except (NuqmcError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    out = args.out
-    if args.subcommand in ("transform", "generate") and out:
-        # --out receives the point-set file itself (loadable by --points);
-        # the config-stamped report still goes to stdout
-        payload = result["points"]
-        Path(out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        result = {"written": out, "n": len(payload["points"]), "d": payload["d"]}
-        out = None
-    report = {"config": vars(args), "result": result}
-    _emit(report, args.format, out)
     return 0
 
 

@@ -14,9 +14,17 @@ budget, beyond which only the randomized lower-bound search is offered.
 
 Exact mode streams the grid in slabs of whole axis-0 rows (about 2^16 cells
 each), carrying the prefix counts of one slab's last row into the next, so
-peak memory is a per-slab constant rather than a multiple of the grid size.
-The cell budget therefore bounds time, not memory.  The measure supplies its
-CDF tables slab by slab through one ``_cdf_table`` method per measure class.
+peak memory is a per-slab constant (two slab buffers) rather than a multiple
+of the grid size.  The cell budget therefore bounds time, not memory.  The
+points are sorted by axis-0 row, so a slab builds its counts row by row:
+each row starts as a copy of the row before, and the point it holds at cells
+``(j_1, ..., j_{d-1})`` adds 1 on the orthant ``[j_1:, ..., j_{d-1}:]``.
+Slabs of short rows, or with a row holding several points, histogram their
+points and sum along every axis instead.  The measure supplies its CDF
+tables slab by slab through one ``_cdf_table`` method per measure class.
+
+The randomized search keeps its per-trial draws but evaluates a chunk of
+corners at once, through each measure's batched ``_cdf_points``.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .measures import (
     AT_POINT,
     LEFT_LIMIT,
+    _inside,
     _limit_flags,
     _unit_point,
     _upper_axis,
@@ -43,7 +52,9 @@ CELL_BUDGET = 10**8
 #: Cells per slab of the streamed critical grid (rounded down to whole
 #: axis-0 rows, at least one row).
 _SLAB_CELLS = 2**16
-#: Rows at least this long take the axis-0 prefix sum one row at a time.
+#: Rows at least this long are counted one row at a time: from the point's
+#: orthant when each row holds at most one point, else by a row-by-row
+#: axis-0 prefix sum of the slab's histogram.
 _ROW_LOOP_CELLS = 512
 
 EXACT_GRID = "exact"
@@ -57,14 +68,14 @@ class PointSet:
         if dimension < 1:
             raise ValidationError("dimension must be >= 1")
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
+        if pts.size == 0:
+            raise ValidationError("point set must contain at least one point")
+        if pts.ndim == 1 and pts.size % dimension == 0:  # flat coordinates
             pts = pts.reshape(-1, dimension)
         if pts.ndim != 2 or pts.shape[1] != dimension:
             raise DimensionMismatchError(
                 f"points must form an (N, {dimension}) array, got shape {pts.shape}"
             )
-        if pts.shape[0] < 1:
-            raise ValidationError("point set must contain at least one point")
         if not np.all(np.isfinite(pts)):
             raise ValidationError("points must be finite")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
@@ -120,13 +131,26 @@ def one_sided_deviation(a, ps: PointSet, m, limit_flags=None) -> float:
     star-discrepancy.
     """
     a = _unit_point(a, ps.dimension)
-    flags = _limit_flags(limit_flags, ps.dimension)
-    inside = np.ones(ps.n, dtype=bool)
-    for s, f in enumerate(flags):
-        col = ps.points[:, s]
-        inside &= (col < a[s]) if f == LEFT_LIMIT else (col <= a[s])
-    count = int(inside.sum())
-    return abs(count / ps.n - cdf_one_sided(m, a, flags))
+    if m.dimension != ps.dimension:
+        raise DimensionMismatchError("measure and point set dimensions differ")
+    left = np.array([f == LEFT_LIMIT for f in _limit_flags(limit_flags, ps.dimension)])
+    return float(_deviations(ps, _measure_method(m, "_cdf_points"), a[None, :], left[None, :])[0])
+
+
+def _deviations(ps: PointSet, cdf_points, corners: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """:func:`one_sided_deviation` at the rows of ``corners``, with the left
+    limits where ``left`` is True; ``cdf_points`` is the measure's
+    ``_cdf_points``."""
+    counts = np.count_nonzero(_inside(ps.points, corners, left), axis=1)
+    return np.abs(counts / ps.n - cdf_points(corners, left))
+
+
+def _measure_method(m, name: str):
+    """The private array method ``name`` every supported measure class has."""
+    method = getattr(m, name, None)
+    if method is None:
+        raise ValidationError(f"unsupported measure type {type(m).__name__}")
+    return method
 
 
 def _critical_grids(ps: PointSet, m) -> list[np.ndarray]:
@@ -147,13 +171,15 @@ def _slab_maxima(ps: PointSet, grids, table_of):
     ``F(upper-) - count/N`` over the critical grid, each with the grid index
     of its first occurrence in C order.
 
-    The grid is walked in slabs of whole axis-0 rows: the points of a slab's
-    rows are histogrammed, summed along axes 1..d-1, then along axis 0
-    starting from the previous slab's last row, and compared with the
-    measure's CDF tables for the same rows.  Memory is a per-slab constant;
-    an earlier slab keeps a tie, as one argmax over the whole grid would.
+    The grid is walked in slabs of whole axis-0 rows, each compared with the
+    measure's CDF tables for the same rows.  A row's prefix counts are the
+    previous row's (the previous slab's last row for a slab's first row)
+    plus 1 on the orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds,
+    if any.  Slabs of short rows, or with a row holding several points,
+    histogram their points and sum along every axis instead.  Memory is a
+    per-slab constant; an earlier slab keeps a tie, as one argmax over the
+    whole grid would.
     """
-    d = ps.dimension
     sizes = [g.size for g in grids]
     f_lo = table_of(grids, [np.zeros(g.size, dtype=bool) for g in grids])
     uppers = [_upper_axis(g[1:]) for g in grids]
@@ -166,32 +192,27 @@ def _slab_maxima(ps: PointSet, grids, table_of):
 
     row_cells = int(np.prod(sizes[1:], dtype=np.int64))
     step = min(sizes[0], max(1, _SLAB_CELLS // row_cells))
-    # one set of slab buffers for the whole walk: no large allocation per slab
-    counts = np.empty((step,) + tuple(sizes[1:]), dtype=np.int64)
-    frac, table = np.empty(counts.shape), np.empty(counts.shape)
+    # rows that take the orthant counts: long ones holding at most one point
+    orthant = np.zeros(sizes[0], dtype=bool)
+    if row_cells >= _ROW_LOOP_CELLS:
+        orthant = np.bincount(cells[0], minlength=sizes[0]) < 2
+    # two slab buffers for the whole walk: the counts, divided by N in place,
+    # and the CDF tables (the histogram's int64 scratch before that)
+    counts = np.empty((step,) + tuple(sizes[1:]))
+    table = np.empty(counts.shape)
     carry = np.zeros(sizes[1:], dtype=np.int64)
     lo_candidates, hi_candidates = [], []
     for start in range(0, sizes[0], step):
         stop = min(start + step, sizes[0])
         rows = stop - start
         first, last = np.searchsorted(cells[0], [start, stop])
-        flat = np.ravel_multi_index(
-            [cells[0][first:last] - start] + [c[first:last] for c in cells[1:]],
-            counts.shape,
-        )
-        c = counts[:rows]
-        c.fill(0)
-        np.add.at(counts.reshape(-1), flat, 1)
-        for s in range(1, d):
-            np.cumsum(c, axis=s, out=c)
-        c[0] += carry
-        if row_cells < _ROW_LOOP_CELLS:
-            np.cumsum(c, axis=0, out=c)
-        else:  # a strided cumsum over long rows is slower than a row loop
-            for r in range(1, rows):
-                c[r] += c[r - 1]
-        np.copyto(carry, c[-1])
-        share = np.divide(c, ps.n, out=frac[:rows])
+        slab_cells = [cells[0][first:last] - start] + [c[first:last] for c in cells[1:]]
+        if orthant[start:stop].all():
+            c = _orthant_counts(counts[:rows], carry, slab_cells)
+        else:
+            c = _histogram_counts(table[:rows].view(np.int64), carry, slab_cells)
+        carry[...] = c[-1]
+        share = np.divide(c, ps.n, out=counts[:rows])
 
         t = table[:rows]
         dev = np.subtract(share, f_lo(start, stop, t), out=t)
@@ -206,6 +227,38 @@ def _slab_maxima(ps: PointSet, grids, table_of):
         return float(value), np.unravel_index(flat_index, sizes)
 
     return first_max(lo_candidates), first_max(hi_candidates)
+
+
+def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarray:
+    """Prefix counts of a slab written into ``c``: each row is the row before
+    it (``carry`` for the first) plus 1 on the orthant of the point it holds,
+    if any.  ``point_cells[s]`` are the slab cells of the slab's points on
+    axis ``s``, ordered by row."""
+    prev, r = carry, 0
+    for hit, *tail in zip(*(j.tolist() for j in point_cells)):
+        c[r:hit + 1] = prev  # the rows without a point, then the point's row
+        c[(hit,) + tuple(slice(j, None) for j in tail)] += 1
+        prev, r = c[hit], hit + 1
+    c[r:] = prev
+    return c
+
+
+def _histogram_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarray:
+    """Prefix counts of a slab written into the int64 array ``c``: the
+    points at the slab cells ``point_cells`` (one array per axis)
+    histogrammed, summed along axes 1..d-1, then along axis 0 starting from
+    the row ``carry``."""
+    c.fill(0)
+    np.add.at(c.reshape(-1), np.ravel_multi_index(point_cells, c.shape), 1)
+    for s in range(1, c.ndim):
+        np.cumsum(c, axis=s, out=c)
+    c[0] += carry
+    if carry.size < _ROW_LOOP_CELLS:
+        np.cumsum(c, axis=0, out=c)
+    else:  # a strided cumsum over long rows is slower than a row loop
+        for r in range(1, c.shape[0]):
+            c[r] += c[r - 1]
+    return c
 
 
 def star_discrepancy(
@@ -237,9 +290,7 @@ def star_discrepancy(
             "use random_search_lower_bound"
         )
 
-    table_of = getattr(m, "_cdf_table", None)
-    if table_of is None:
-        raise ValidationError(f"unsupported measure type {type(m).__name__}")
+    table_of = _measure_method(m, "_cdf_table")
     (best_lo, best_lo_idx), (best_hi, best_hi_idx) = _slab_maxima(ps, grids, table_of)
 
     if best_lo >= best_hi:
@@ -284,8 +335,12 @@ def random_search_lower_bound(
         raise ValidationError("trials must be >= 1")
     if m.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
+    cdf_points = _measure_method(m, "_cdf_points")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"invalid seed {seed!r}: {err}") from err
     d = ps.dimension
-    rng = np.random.default_rng(seed)
     pools = [
         np.unique(
             np.concatenate(
@@ -295,32 +350,33 @@ def random_search_lower_bound(
         for s in range(d)
     ]
 
-    best = -1.0
-    best_corner = (1.0,) * d
-    best_flags = (AT_POINT,) * d
-    corner = np.empty(d)
-    for _ in range(trials):
-        flags = []
-        for s in range(d):
-            u = rng.random()
-            if u < 0.5:
-                corner[s] = pools[s][rng.integers(pools[s].size)]
-            elif u < 0.6:
-                corner[s] = 1.0
-            else:
-                corner[s] = rng.random()
-            flags.append(LEFT_LIMIT if rng.random() < 0.5 else AT_POINT)
-        flags = tuple(flags)
-        dev = one_sided_deviation(corner, ps, m, flags)
-        if dev > best:
-            best = dev
-            best_corner = tuple(float(c) for c in corner)
-            best_flags = flags
+    # the draws are made one trial and one axis at a time, so a seed gives the
+    # same corners however many trials are evaluated together
+    chunk = max(1, _SLAB_CELLS // ps.n)
+    best, best_corner, best_left = -1.0, np.ones(d), np.zeros(d, dtype=bool)
+    for done in range(0, trials, chunk):
+        corners, left = [], []
+        for _ in range(min(chunk, trials - done)):
+            for s in range(d):
+                u = rng.random()
+                if u < 0.5:
+                    corners.append(pools[s][rng.integers(pools[s].size)])
+                elif u < 0.6:
+                    corners.append(1.0)
+                else:
+                    corners.append(rng.random())
+                left.append(rng.random() < 0.5)
+        corners = np.reshape(corners, (-1, d))
+        left = np.reshape(left, (-1, d))
+        dev = _deviations(ps, cdf_points, corners, left)
+        i = int(np.argmax(np.nan_to_num(dev, nan=-1.0)))  # as `>` below, NaN never wins
+        if dev[i] > best:  # the first trial to reach the maximum keeps it
+            best, best_corner, best_left = float(dev[i]), corners[i], left[i]
 
     return DiscrepancyResult(
         value=best,
-        witness_box=Box(lower=(0.0,) * d, upper=best_corner),
-        witness_flags=best_flags,
-        attained=all(f == AT_POINT for f in best_flags),
+        witness_box=Box(lower=(0.0,) * d, upper=tuple(float(c) for c in best_corner)),
+        witness_flags=tuple(LEFT_LIMIT if f else AT_POINT for f in best_left),
+        attained=not best_left.any(),
         method=RANDOM_SEARCH,
     )

@@ -22,6 +22,13 @@ masses of :mod:`nuqmc.integrate` both read their CDF values through it.
 Every table read works on whole arrays: an analytic measure calls its
 callback once per read, never once per cell.
 
+Scattered points go through a second private method,
+``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
+``points``, with the left limit on the axes where the ``(k, d)`` boolean
+array ``left`` is True.  The randomized discrepancy search reads a whole
+chunk of corners through it, and the public ``cdf``/``cdf_one_sided`` of
+every measure are one-row calls into it.
+
 Signed measures are restricted to the purely atomic case
 (:class:`DiscreteSignedMeasure`), which is all the function/measure
 correspondence of :mod:`nuqmc.variation` produces.  Jordan decomposition and
@@ -84,6 +91,32 @@ def _limit_flags(flags, dimension: int) -> tuple[str, ...]:
     return out
 
 
+def _inside(locations: np.ndarray, corners: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """``(k, n)`` mask whose row ``i`` marks the rows of ``locations`` that
+    lie in the anchored box with upper corner ``corners[i]``, open on the
+    axes where ``left[i]`` is True and closed on the others."""
+    # x < a exactly when x <= the largest float below a
+    upper = np.where(left, np.nextafter(corners, -np.inf), corners)
+    inside = np.ones((corners.shape[0], locations.shape[0]), dtype=bool)
+    for s in range(locations.shape[1]):
+        inside &= locations[:, s] <= upper[:, s, None]
+    return inside
+
+
+class _PointCdf:
+    """The public point evaluations of a measure with ``_cdf_points``."""
+
+    def cdf(self, a) -> float:
+        """``F(a) = mass([0, a])``."""
+        return self.cdf_one_sided(a, None)
+
+    def cdf_one_sided(self, a, flags) -> float:
+        """``F`` at ``a`` with left limits on the axes flagged ``"left"``."""
+        a = _unit_point(a, self.dimension)
+        left = np.array([f == LEFT_LIMIT for f in _limit_flags(flags, self.dimension)])
+        return float(self._cdf_points(a[None, :], left[None, :])[0])
+
+
 def _upper_axis(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates ``xs`` approached from below, followed by the closed end
     ``1``: the per-axis ``(coords, left)`` pair of a :meth:`_cdf_table` call
@@ -123,7 +156,7 @@ class Atom:
     weight: float
 
 
-class DiscreteSignedMeasure:
+class DiscreteSignedMeasure(_PointCdf):
     """A finite signed measure supported on finitely many distinct atoms.
 
     Atoms at identical locations are merged at construction (weights summed,
@@ -211,23 +244,12 @@ class DiscreteSignedMeasure:
     def mass(self) -> float:
         return float(self.weights.sum())
 
-    def cdf(self, a) -> float:
-        a = _unit_point(a, self.dimension)
-        if not len(self):
-            return 0.0
-        inside = np.all(self.locations <= a, axis=1)
-        return float(self.weights[inside].sum())
-
-    def cdf_one_sided(self, a, flags) -> float:
-        a = _unit_point(a, self.dimension)
-        flags = _limit_flags(flags, self.dimension)
-        if not len(self):
-            return 0.0
-        inside = np.ones(len(self), dtype=bool)
-        for s, f in enumerate(flags):
-            col = self.locations[:, s]
-            inside &= (col < a[s]) if f == LEFT_LIMIT else (col <= a[s])
-        return float(self.weights[inside].sum())
+    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """CDF at scattered points (see the module docstring): each value is
+        the sum of the weights inside, taken in atom order, one point at a
+        time so that it is the same float whatever the other points are."""
+        inside = _inside(self.locations, points, left)
+        return np.array([self.weights[row].sum() for row in inside], dtype=float)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         if not len(self):
@@ -327,7 +349,20 @@ class AxisCdf:
     def left_value(self, x: float) -> float:
         return float(self.left_values_at(np.asarray([x]))[0])
 
-    def _interp(self, xs: np.ndarray, at_break: np.ndarray) -> np.ndarray:
+    def values_at(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized ``G(x)`` (right-continuous value)."""
+        return self._one_sided_at(xs, False)
+
+    def left_values_at(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized left limit ``G(x-)``."""
+        return self._one_sided_at(xs, True)
+
+    def _one_sided_at(self, xs, left) -> np.ndarray:
+        """Vectorized ``G(x)``, or ``G(x-)`` where the boolean ``left`` (one
+        flag, or one per ``x``) is True: the two differ only at breakpoints."""
+        xs = np.asarray(xs, dtype=float)
+        if np.any(xs < 0.0) or np.any(xs > 1.0):
+            raise ValidationError("CDF argument outside [0,1]")
         bp, va, vl = self.breakpoints, self.values, self.values_left
         j = np.searchsorted(bp, xs, side="right") - 1
         j = np.clip(j, 0, bp.size - 2)
@@ -339,22 +374,9 @@ class AxisCdf:
         out = y0 + t * (y1 - y0)
         exact = np.searchsorted(bp, xs, side="left")
         on_break = (exact < bp.size) & (bp[np.minimum(exact, bp.size - 1)] == xs)
-        out[on_break] = at_break[exact[on_break]]
+        k = exact[on_break]
+        out[on_break] = np.where(left[on_break] if np.ndim(left) else left, vl[k], va[k])
         return out
-
-    def values_at(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized ``G(x)`` (right-continuous value)."""
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > 1.0):
-            raise ValidationError("CDF argument outside [0,1]")
-        return self._interp(xs, self.values)
-
-    def left_values_at(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized left limit ``G(x-)``."""
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > 1.0):
-            raise ValidationError("CDF argument outside [0,1]")
-        return self._interp(xs, self.values_left)
 
     def pseudo_inverse(self, y: float) -> float:
         """Smallest ``x`` with ``G(x) >= y``; exact on the piecewise data."""
@@ -384,7 +406,7 @@ class AxisCdf:
 
 
 @dataclass(frozen=True)
-class UniformMeasure:
+class UniformMeasure(_PointCdf):
     """Lebesgue measure on ``[0,1]^d``."""
 
     dimension: int
@@ -393,22 +415,20 @@ class UniformMeasure:
         if self.dimension < 1:
             raise ValidationError("dimension must be >= 1")
 
-    def cdf(self, a) -> float:
-        return float(np.prod(_unit_point(a, self.dimension)))
-
-    def cdf_one_sided(self, a, flags) -> float:
-        _limit_flags(flags, self.dimension)
-        return self.cdf(a)  # continuous: left limits coincide with values
-
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return np.empty(0)
+
+    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """CDF at scattered points (see the module docstring); continuous,
+        so the left limits are the values."""
+        return np.prod(points, axis=1)
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring)."""
         return _product_table([np.asarray(c, dtype=float) for c in coords])
 
 
-class DiscreteMeasure:
+class DiscreteMeasure(_PointCdf):
     """A probability measure on finitely many atoms (all weights positive,
     total mass 1 within tolerance)."""
 
@@ -433,14 +453,12 @@ class DiscreteMeasure:
         n = pts.shape[0]
         return cls(DiscreteSignedMeasure._from_arrays(pts.shape[1], pts, np.full(n, 1.0 / n)))
 
-    def cdf(self, a) -> float:
-        return self.support.cdf(a)
-
-    def cdf_one_sided(self, a, flags) -> float:
-        return self.support.cdf_one_sided(a, flags)
-
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self.support.axis_coordinates(axis)
+
+    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """CDF at scattered points (see the module docstring)."""
+        return self.support._cdf_points(points, left)
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring).
@@ -475,7 +493,7 @@ class DiscreteMeasure:
         return rows
 
 
-class ProductMeasure:
+class ProductMeasure(_PointCdf):
     """Product of one-dimensional CDFs: ``F(a) = prod_s G_s(a_s)``."""
 
     def __init__(self, axes: Sequence[AxisCdf]) -> None:
@@ -485,31 +503,23 @@ class ProductMeasure:
         self.axes = axes
         self.dimension = len(axes)
 
-    def cdf(self, a) -> float:
-        a = _unit_point(a, self.dimension)
-        return float(np.prod([ax.value(x) for ax, x in zip(self.axes, a)]))
-
-    def cdf_one_sided(self, a, flags) -> float:
-        a = _unit_point(a, self.dimension)
-        flags = _limit_flags(flags, self.dimension)
-        factors = [
-            ax.left_value(x) if f == LEFT_LIMIT else ax.value(x)
-            for ax, x, f in zip(self.axes, a, flags)
-        ]
-        return float(np.prod(factors))
-
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self.axes[axis].breakpoints
+
+    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """CDF at scattered points (see the module docstring): the product of
+        the axis factors, multiplied in axis order."""
+        factors = [ax._one_sided_at(x, f) for ax, x, f in zip(self.axes, points.T, left.T)]
+        return np.prod(np.stack(factors, axis=1), axis=1)
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring)."""
         return _product_table([
-            np.where(f, ax.left_values_at(c), ax.values_at(c))
-            for ax, c, f in zip(self.axes, coords, left)
+            ax._one_sided_at(c, f) for ax, c, f in zip(self.axes, coords, left)
         ])
 
 
-class AnalyticCdfMeasure:
+class AnalyticCdfMeasure(_PointCdf):
     """Measure given by a closed-form anchored CDF callback ``F``.
 
     The callbacks work on batches of points.  ``cdf(a)`` takes a ``(k, d)``
@@ -548,9 +558,10 @@ class AnalyticCdfMeasure:
         if abs(norm - 1.0) > TOLERANCE:
             raise ValidationError(f"F(1,...,1) must equal 1, got {norm}")
 
-    def _evaluate(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
-        """``F`` at the rows of ``points``, taking the left limit on the axes
-        where ``left`` is True: one callback call for the whole batch."""
+    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """CDF at scattered points (see the module docstring): one callback
+        call for the whole batch, to ``left_limit`` if any axis of any point
+        takes a left limit."""
         if self.continuous or not left.any():
             return self._cdf(points)
         if self._left_limit is None:
@@ -558,15 +569,6 @@ class AnalyticCdfMeasure:
                 "analytic CDF declared discontinuous has no one-sided limit callback"
             )
         return self._left_limit(points, left)
-
-    def cdf(self, a) -> float:
-        a = _unit_point(a, self.dimension)
-        return float(self._cdf(a[None, :])[0])
-
-    def cdf_one_sided(self, a, flags) -> float:
-        a = _unit_point(a, self.dimension)
-        left = np.array([f == LEFT_LIMIT for f in _limit_flags(flags, self.dimension)])
-        return float(self._evaluate(a[None, :], left[None, :])[0])
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self._hints[axis]
@@ -583,7 +585,7 @@ class AnalyticCdfMeasure:
         def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
             points = corners([coords[0][start:stop]] + coords[1:])
             flags = corners([left[0][start:stop]] + left[1:])
-            out[...] = np.reshape(self._evaluate(points, flags), out.shape)
+            out[...] = np.reshape(self._cdf_points(points, flags), out.shape)
             return out
 
         return rows

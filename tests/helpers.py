@@ -10,7 +10,8 @@ and as exact rationals) rather than through its closed-form CDF.  The face
 loops of the variation module, its two indicator builders and the
 segment-by-segment pseudo-inverse are kept here as written before they were
 folded into shared code paths, so the shared paths can be compared with them
-bit for bit.
+bit for bit; so are the per-point one-sided CDFs of the measures and the
+per-trial randomized discrepancy search, which now evaluate whole batches.
 """
 
 from __future__ import annotations
@@ -195,6 +196,90 @@ def dense_star_discrepancy(ps: PointSet, m):
     witness = tuple(1.0 if last[s] else float(grids[s][hi_idx[s] + 1]) for s in range(d))
     flags = tuple("at" if last[s] else "left" for s in range(d))
     return float(dev_hi[hi_idx]), witness, flags, False
+
+
+def reference_cdf_one_sided(m, a, flags) -> float:
+    """One-sided CDF at one point, one axis at a time, as each measure
+    computed it before its batched ``_cdf_points``."""
+    a = np.asarray(a, dtype=float)
+    if isinstance(m, UniformMeasure):
+        return float(np.prod(a))
+    if isinstance(m, ProductMeasure):
+        return float(np.prod([
+            ax.left_value(x) if f == "left" else ax.value(x)
+            for ax, x, f in zip(m.axes, a, flags)
+        ]))
+    if isinstance(m, DiscreteMeasure):
+        m = m.support
+    if isinstance(m, DiscreteSignedMeasure):
+        if not len(m):
+            return 0.0
+        inside = np.ones(len(m), dtype=bool)
+        for s, f in enumerate(flags):
+            col = m.locations[:, s]
+            inside &= (col < a[s]) if f == "left" else (col <= a[s])
+        return float(m.weights[inside].sum())
+    if isinstance(m, AnalyticCdfMeasure):
+        return m.cdf_one_sided(a, flags)
+    raise TypeError(f"no reference CDF for {type(m).__name__}")
+
+
+def reference_axis_values(ax: AxisCdf, xs: np.ndarray, left: bool) -> np.ndarray:
+    """``G(x)`` (or ``G(x-)``) of a piecewise-linear axis CDF, as its two
+    separate evaluations computed it."""
+    bp, va, vl = ax.breakpoints, ax.values, ax.values_left
+    j = np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, bp.size - 2)
+    t = (xs - bp[j]) / (bp[j + 1] - bp[j])
+    out = va[j] + t * (vl[j + 1] - va[j])
+    exact = np.searchsorted(bp, xs, side="left")
+    on_break = (exact < bp.size) & (bp[np.minimum(exact, bp.size - 1)] == xs)
+    out[on_break] = (vl if left else va)[exact[on_break]]
+    return out
+
+
+def reference_one_sided_deviation(a, ps: PointSet, m, flags) -> float:
+    """The one-sided deviation at one corner, counting one axis at a time."""
+    inside = np.ones(ps.n, dtype=bool)
+    for s, f in enumerate(flags):
+        col = ps.points[:, s]
+        inside &= (col < a[s]) if f == "left" else (col <= a[s])
+    return abs(int(inside.sum()) / ps.n - reference_cdf_one_sided(m, a, flags))
+
+
+def reference_random_search(ps: PointSet, m, trials: int, seed: int):
+    """The randomized lower bound one trial at a time, with the library's
+    draws in the library's order; returns ``(value, witness, flags,
+    attained)``."""
+    d = ps.dimension
+    rng = np.random.default_rng(seed)
+    pools = [
+        np.unique(np.concatenate(
+            [[1.0], ps.points[:, s], np.asarray(m.axis_coordinates(s), dtype=float)]
+        ))
+        for s in range(d)
+    ]
+    best = -1.0
+    best_corner = (1.0,) * d
+    best_flags = ("at",) * d
+    corner = np.empty(d)
+    for _ in range(trials):
+        flags = []
+        for s in range(d):
+            u = rng.random()
+            if u < 0.5:
+                corner[s] = pools[s][rng.integers(pools[s].size)]
+            elif u < 0.6:
+                corner[s] = 1.0
+            else:
+                corner[s] = rng.random()
+            flags.append("left" if rng.random() < 0.5 else "at")
+        flags = tuple(flags)
+        dev = reference_one_sided_deviation(corner, ps, m, flags)
+        if dev > best:
+            best = dev
+            best_corner = tuple(float(c) for c in corner)
+            best_flags = flags
+    return best, best_corner, best_flags, all(f == "at" for f in best_flags)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """CLI subcommands: schemas, reports, determinism, and exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nuqmc import chelson_conditional, forward_cdf_map
 from nuqmc.cli import main
@@ -68,6 +73,16 @@ class TestDiscrepancyCommand:
         )
         assert code == 0
         assert json.loads(out)["result"]["method"] == "search"
+
+    def test_negative_seed_exit_code(self, capsys, points_file, uniform_file):
+        code, out, err = run_cli(
+            capsys, "discrepancy", "--points", points_file, "--measure", uniform_file,
+            "--search", "5", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+        assert "Traceback" not in err
 
     def test_budget_exceeded_exit_code(self, capsys, points_file, uniform_file):
         code, _, err = run_cli(
@@ -312,6 +327,24 @@ class TestReportPlumbing:
         assert out == ""
         assert "value" in json.loads(out_path.read_text())["result"]
 
+    def test_unwritable_report_path(self, tmp_path, capsys, points_file, uniform_file):
+        code, out, err = run_cli(
+            capsys, "discrepancy", "--points", points_file, "--measure", uniform_file,
+            "--out", str(tmp_path / "missing" / "report.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unwritable_point_file(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "generate", "--n", "4", "--d", "2",
+            "--out", str(tmp_path / "missing" / "points.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_thread_cap_env_validation(self, capsys, monkeypatch, points_file, uniform_file):
         # QMK_THREADS is no longer read: it changes neither the exit code
         # nor the report, and config lists only the subcommand's own flags
@@ -342,3 +375,177 @@ def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in exit 0, 2 or 3, never in a traceback
+# ---------------------------------------------------------------------------
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=2), st.integers(-2, 5),
+    st.floats(allow_nan=True, allow_infinity=True), st.just([]), st.just({}),
+)
+_UNIT = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _rarely(odd, usual, one_in=10):
+    """``odd`` about once in ``one_in`` draws, else ``usual``."""
+    return st.integers(1, one_in).flatmap(lambda r: odd if r == 1 else usual)
+
+
+def _field(clean, messy: bool):
+    """A field of a document: in a messy document, sometimes junk."""
+    return _rarely(_JUNK, clean) if messy else clean
+
+
+@st.composite
+def _axis(draw, messy):
+    """Breakpoints from 0 to 1 with a nondecreasing CDF ending at 1."""
+    inner = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), max_size=3, unique=True))
+    bps = [0.0] + sorted(inner) + [1.0]
+    values = [b * b for b in bps] if draw(st.booleans()) else bps
+    axis = {"breakpoints": draw(_field(st.just(bps), messy)),
+            "values": draw(_field(st.just(values), messy))}
+    if draw(st.booleans()):
+        axis["values_left"] = draw(_field(st.just([0.0] + values[1:]), messy))
+    return axis
+
+
+@st.composite
+def _points_doc(draw, d, messy):
+    coord = _field(_UNIT, messy)
+    points = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                           min_size=int(not messy), max_size=5))
+    return {"d": draw(_field(st.just(d), messy)), "points": points}
+
+
+@st.composite
+def _measure_doc(draw, d, messy):
+    kind = draw(st.sampled_from(["uniform", "discrete", "product", "chelson"]))
+    if kind == "uniform":
+        return {"type": "uniform", "d": draw(_field(st.just(d), messy))}
+    if kind == "discrete":
+        k = draw(st.integers(1, 4))
+        atoms = [{"x": draw(st.lists(_field(_UNIT, messy), min_size=d, max_size=d)),
+                  "w": draw(_field(st.just(1.0 / k), messy))} for _ in range(k)]
+        return {"type": "discrete", "atoms": atoms}
+    if kind == "product":
+        return {"type": "product", "axes": [draw(_axis(messy)) for _ in range(d)]}
+    return {"type": draw(_field(st.just("chelson"), messy))}
+
+
+@st.composite
+def _function_doc(draw, d, messy):
+    axes = [draw(_axis(False))["breakpoints"] for _ in range(d)]
+    size = 1
+    for b in axes:
+        size *= len(b)
+    values = draw(st.lists(_field(st.integers(-3, 3), messy), min_size=size, max_size=size))
+    return {"breakpoints": draw(_field(st.just(axes), messy)),
+            "values": values,
+            "interp": draw(_field(st.sampled_from(["step", "multilinear"]), messy))}
+
+
+_DOCUMENTS = {"points": _points_doc, "measure": _measure_doc, "function": _function_doc}
+_BAD_FILE = st.one_of(
+    _JUNK,
+    st.just('{"d": 2, "points": [[0.1, '),  # malformed JSON, written as is
+    st.just("missing"),  # no such file
+)
+
+
+def _int_flag(lo, hi):
+    """An integer flag valid from ``lo`` to ``hi``: its edges, the value just
+    below, one inside, or text that is not an integer."""
+    return st.one_of(
+        st.sampled_from([lo - 1, lo, hi]).map(str),
+        st.integers(lo, hi).map(str),
+        st.sampled_from(["x", "1.5"]),
+    )
+
+
+_PAIR_FLAG = _rarely(
+    st.sampled_from(["0.5", "a,b", "1,2,3", "nan,0.5", "-0.5,2"]),
+    st.tuples(_UNIT, _UNIT).map(lambda p: f"{p[0]!r},{p[1]!r}"),
+)
+
+#: per subcommand: the input files it reads, and its numeric flags
+_FLAGS = {
+    "discrepancy": (["points", "measure"], {
+        "--search": _int_flag(1, 40), "--seed": _int_flag(0, 2**70),
+        "--budget": _int_flag(1, 10**6), "--max-exact-dim": _int_flag(1, 6)}),
+    "variation": (["function"], {}),
+    "decompose": (["function"], {}),
+    "transform": (["points", "measure"], {}),
+    "integrate": (["function", "measure", "points"], {
+        "--budget": _int_flag(1, 10**6), "--max-exact-dim": _int_flag(1, 6)}),
+    "generate": ([], {"--n": _int_flag(1, 40), "--d": _int_flag(1, 8)}),
+    "counterexample": ([], {
+        "--boundary-samples": _int_flag(0, 20),
+        "--tolerance": st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        "--point": _PAIR_FLAG, "--box": _PAIR_FLAG}),
+}
+
+
+@st.composite
+def _request(draw):
+    """``(argv, files)``: the argv names each input file by its kind, and
+    ``files`` maps a kind to the document to write there."""
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    inputs, numeric = _FLAGS[sub]
+    d = draw(st.integers(1, 3))
+    argv, files = [sub], {}
+    for kind in inputs:
+        argv += ["--" + kind, kind]
+        files[kind] = draw(_rarely(_BAD_FILE, st.booleans().flatmap(
+            lambda messy, kind=kind: _DOCUMENTS[kind](d, messy))))
+    for flag, values in numeric.items():
+        if draw(st.integers(0, 2)):  # two times in three
+            argv += [flag, draw(values)]
+    if sub == "integrate" and draw(st.booleans()):
+        argv.append("--certify")
+    if sub == "counterexample" and draw(st.booleans()):
+        argv += ["--boundary-csv", "boundary.csv"]
+    argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    out = draw(_rarely(st.just("missing/out.json"), st.sampled_from([None, "out.json"])))
+    if out:
+        argv += ["--out", out]
+    return argv, files
+
+
+_POINTS = {"d": 2, "points": [[0.25, 0.5]]}
+_UNIFORM = {"type": "uniform", "d": 2}
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_request())
+    # inputs that once ended in a traceback
+    @example((["discrepancy", "--points", "points", "--measure", "measure",
+               "--search", "5", "--seed", "-1"], {"points": _POINTS, "measure": _UNIFORM}))
+    @example((["generate", "--n", "4", "--d", "2", "--out", "missing/out.json"], {}))
+    # found by this test: a whole-number float dimension of 2^60 with no points
+    @example((["discrepancy", "--points", "points", "--measure", "measure"],
+              {"points": {"d": float(2**60), "points": []}, "measure": _UNIFORM}))
+    def test_exit_code_is_documented_and_no_traceback(self, request):
+        argv, files = request
+        with tempfile.TemporaryDirectory() as tmp:
+            where = {"boundary.csv", "out.json", "missing/out.json", *files}
+            paths = {name: str(Path(tmp) / name) for name in where}
+            for kind, doc in files.items():
+                if doc == "missing":
+                    continue
+                text = doc if isinstance(doc, str) and doc.startswith("{") else json.dumps(doc)
+                Path(paths[kind]).write_text(text)
+            argv = [argv[0]] + [paths.get(a, a) for a in argv[1:]]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        assert code in (0, 2, 3), (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        if code:
+            assert stderr.getvalue(), argv

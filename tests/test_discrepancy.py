@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nuqmc.discrepancy as engine
 from nuqmc import (
@@ -31,6 +32,8 @@ from helpers import (
     random_discrete_probability,
     random_general_axis_cdf,
     random_point_set,
+    reference_one_sided_deviation,
+    reference_random_search,
 )
 
 TOL = 1e-12
@@ -250,9 +253,12 @@ class TestStarDiscrepancyExact:
             star_discrepancy(ps, UniformMeasure(2), cell_budget=100)
 
 
+_SLAB_KINDS = ["uniform-d2", "uniform-d3", "uniform-d4", "jump-product", "discrete-on-points",
+               "chelson", "d1", "tensor-d3", "rounded-d2", "alternating-rows"]
+
+
 def _slab_case(kind):
-    rng = np.random.default_rng(["uniform-d2", "uniform-d3", "uniform-d4", "jump-product",
-                                 "discrete-on-points", "chelson", "d1"].index(kind))
+    rng = np.random.default_rng(_SLAB_KINDS.index(kind))
     if kind.startswith("uniform"):
         d = int(kind[-1])
         n = {2: 600, 3: 80, 4: 20}[d]
@@ -268,6 +274,20 @@ def _slab_case(kind):
         return PointSet(2, pts), DiscreteMeasure.from_points(2, atoms, w / w.sum())
     if kind == "chelson":
         return PointSet(2, rng.random((20, 2))), chelson_measure()
+    if kind == "tensor-d3":  # 22^2 points in every row, rows of 24^2 cells
+        g = (np.arange(22) + 0.5) / 22
+        pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        return PointSet(3, pts), UniformMeasure(3)
+    if kind == "rounded-d2":  # axis-0 ties in some rows, one point in most
+        return PointSet(2, np.round(rng.random((900, 2)) * 1024) / 1024), UniformMeasure(2)
+    if kind == "alternating-rows":
+        # rows of 1024 cells, so 64 rows to a default slab: the first 64 rows
+        # hold one point each, the next 64 two each, and so on
+        per_row = 1 + (np.arange(1, 769) // 64) % 2  # grid row 0 is x = 0
+        x0 = np.repeat((np.arange(768) + 0.5) / 768, per_row)
+        x1 = (np.arange(1022) + 0.5) / 1022
+        x1 = np.concatenate([x1, rng.choice(x1, x0.size - x1.size)])
+        return PointSet(2, np.stack([x0, rng.permutation(x1)], axis=1)), UniformMeasure(2)
     return PointSet(1, rng.random((3000, 1))), UniformMeasure(1)
 
 
@@ -279,16 +299,76 @@ class TestSlabEngine:
     """The streamed exact engine against the whole-grid reduction it
     replaced: equal values, witnesses and flags, not merely close ones."""
 
-    @pytest.mark.parametrize("slab_cells", [None, 97])
-    @pytest.mark.parametrize("kind", ["uniform-d2", "uniform-d3", "uniform-d4", "jump-product",
-                                      "discrete-on-points", "chelson", "d1"])
+    @pytest.mark.parametrize("slab_cells", [None, 97, 1])
+    @pytest.mark.parametrize("kind", _SLAB_KINDS)
     def test_matches_dense_reduction(self, kind, slab_cells, monkeypatch):
         # the default slab size splits the large grids into several slabs;
-        # 97 cells splits every grid, including Chelson's and the 1-d one
+        # 97 cells splits every grid, including Chelson's and the 1-d one,
+        # and 1 cell makes every row a slab
         if slab_cells is not None:
             monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
         ps, m = _slab_case(kind)
         assert _summary(star_discrepancy(ps, m)) == dense_star_discrepancy(ps, m)
+
+    @pytest.mark.parametrize("row_loop_cells", [1, 2**62])
+    @pytest.mark.parametrize("slab_cells", [None, 97, 1])
+    @pytest.mark.parametrize("kind", _SLAB_KINDS)
+    def test_each_count_path_matches_dense_reduction(self, kind, slab_cells, row_loop_cells,
+                                                     monkeypatch):
+        # a row loop threshold of 1 sends every slab whose rows hold at most
+        # one point each to the orthant counts, 2^62 every slab to the
+        # histogram
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        monkeypatch.setattr(engine, "_ROW_LOOP_CELLS", row_loop_cells)
+        ps, m = _slab_case(kind)
+        assert _summary(star_discrepancy(ps, m)) == dense_star_discrepancy(ps, m)
+
+    @pytest.mark.parametrize("kind, slab_cells, histogram_slabs", [
+        ("uniform-d2", None, 0),
+        ("tensor-d3", None, 1),
+        ("alternating-rows", None, 6),
+        ("rounded-d2", 1, "crowded rows"),
+        ("d1", 97, 31),  # rows of one cell: every slab, though no row is crowded
+    ])
+    def test_count_path_of_each_slab(self, kind, slab_cells, histogram_slabs, monkeypatch):
+        # a slab of long rows that hold at most one point each takes the
+        # orthant counts, any other slab the histogram
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return histogram(*args)
+
+        histogram = engine._histogram_counts
+        monkeypatch.setattr(engine, "_histogram_counts", spy)
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        ps, m = _slab_case(kind)
+        if histogram_slabs == "crowded rows":  # one row per slab
+            histogram_slabs = int(np.sum(np.unique(ps.points[:, 0], return_counts=True)[1] > 1))
+            assert 0 < histogram_slabs < ps.n // 2
+        star_discrepancy(ps, m)
+        assert len(calls) == histogram_slabs
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda d: st.lists(
+            st.lists(st.integers(0, 8), min_size=d, max_size=d), min_size=1, max_size=12)),
+        st.sampled_from([None, 97, 5, 1]),
+        st.sampled_from([None, 1, 2**62]),
+    )
+    def test_dyadic_points_with_ties(self, points, slab_cells, row_loop_cells):
+        # coordinates in {0, 1/8, ..., 1}: repeated rows, repeated points and
+        # points on the cube's faces are frequent
+        ps = PointSet(len(points[0]), np.asarray(points) / 8)
+        with pytest.MonkeyPatch.context() as mp:
+            if slab_cells is not None:
+                mp.setattr(engine, "_SLAB_CELLS", slab_cells)
+            if row_loop_cells is not None:
+                mp.setattr(engine, "_ROW_LOOP_CELLS", row_loop_cells)
+            res = star_discrepancy(ps, UniformMeasure(ps.dimension))
+        assert _summary(res) == dense_star_discrepancy(ps, UniformMeasure(ps.dimension))
 
     @pytest.mark.parametrize("points, witness, flags, attained", [
         # symmetric set: 27/64 at (1/8, 5/8) in row 1 and at (5/8, 1/8) in row 2
@@ -363,6 +443,47 @@ class TestRandomSearch:
         with pytest.raises(ValidationError):
             random_search_lower_bound(PointSet(1, [[0.5]]), UniformMeasure(1), 0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_negative_seed_is_a_validation_error(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            random_search_lower_bound(PointSet(1, [[0.5]]), UniformMeasure(1), 5, seed)
+
+    @pytest.mark.parametrize("slab_cells", [None, 97, 1])
+    @pytest.mark.parametrize("kind", ["uniform", "product", "discrete", "chelson"])
+    def test_matches_the_per_trial_loop(self, kind, slab_cells, monkeypatch):
+        # chunks of about _SLAB_CELLS / N corners; 1 makes every trial a chunk
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        rng = np.random.default_rng(["uniform", "product", "discrete", "chelson"].index(kind) + 30)
+        for d in [2] if kind == "chelson" else range(1, 7):
+            pts = rng.random((int(rng.integers(1, 60)), d))
+            if rng.random() < 0.5:
+                pts = np.round(pts * 8) / 8  # ties, and points on the faces
+            ps = PointSet(d, pts)
+            if kind == "uniform":
+                m = UniformMeasure(d)
+            elif kind == "product":
+                m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            elif kind == "discrete":
+                m = random_discrete_probability(rng, d, max_atoms=12)
+            else:
+                m = chelson_measure()
+            for seed in (0, 7, int(rng.integers(2**40))):
+                trials = int(rng.integers(1, 200))
+                expect = reference_random_search(ps, m, trials, seed)
+                assert _summary(random_search_lower_bound(ps, m, trials, seed)) == expect
+
+    def test_one_sided_deviation_matches_the_per_axis_count(self):
+        rng = np.random.default_rng(33)
+        for d in range(1, 5):
+            ps = PointSet(d, np.round(rng.random((30, d)) * 4) / 4)
+            m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            for _ in range(40):
+                a = np.round(rng.random(d) * 8) / 8
+                flags = tuple(rng.choice(["at", "left"], d))
+                assert one_sided_deviation(a, ps, m, flags) == \
+                    reference_one_sided_deviation(a, ps, m, flags)
+
     def test_witness_reproduces_value(self):
         ps = PointSet(2, [[0.3, 0.7], [0.6, 0.2], [0.9, 0.9]])
         m = UniformMeasure(2)
@@ -380,6 +501,15 @@ class TestPointSetValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             PointSet(1, np.empty((0, 1)))
+
+    @pytest.mark.parametrize("dimension, points", [
+        (2, [0.1, 0.2, 0.3]),  # flat coordinates that do not fill whole points
+        (2**60, []),  # no points, and no room for one
+        (2, np.empty((0, 3))),
+    ])
+    def test_malformed_shapes_are_validation_errors(self, dimension, points):
+        with pytest.raises(ValidationError):
+            PointSet(dimension, points)
 
     def test_mixed_closed_count_is_not_a_lower_bound(self):
         # the closed-count/left-limit mix can exceed the true supremum, which

@@ -28,6 +28,8 @@ from helpers import (
     random_discrete_probability,
     random_general_axis_cdf,
     random_signed_measure,
+    reference_axis_values,
+    reference_cdf_one_sided,
     reference_signed_measure,
 )
 
@@ -346,3 +348,56 @@ class TestAxisCdfFinite:
     def test_non_finite_data_is_rejected(self, breakpoints, values, values_left):
         with pytest.raises(ValidationError):
             AxisCdf(breakpoints, values, values_left)
+
+
+class TestPointCdf:
+    """``cdf``/``cdf_one_sided`` are one-row calls into ``_cdf_points``: the
+    same floats as the per-axis evaluation they replaced, and the same as
+    the rows of a batched call."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "product", "discrete", "signed", "empty",
+                                      "chelson"])
+    def test_scalar_and_batched_match_the_per_axis_evaluation(self, kind):
+        rng = np.random.default_rng(["uniform", "product", "discrete", "signed", "empty",
+                                     "chelson"].index(kind) + 50)
+        for d in [2] if kind == "chelson" else range(1, 5):
+            if kind == "uniform":
+                m = UniformMeasure(d)
+            elif kind == "product":
+                m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            elif kind == "discrete":
+                m = random_discrete_probability(rng, d, max_atoms=30)
+            elif kind == "signed":
+                m = random_signed_measure(rng, d, max_atoms=30)
+            elif kind == "empty":
+                m = DiscreteSignedMeasure(d, [])
+            else:
+                m = chelson_measure()
+            # corners on the atoms and breakpoints, their neighbours, and 0 and 1
+            coords = [np.concatenate([m.axis_coordinates(s), rng.random(5), [0.0, 1.0]])
+                      for s in range(d)]
+            points = np.stack([rng.choice(c, 60) for c in coords], axis=1)
+            points = np.where(rng.random(points.shape) < 0.2,
+                              np.nextafter(points, rng.choice([0.0, 1.0], points.shape)), points)
+            left = rng.random(points.shape) < 0.5
+            batched = m._cdf_points(points, left)
+            for a, row, value in zip(points, left, batched):
+                flags = tuple("left" if f else "at" for f in row)
+                expect = reference_cdf_one_sided(m, a, flags)
+                assert m.cdf_one_sided(a, flags) == expect
+                assert value == expect
+                assert m.cdf(a) == reference_cdf_one_sided(m, a, ("at",) * d)
+
+    def test_axis_values_at_a_mix_of_flags(self):
+        # one pass over a mixed flag array equals the two separate evaluations
+        rng = np.random.default_rng(56)
+        for _ in range(50):
+            ax = random_general_axis_cdf(rng)
+            xs = np.concatenate([ax.breakpoints, rng.random(20), [0.0, 1.0]])
+            xs = np.concatenate([xs, np.nextafter(xs, 0.0), np.nextafter(xs, 1.0)])
+            left = rng.random(xs.size) < 0.5
+            expect = np.where(left, reference_axis_values(ax, xs, True),
+                              reference_axis_values(ax, xs, False))
+            assert np.array_equal(ax._one_sided_at(xs, left), expect)
+            assert np.array_equal(ax.values_at(xs), reference_axis_values(ax, xs, False))
+            assert np.array_equal(ax.left_values_at(xs), reference_axis_values(ax, xs, True))
