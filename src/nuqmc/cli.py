@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .discrepancy import PointSet, random_search_lower_bound, star_discrepancy
+from .discrepancy import CELL_BUDGET, PointSet, random_search_lower_bound, star_discrepancy
 from .errors import BudgetExceededError, NuqmcError, ValidationError
 from .integrate import kh_certificate, qmc_estimate
 from .jsonio import (
@@ -33,7 +33,7 @@ from .jsonio import (
     load_points,
     points_to_dict,
 )
-from .measures import ProductMeasure, total_variation
+from .measures import total_variation
 from .sequences import halton
 from .transforms import (
     chelson_conditional,
@@ -65,9 +65,8 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _exact_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=10**8,
+    parser.add_argument("--budget", type=int, default=CELL_BUDGET,
                         help="cell budget for exact discrepancy grids")
-    parser.add_argument("--max-exact-dim", type=int, default=4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,8 +140,6 @@ def _parse_pair(text: str, name: str) -> tuple[float, float]:
 def _check_exact_flags(args: argparse.Namespace) -> None:
     if args.budget < 1:
         raise ValidationError("--budget must be >= 1")
-    if args.max_exact_dim < 1:
-        raise ValidationError("--max-exact-dim must be >= 1")
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:
@@ -194,8 +191,7 @@ def _run_discrepancy(args) -> dict:
     if args.search is not None:
         res = random_search_lower_bound(ps, m, trials=args.search, seed=args.seed)
     else:
-        res = star_discrepancy(ps, m, max_exact_dim=args.max_exact_dim,
-                               cell_budget=args.budget)
+        res = star_discrepancy(ps, m, cell_budget=args.budget)
     return _discrepancy_result_dict(res)
 
 
@@ -239,10 +235,7 @@ def _run_decompose(args) -> dict:
 
 def _run_transform(args) -> dict:
     ps = load_points(args.points)
-    m = load_measure(args.measure)
-    if not isinstance(m, ProductMeasure):
-        raise ValidationError("transform needs a product measure")
-    image = product_transform(ps, m)
+    image = product_transform(ps, load_measure(args.measure))
     return {"points": points_to_dict(image)}
 
 
@@ -253,8 +246,7 @@ def _run_integrate(args) -> dict:
     ps = load_points(args.points)
     if not args.certify:
         return {"estimate": qmc_estimate(f, ps)}
-    cert = kh_certificate(f, ps, m, max_exact_dim=args.max_exact_dim,
-                          cell_budget=args.budget)
+    cert = kh_certificate(f, ps, m, cell_budget=args.budget)
     return {
         "estimate": cert.estimate,
         "reference_integral": cert.reference_integral,

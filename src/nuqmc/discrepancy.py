@@ -8,14 +8,17 @@ measure's CDF is componentwise monotone there, so the supremum over each
 cell is reached either at the cell's lower corner (an attained value) or at
 its upper corner approached from below (a one-sided limit, which need not be
 attained -- e.g. a single point forces an unattained supremum under any
-continuous CDF).  Exact mode enumerates all cells; cost is the product of
-the per-axis grid sizes, so it is gated by a dimension limit and a cell
-budget, beyond which only the randomized lower-bound search is offered.
+continuous CDF).  Exact mode enumerates all cells, in any dimension; cost
+is the product of the per-axis grid sizes ``m_s``, so a cell budget, checked
+before any allocation, gates it; beyond that only the randomized
+lower-bound search is offered.
 
-Exact mode streams the grid in slabs of whole axis-0 rows (about 2^16 cells
-each), carrying the prefix counts of one slab's last row into the next, so
-peak memory is a per-slab constant (two slab buffers) rather than a multiple
-of the grid size.  The cell budget therefore bounds time, not memory.  The
+Exact mode streams the grid in slabs of whole axis-0 rows (about 2^16 cells,
+at least one row), carrying the prefix counts of one slab's last row into
+the next.  Peak memory is two float64 slab buffers of at most
+``max(2^16, m_1 ... m_{d-1})`` cells and the int64 carried row, so the cell
+budget bounds time, and memory only through the row length (300 points in
+d=4 on one axis-0 coordinate: rows of 302^3 cells, about 630 MiB).  The
 points are sorted by axis-0 row, so a slab builds its counts row by row:
 each row starts as a copy of the row before, and the point it holds at cells
 ``(j_1, ..., j_{d-1})`` adds 1 on the orthant ``[j_1:, ..., j_{d-1}:]``.
@@ -29,6 +32,7 @@ corners at once, through each measure's batched ``_cdf_points``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +50,6 @@ from .measures import (
 from .variation import Box
 
 #: Default gate for exact cell enumeration.
-MAX_EXACT_DIMENSION = 4
 CELL_BUDGET = 10**8
 
 #: Cells per slab of the streamed critical grid (rounded down to whole
@@ -176,9 +179,9 @@ def _slab_maxima(ps: PointSet, grids, table_of):
     previous row's (the previous slab's last row for a slab's first row)
     plus 1 on the orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds,
     if any.  Slabs of short rows, or with a row holding several points,
-    histogram their points and sum along every axis instead.  Memory is a
-    per-slab constant; an earlier slab keeps a tie, as one argmax over the
-    whole grid would.
+    histogram their points and sum along every axis instead.  Memory is two
+    slab buffers and the carried row, however many rows the grid has; an
+    earlier slab keeps a tie, as one argmax over the whole grid would.
     """
     sizes = [g.size for g in grids]
     f_lo = table_of(grids, [np.zeros(g.size, dtype=bool) for g in grids])
@@ -261,29 +264,19 @@ def _histogram_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarr
     return c
 
 
-def star_discrepancy(
-    ps: PointSet,
-    m,
-    max_exact_dim: int = MAX_EXACT_DIMENSION,
-    cell_budget: int = CELL_BUDGET,
-) -> DiscrepancyResult:
+def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> DiscrepancyResult:
     """Exact star-discrepancy ``sup_a |#{x_n <= a}/N - F(a)|``.
 
-    Enumerates the critical grid; reports whether the supremum is attained
-    and a witness box (with one-sided flags when it is not).  Raises
-    :class:`BudgetExceededError` when the grid exceeds the dimension gate or
-    the cell budget; use :func:`random_search_lower_bound` then.
+    Enumerates the critical grid, in any dimension; reports whether the
+    supremum is attained and a witness box (with one-sided flags when it is
+    not).  Raises :class:`BudgetExceededError` when the grid has more than
+    ``cell_budget`` cells; use :func:`random_search_lower_bound` then.
     """
     if m.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
     d = ps.dimension
-    if d > max_exact_dim:
-        raise BudgetExceededError(
-            f"exact mode is gated at dimension {max_exact_dim}; "
-            "use random_search_lower_bound"
-        )
     grids = _critical_grids(ps, m)
-    n_cells = int(np.prod([g.size for g in grids], dtype=np.int64))
+    n_cells = math.prod(g.size for g in grids)  # exact: an int64 product wraps past 2^63
     if n_cells > cell_budget:
         raise BudgetExceededError(
             f"critical grid has {n_cells} cells, budget is {cell_budget}; "

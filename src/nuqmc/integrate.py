@@ -101,10 +101,19 @@ def kh_certificate(f: GridFunction, ps: PointSet, m, **discrepancy_options) -> K
     """
     estimate = qmc_estimate(f, ps)
     reference = integral_under_measure(f, m)
-    observed = abs(estimate - reference)
     variation = hk_variation(f, ANCHOR_ONE)
+    return _certificate(ps, m, discrepancy_options, estimate, reference, variation)
+
+
+def _certificate(ps, m, discrepancy_options, estimate, reference, variation,
+                 variation_certified=True) -> KHCertificate:
+    """The certificate of ``estimate`` against ``reference`` (None when no
+    exact reference is known): ``bound = variation * D*`` with the exact
+    star-discrepancy of ``ps`` under ``m``, satisfied when the observed error
+    is at most the bound plus :data:`CERTIFICATE_TOL`."""
     disc = star_discrepancy(ps, m, **discrepancy_options).value
     bound = variation * disc
+    observed = None if reference is None else abs(estimate - reference)
     return KHCertificate(
         estimate=estimate,
         reference_integral=reference,
@@ -112,7 +121,8 @@ def kh_certificate(f: GridFunction, ps: PointSet, m, **discrepancy_options) -> K
         variation=variation,
         discrepancy=disc,
         bound=bound,
-        satisfied=observed <= bound + CERTIFICATE_TOL,
+        satisfied=None if observed is None else observed <= bound + CERTIFICATE_TOL,
+        variation_certified=variation_certified,
     )
 
 
@@ -180,18 +190,5 @@ def importance_sampling_estimate(
             var = hk_variation(sampled, ANCHOR_ONE)
             certified = False
 
-    disc = star_discrepancy(ps, m_g, **discrepancy_options).value
-    bound = var * disc
-    observed = None if reference_integral is None else abs(estimate - reference_integral)
-    satisfied = None if observed is None else observed <= bound + CERTIFICATE_TOL
-    cert = KHCertificate(
-        estimate=estimate,
-        reference_integral=reference_integral,
-        observed_error=observed,
-        variation=var,
-        discrepancy=disc,
-        bound=bound,
-        satisfied=satisfied,
-        variation_certified=certified,
-    )
-    return estimate, cert
+    return estimate, _certificate(ps, m_g, discrepancy_options, estimate, reference_integral,
+                                  var, certified)

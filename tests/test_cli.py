@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nuqmc import chelson_conditional, forward_cdf_map
+from nuqmc import chelson_conditional, forward_cdf_map, halton
 from nuqmc.cli import main
 
 
@@ -101,14 +101,20 @@ class TestDiscrepancyCommand:
         assert code == 2
         assert "line" in err
 
-    @pytest.mark.parametrize("value", ["-1", "0"])
-    def test_max_exact_dim_below_one_is_invalid(self, capsys, points_file, uniform_file, value):
-        code, _, err = run_cli(
-            capsys, "discrepancy", "--points", points_file, "--measure", uniform_file,
-            "--max-exact-dim", value,
-        )
-        assert code == 2
-        assert "--max-exact-dim" in err
+    def test_exact_in_five_dimensions(self, capsys, tmp_path):
+        # 3^5 cells: the cell budget, not the dimension, decides
+        pfile = write_json(tmp_path / "p.json", {"d": 5, "points": [[0.5] * 5]})
+        mfile = write_json(tmp_path / "m.json", {"type": "uniform", "d": 5})
+        code, out, err = run_cli(capsys, "discrepancy", "--points", pfile, "--measure", mfile)
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        assert result["method"] == "exact"
+        assert result["value"] == 31 / 32
+        assert result["witness"] == [0.5] * 5 and result["attained"] is True
+        code, _, err = run_cli(capsys, "discrepancy", "--points", pfile, "--measure", mfile,
+                               "--budget", str(3**5 - 1))
+        assert code == 3
+        assert "budget" in err
 
     @pytest.mark.parametrize("measure, points", [
         ({"type": "uniform", "d": "x"}, None),
@@ -249,6 +255,21 @@ class TestIntegrateCommand:
         assert result["observed_error"] <= result["bound"] + 1e-10
         assert result["reference_integral"] == pytest.approx(0.42, abs=1e-12)
 
+    def test_certify_in_five_dimensions(self, capsys, tmp_path):
+        ffile = write_json(tmp_path / "f.json", {
+            "breakpoints": [[0.0, 0.5, 1.0]] * 5,
+            "values": [int(i % 7 == 0) for i in range(3**5)],
+            "interp": "step",
+        })
+        pfile = write_json(tmp_path / "p.json", {"d": 5, "points": halton(16, 5).points.tolist()})
+        mfile = write_json(tmp_path / "m.json", {"type": "uniform", "d": 5})
+        code, out, err = run_cli(capsys, "integrate", "--function", ffile, "--measure", mfile,
+                                 "--points", pfile, "--certify")
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        assert result["satisfied"] is True
+        assert 0.0 < result["discrepancy"] < 1.0
+
 
 class TestCounterexampleCommand:
     def test_report_values(self, capsys, tmp_path):
@@ -357,7 +378,7 @@ class TestReportPlumbing:
         config = json.loads(out)["config"]
         assert "threads" not in config
         assert set(config) == {"subcommand", "points", "measure", "search", "seed",
-                               "budget", "max_exact_dim", "format", "out"}
+                               "budget", "format", "out"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -368,8 +389,12 @@ class TestReportPlumbing:
     ["integrate", "--f", "f.json", "--measure", "m.json", "--points", "p.json", "--seed", "1"],
     ["counterexample", "--budget", "5"],
     ["discrepancy", "--points", "p.json", "--measure", "m.json", "--tolerance", "1e-9"],
+    ["discrepancy", "--points", "p.json", "--measure", "m.json", "--max-exact-dim", "4"],
+    ["integrate", "--f", "f.json", "--measure", "m.json", "--points", "p.json",
+     "--max-exact-dim", "4"],
 ], ids=["generate-seed", "variation-budget", "decompose-max-exact-dim", "transform-tolerance",
-        "integrate-seed", "counterexample-budget", "discrepancy-tolerance"])
+        "integrate-seed", "counterexample-budget", "discrepancy-tolerance",
+        "discrepancy-max-exact-dim", "integrate-max-exact-dim"])
 def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -473,12 +498,11 @@ _PAIR_FLAG = _rarely(
 _FLAGS = {
     "discrepancy": (["points", "measure"], {
         "--search": _int_flag(1, 40), "--seed": _int_flag(0, 2**70),
-        "--budget": _int_flag(1, 10**6), "--max-exact-dim": _int_flag(1, 6)}),
+        "--budget": _int_flag(1, 10**6)}),
     "variation": (["function"], {}),
     "decompose": (["function"], {}),
     "transform": (["points", "measure"], {}),
-    "integrate": (["function", "measure", "points"], {
-        "--budget": _int_flag(1, 10**6), "--max-exact-dim": _int_flag(1, 6)}),
+    "integrate": (["function", "measure", "points"], {"--budget": _int_flag(1, 10**6)}),
     "generate": ([], {"--n": _int_flag(1, 40), "--d": _int_flag(1, 8)}),
     "counterexample": ([], {
         "--boundary-samples": _int_flag(0, 20),

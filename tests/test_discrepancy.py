@@ -231,7 +231,7 @@ class TestStarDiscrepancyExact:
                 brute_force_star_discrepancy(ps, m, cands), abs=TOL
             )
 
-    def test_exact_mode_at_the_dimension_gate(self):
+    def test_exact_mode_in_four_dimensions(self):
         rng = np.random.default_rng(15)
         ps = PointSet(4, rng.random((3, 4)))
         exact = star_discrepancy(ps, UniformMeasure(4)).value
@@ -241,10 +241,22 @@ class TestStarDiscrepancyExact:
         assert brute <= exact + TOL
         assert exact == pytest.approx(brute, abs=1e-9)
 
-    def test_dimension_gate(self):
+    def test_exact_mode_in_five_dimensions(self):
+        # no dimension gate: the 3^5 cells fit the default budget, not one less
         ps = PointSet(5, np.full((1, 5), 0.5))
+        res = star_discrepancy(ps, UniformMeasure(5))
+        assert res.value == 31 / 32
+        assert res.witness_box.upper == (0.5,) * 5
+        assert res.witness_flags == ("at",) * 5
+        assert res.attained
         with pytest.raises(BudgetExceededError):
-            star_discrepancy(ps, UniformMeasure(5))
+            star_discrepancy(ps, UniformMeasure(5), cell_budget=3**5 - 1)
+
+    @pytest.mark.parametrize("d", [40, 64])
+    def test_cell_count_does_not_wrap(self, d):
+        # 3^40 wraps to a negative int64, 3^64 to a positive one under 2^63
+        with pytest.raises(BudgetExceededError, match=f"has {3**d} cells"):
+            star_discrepancy(PointSet(d, np.full((1, d), 0.5)), UniformMeasure(d))
 
     def test_cell_budget_gate(self):
         rng = np.random.default_rng(9)
@@ -254,15 +266,26 @@ class TestStarDiscrepancyExact:
 
 
 _SLAB_KINDS = ["uniform-d2", "uniform-d3", "uniform-d4", "jump-product", "discrete-on-points",
-               "chelson", "d1", "tensor-d3", "rounded-d2", "alternating-rows"]
+               "chelson", "d1", "tensor-d3", "rounded-d2", "alternating-rows",
+               "uniform-d5", "uniform-d6", "uniform-d7", "jump-product-d5", "jump-product-d6",
+               "discrete-d5", "discrete-d7"]
 
 
 def _slab_case(kind):
     rng = np.random.default_rng(_SLAB_KINDS.index(kind))
     if kind.startswith("uniform"):
         d = int(kind[-1])
-        n = {2: 600, 3: 80, 4: 20}[d]
+        n = {2: 600, 3: 80, 4: 20, 5: 12, 6: 6, 7: 4}[d]
         return PointSet(d, rng.random((n, d))), UniformMeasure(d)
+    if kind[-2:] in ("d5", "d6", "d7"):  # jump/plateau product or discrete, past d = 4
+        d = int(kind[-1])
+        pts = rng.random(({5: 7, 6: 4, 7: 3}[d], d))
+        if kind.startswith("jump-product"):
+            pts[:2] = rng.integers(0, 5, (2, d)) / 4.0  # duplicates, and points at 0 and 1
+            return PointSet(d, pts), ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+        atoms = np.concatenate([pts[:2], rng.random((2, d))])
+        w = rng.random(4) + 0.05
+        return PointSet(d, pts), DiscreteMeasure.from_points(d, atoms, w / w.sum())
     if kind == "jump-product":
         pts = rng.random((600, 2))
         pts[:40] = rng.integers(0, 9, (40, 2)) / 8.0  # duplicates, and points at 0 and 1

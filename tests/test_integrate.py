@@ -22,6 +22,7 @@ from nuqmc import (
     local_discrepancy,
     product_transform,
     qmc_estimate,
+    star_discrepancy,
 )
 from helpers import (
     random_discrete_probability,
@@ -140,6 +141,20 @@ class TestCertificate:
                 f"certificate violated: error={cert.observed_error} "
                 f"bound={cert.bound}"
             )
+
+    def test_five_dimensional_step_function(self):
+        # no dimension gate: a 4^5-cell step function against a jump/plateau
+        # product measure, certified through the exact 5-d discrepancy
+        rng = np.random.default_rng(80)
+        bps = [np.linspace(0.0, 1.0, 5)] * 5
+        f = GridFunction(bps, rng.uniform(-1, 1, (5,) * 5), STEP)
+        m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(5)])
+        ps = PointSet(5, rng.random((16, 5)))
+        cert = kh_certificate(f, ps, m)
+        assert cert.discrepancy == star_discrepancy(ps, m).value
+        assert cert.bound == cert.variation * cert.discrepancy
+        assert cert.observed_error == abs(cert.estimate - integral_under_measure(f, m))
+        assert cert.satisfied
 
     def test_indicator_tightness_channel(self):
         rng = np.random.default_rng(76)
