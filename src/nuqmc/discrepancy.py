@@ -13,18 +13,43 @@ is the product of the per-axis grid sizes ``m_s``, so a cell budget, checked
 before any allocation, gates it; beyond that only the randomized
 lower-bound search is offered.
 
-Exact mode streams the grid in slabs of whole axis-0 rows (about 2^16 cells,
-at least one row), carrying the prefix counts of one slab's last row into
-the next.  Peak memory is two float64 slab buffers of at most
-``max(2^16, m_1 ... m_{d-1})`` cells and the int64 carried row, so the cell
-budget bounds time, and memory only through the row length (300 points in
-d=4 on one axis-0 coordinate: rows of 302^3 cells, about 630 MiB).  The
-points are sorted by axis-0 row, so a slab builds its counts row by row:
-each row starts as a copy of the row before, and the point it holds at cells
-``(j_1, ..., j_{d-1})`` adds 1 on the orthant ``[j_1:, ..., j_{d-1}:]``.
-Slabs of short rows, or with a row holding several points, histogram their
-points and sum along every axis instead.  The measure supplies its CDF
-tables slab by slab through one ``_cdf_table`` method per measure class.
+Exact mode streams the grid in slabs of whole axis-0 rows, carrying the
+prefix counts of one slab's last row into the next, and evaluates each slab
+on its critical boxes only.  In row ``i`` a count can change along an axis
+``s >= 1`` only at a column that holds a point of rows ``<= i``, so a slab
+reads just the *active* columns of every such axis: column 0, the last
+column, each measure coordinate's column and each column holding a point of
+the rows read so far.  A compressed column stands for the run of dense
+columns up to the next active one, where the count is constant; the
+lower-corner CDF is read at the run's first column and the one-sided
+upper-corner CDF at its last, so both maxima over the run are read exactly.
+The attained term's first compressed maximum is its dense first occurrence;
+the one-sided term's lies in the row of its first compressed maximum, which
+is read densely once to name the witness (see ``_slab_maxima``).  Values,
+witnesses and flags are bit for bit those of the whole-grid reduction.  When
+each row holds one point, the active columns of row ``i`` on each axis are
+about ``i`` of ``N``, so a walk reads about ``1/d`` of the dense grid.
+
+This rests on one premise: the computed CDF table is nondecreasing along
+each axis of the grid.  It holds exactly for uniform, product and discrete
+tables (products of nondecreasing nonnegative factors, prefix sums of
+positive weights); for :class:`~nuqmc.measures.AnalyticCdfMeasure` it is
+part of the callback contract.
+
+Slabs hold about 2^16 compressed cells, at least one row.  Peak memory is
+two float64 slab buffers of at most ``max(2^16, m_1 ... m_{d-1})`` cells and
+the int64 carried row, so the cell budget bounds time, and memory only
+through the row length (300 points in d=4 on one axis-0 coordinate: rows of
+302^3 cells, about 630 MiB); slab buffers larger than one array can
+address, or than memory holds, end in
+:class:`~nuqmc.errors.BudgetExceededError`, not a traceback.
+The points are sorted by axis-0 row, so a slab builds its counts row by
+row: each row starts as a copy of the row before, and the point it holds at
+compressed cells ``(j_1, ..., j_{d-1})`` adds 1 on the orthant
+``[j_1:, ..., j_{d-1}:]``.  Slabs of short rows, or with a row holding
+several points, histogram their points and sum along every axis instead.
+The measure supplies its CDF tables slab by slab, on the active columns,
+through one ``_cdf_table`` method per measure class.
 
 The randomized search keeps its per-trial draws but evaluates a chunk of
 corners at once, through each measure's batched ``_cdf_points``.
@@ -169,21 +194,56 @@ def _critical_grids(ps: PointSet, m) -> list[np.ndarray]:
     return grids
 
 
-def _slab_maxima(ps: PointSet, grids, table_of):
-    """Largest ``count/N - F`` at the cells' lower corners and largest
-    ``F(upper-) - count/N`` over the critical grid, each with the grid index
-    of its first occurrence in C order.
+def _slab_maxima(ps: PointSet, m, grids):
+    """The supremum over the critical grid: the larger of the largest
+    ``count/N - F`` at the cells' lower corners (attained) and the largest
+    ``F(upper-) - count/N`` (one-sided), the attained term winning a tie.
+    Returns ``(value, grid index, attained)``, the index being the first
+    occurrence in C order.
 
-    The grid is walked in slabs of whole axis-0 rows, each compared with the
-    measure's CDF tables for the same rows.  A row's prefix counts are the
-    previous row's (the previous slab's last row for a slab's first row)
-    plus 1 on the orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds,
-    if any.  Slabs of short rows, or with a row holding several points,
-    histogram their points and sum along every axis instead.  Memory is two
-    slab buffers and the carried row, however many rows the grid has; an
-    earlier slab keeps a tie, as one argmax over the whole grid would.
+    The grid is walked in slabs of whole axis-0 rows, sized by the cells a
+    slab reads.  In row ``i`` the count changes along an axis ``s >= 1`` only
+    at a column holding a point of rows ``<= i``, so a slab reads just its
+    *active* columns on every such axis: column 0, the last column, each
+    measure coordinate's column, and each column holding a point of the rows
+    up to the slab's last.  A compressed column stands for the run of dense
+    columns up to the next active one, on which every count is constant; it
+    reads the lower-corner table at the run's first column and the
+    upper-corner table at its last.  The computed CDF is nondecreasing along
+    each axis (see the module docstring), so:
+
+    * moving a cell down to the start of its run keeps its count and cannot
+      raise ``F``: the attained term's first compressed maximum is its dense
+      first occurrence;
+    * moving a cell up to the end of its run keeps its count and cannot
+      lower ``F(upper-)``: the one-sided term's dense first occurrence lies
+      in the row of its first compressed maximum, but maybe not at a run's
+      end (``F(upper-)`` can be flat there), so that one row is read densely
+      to name the witness.
+
+    A slab whose active columns are all its columns (every slab once every
+    point has been read, so every grid that fits one slab) is read as it
+    stands, with no gather and no second read.
+
+    A row's prefix counts are the previous row's (the previous slab's last
+    row, widened by an index gather when columns activate) plus 1 on the
+    orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds, if any.  Slabs
+    of compressed rows shorter than ``_ROW_LOOP_CELLS``, or with a row
+    holding several points, histogram their points and sum along every axis
+    instead.  Memory is two slab buffers and the carried row, however many
+    rows the grid has; an earlier slab keeps a tie, as one argmax over the
+    whole grid would.
     """
+    d = ps.dimension
     sizes = [g.size for g in grids]
+    row_cells = math.prod(sizes[1:])
+    table_of = _measure_method(m, "_cdf_table")
+    # two float64 slab buffers for the whole walk: the counts, divided by N
+    # in place, and the CDF tables (the histogram's int64 scratch before
+    # that); a dense row, for the re-read, fits in each.  The carried row
+    # lives in a third, int64 buffer of one dense row.
+    counts, table, carried = _slab_buffers(min(math.prod(sizes), max(_SLAB_CELLS, row_cells)),
+                                           row_cells)
     f_lo = table_of(grids, [np.zeros(g.size, dtype=bool) for g in grids])
     uppers = [_upper_axis(g[1:]) for g in grids]
     f_hi = table_of([c for c, _ in uppers], [f for _, f in uppers])
@@ -193,43 +253,116 @@ def _slab_maxima(ps: PointSet, grids, table_of):
     order = np.argsort(cells[0], kind="stable")
     cells = [c[order] for c in cells]
 
-    row_cells = int(np.prod(sizes[1:], dtype=np.int64))
-    step = min(sizes[0], max(1, _SLAB_CELLS // row_cells))
-    # rows that take the orthant counts: long ones holding at most one point
-    orthant = np.zeros(sizes[0], dtype=bool)
-    if row_cells >= _ROW_LOOP_CELLS:
-        orthant = np.bincount(cells[0], minlength=sizes[0]) < 2
-    # two slab buffers for the whole walk: the counts, divided by N in place,
-    # and the CDF tables (the histogram's int64 scratch before that)
-    counts = np.empty((step,) + tuple(sizes[1:]))
-    table = np.empty(counts.shape)
-    carry = np.zeros(sizes[1:], dtype=np.int64)
+    # per axis s >= 1: the first row from which each column is active, the
+    # active columns and the compressed column of every column; and the
+    # compressed row length once rows 0..r have been read.  The one slab of
+    # a grid that fits one holds every point, so it reads every column.
+    since = [np.zeros(size, dtype=np.intp) for size in sizes[1:]]
+    active = rank = [np.arange(size) for size in sizes[1:]]
+    width = np.full(sizes[0], row_cells)
+    carry = carried.reshape(sizes[1:])
+    if math.prod(sizes) > _SLAB_CELLS:
+        width.fill(1)
+        for s, opens in enumerate(since, start=1):
+            opens.fill(sizes[0])  # row sizes[0]: never
+            opens[[0, -1]] = 0
+            opens[np.searchsorted(grids[s], np.asarray(m.axis_coordinates(s), dtype=float))] = 0
+            np.minimum.at(opens, cells[s], cells[0])
+            width *= np.cumsum(np.bincount(opens, minlength=sizes[0] + 1))[:sizes[0]]
+        rank = [np.zeros(size, dtype=np.intp) for size in sizes[1:]]
+        carry = carried[:1].reshape((1,) * (d - 1))
+    carry.fill(0)  # the counts of row -1
+    # the points each row holds, read only where rows reach _ROW_LOOP_CELLS
+    per_row = np.bincount(cells[0], minlength=sizes[0]) if row_cells >= _ROW_LOOP_CELLS else None
     lo_candidates, hi_candidates = [], []
-    for start in range(0, sizes[0], step):
-        stop = min(start + step, sizes[0])
-        rows = stop - start
-        first, last = np.searchsorted(cells[0], [start, stop])
-        slab_cells = [cells[0][first:last] - start] + [c[first:last] for c in cells[1:]]
-        if orthant[start:stop].all():
-            c = _orthant_counts(counts[:rows], carry, slab_cells)
-        else:
-            c = _histogram_counts(table[:rows].view(np.int64), carry, slab_cells)
-        carry[...] = c[-1]
-        share = np.divide(c, ps.n, out=counts[:rows])
+    start = 0
+    while start < sizes[0]:
+        # as many rows as fill _SLAB_CELLS compressed cells, at least one
+        rows = min(sizes[0] - start, max(1, _SLAB_CELLS // int(width[start])))
+        if rows * width[start + rows - 1] > _SLAB_CELLS:  # columns activate on the way
+            k = np.arange(1, rows + 1)
+            rows = max(1, int(np.count_nonzero(k * width[start + k - 1] <= _SLAB_CELLS)))
+        stop = start + rows
+        if width[stop - 1] > carry.size:  # columns activate: widen the carried row
+            active = [np.flatnonzero(opens < stop) for opens in since]
+            # gather it one axis at a time through the two slab buffers, free
+            # until this slab's counts
+            staged = carry
+            for s, (cols, a) in enumerate(zip(rank, active)):
+                shape = staged.shape[:s] + (a.size,) + staged.shape[s + 1:]
+                out = (table, counts)[s % 2].view(np.int64)[:math.prod(shape)].reshape(shape)
+                # every index is in range; mode "raise" would copy through a temporary
+                staged = np.take(staged, cols[a], axis=s, out=out, mode="clip")
+            carry = carried[:staged.size].reshape(staged.shape)
+            carry[...] = staged
+            rank = [np.cumsum(opens < stop) - 1 for opens in since]
+        dense = carry.size == row_cells
+        shape = (stop - start,) + carry.shape
+        n_cells = math.prod(shape)
 
-        t = table[:rows]
-        dev = np.subtract(share, f_lo(start, stop, t), out=t)
+        first, last = np.searchsorted(cells[0], [start, stop])
+        slab_cells = [cells[0][first:last] - start]
+        slab_cells += [cols[c[first:last]] for cols, c in zip(rank, cells[1:])]
+        if carry.size >= _ROW_LOOP_CELLS and per_row[start:stop].max() < 2:
+            c = _orthant_counts(counts[:n_cells].reshape(shape), carry, slab_cells)
+        else:
+            c = _histogram_counts(table[:n_cells].view(np.int64).reshape(shape), carry, slab_cells)
+        carry[...] = c[-1]
+        share = np.divide(c, ps.n, out=counts[:n_cells].reshape(shape))
+
+        # a compressed column reads the first column of its run below, the
+        # last column above
+        lo_cols = hi_cols = None
+        if not dense:
+            lo_cols = active
+            hi_cols = [np.append(a[1:] - 1, size - 1) for a, size in zip(active, sizes[1:])]
+        t = table[:n_cells].reshape(shape)
+        dev = np.subtract(share, f_lo(start, stop, t, lo_cols), out=t)
         i = int(np.argmax(dev))  # largest at a lower corner (attained)
-        lo_candidates.append((dev.flat[i], start * row_cells + i))
-        dev = np.subtract(f_hi(start, stop, t), share, out=t)
+        r, *j = np.unravel_index(i, shape)
+        if not dense:
+            j = [a[k] for a, k in zip(active, j)]
+        lo_candidates.append((dev.flat[i], (start + r, *j)))
+        dev = np.subtract(f_hi(start, stop, t, hi_cols), share, out=t)
         i = int(np.argmax(dev))  # approached at an upper corner (one-sided)
-        hi_candidates.append((dev.flat[i], start * row_cells + i))
+        r, *j = np.unravel_index(i, shape)  # a compressed slab names its row only
+        hi_candidates.append((dev.flat[i], (start + r, tuple(j) if dense else None)))
+        start = stop
 
     def first_max(candidates):
-        value, flat_index = candidates[int(np.argmax([v for v, _ in candidates]))]
-        return float(value), np.unravel_index(flat_index, sizes)
+        value, index = candidates[int(np.argmax([v for v, _ in candidates]))]
+        return float(value), index
 
-    return first_max(lo_candidates), first_max(hi_candidates)
+    lo_value, lo_index = first_max(lo_candidates)
+    hi_value, (row, hi_cols) = first_max(hi_candidates)
+    if lo_value >= hi_value:
+        return lo_value, tuple(int(j) for j in lo_index), True
+    if hi_cols is None:  # a row of a compressed slab: read it densely
+        shape = (1,) + tuple(sizes[1:])
+        held = np.searchsorted(cells[0], row, side="right")  # the points of rows <= row
+        c = _histogram_counts(table[:row_cells].view(np.int64).reshape(shape),
+                              np.zeros((), dtype=np.int64),
+                              [np.zeros(held, dtype=np.intp)] + [j[:held] for j in cells[1:]])
+        share = np.divide(c, ps.n, out=counts[:row_cells].reshape(shape))
+        dev = np.subtract(f_hi(row, row + 1, table[:row_cells].reshape(shape)), share, out=share)
+        hi_cols = np.unravel_index(int(np.argmax(dev)), sizes[1:])
+    return hi_value, tuple(int(j) for j in (row, *hi_cols)), False
+
+
+def _slab_buffers(cells: int, row_cells: int):
+    """Two float64 buffers of ``cells`` cells and an int64 buffer of
+    ``row_cells`` cells (one grid row), or :class:`BudgetExceededError` when
+    they cannot be allocated."""
+    err = BudgetExceededError(
+        f"critical grid rows have {row_cells} cells; two slab buffers of "
+        f"{cells} cells and a carried row do not fit in memory"
+    )
+    if cells > np.iinfo(np.intp).max // 8:  # more bytes than one array can address
+        raise err
+    try:
+        return np.empty(cells), np.empty(cells), np.empty(row_cells, dtype=np.int64)
+    except MemoryError:
+        raise err from None
 
 
 def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarray:
@@ -238,10 +371,11 @@ def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarray
     if any.  ``point_cells[s]`` are the slab cells of the slab's points on
     axis ``s``, ordered by row."""
     prev, r = carry, 0
-    for hit, *tail in zip(*(j.tolist() for j in point_cells)):
+    orthants = ([slice(j, None) for j in cols.tolist()] for cols in point_cells[1:])
+    for hit, *orthant in zip(point_cells[0].tolist(), *orthants):
         c[r:hit + 1] = prev  # the rows without a point, then the point's row
-        c[(hit,) + tuple(slice(j, None) for j in tail)] += 1
-        prev, r = c[hit], hit + 1
+        prev, r = c[hit, ...], hit + 1
+        prev[tuple(orthant)] += 1
     c[r:] = prev
     return c
 
@@ -283,27 +417,14 @@ def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> Discrep
             "use random_search_lower_bound"
         )
 
-    table_of = _measure_method(m, "_cdf_table")
-    (best_lo, best_lo_idx), (best_hi, best_hi_idx) = _slab_maxima(ps, grids, table_of)
-
-    if best_lo >= best_hi:
-        witness = tuple(float(grids[s][best_lo_idx[s]]) for s in range(d))
+    value, index, attained = _slab_maxima(ps, m, grids)
+    if attained:
+        witness = tuple(float(g[j]) for g, j in zip(grids, index))
         flags = (AT_POINT,) * d
-        value, attained = best_lo, True
-    else:
-        witness = []
-        flags = []
-        for s in range(d):
-            j = best_hi_idx[s]
-            if j == grids[s].size - 1:
-                witness.append(1.0)
-                flags.append(AT_POINT)
-            else:
-                witness.append(float(grids[s][j + 1]))
-                flags.append(LEFT_LIMIT)
-        witness = tuple(witness)
-        flags = tuple(flags)
-        value, attained = best_hi, False
+    else:  # the upper corner, approached from below except on the last column
+        last = [j == g.size - 1 for g, j in zip(grids, index)]
+        witness = tuple(1.0 if end else float(g[j + 1]) for g, j, end in zip(grids, index, last))
+        flags = tuple(AT_POINT if end else LEFT_LIMIT for end in last)
 
     return DiscrepancyResult(
         value=value,

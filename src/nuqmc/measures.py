@@ -14,13 +14,25 @@ representations are provided:
 Every one of them also has a private ``_cdf_table(coords, left)``: the CDF
 on the product grid ``coords[0] x ... x coords[d-1]`` (nondecreasing
 coordinate arrays), taking the left limit on axis ``s`` wherever the boolean
-array ``left[s]`` is True.  It returns ``rows(start, stop, out)``, which
-writes the table's axis-0 indices ``start:stop`` into the C-contiguous float
-array ``out`` and returns it, so that a caller can stream a large table in
-slabs through one buffer.  The exact discrepancy engine and the exact cell
-masses of :mod:`nuqmc.integrate` both read their CDF values through it.
-Every table read works on whole arrays: an analytic measure calls its
-callback once per read, never once per cell.
+array ``left[s]`` is True.  It returns ``rows(start, stop, out, cols=None)``,
+which writes the table's axis-0 indices ``start:stop`` into the C-contiguous
+float array ``out`` and returns it, so that a caller can stream a large table
+in slabs through one buffer.  ``cols``, when given, selects columns on the
+other axes: one increasing index array per axis ``1..d-1``, and ``out`` then
+has the shape ``(stop - start, len(cols[0]), ...)``.  Every entry read through
+a selection is the same float as the full table's entry at those indices:
+uniform and product tables gather their per-axis factors (evaluated once per
+``_cdf_table`` call), an analytic table builds its corners from the selected
+coordinates, and a discrete table moves each atom to the first selected
+column at or after its own.  A discrete selection must not leave two atom
+columns in one gap ``(s_{k-1}, s_k]`` between consecutive selected columns
+(so it is enough to select every atom's column): its prefix sums would then
+add those atoms in another order than the full table does.  The reader
+checks this and raises ``ValueError`` on such a selection.  The exact
+discrepancy engine reads only the columns where a count can change; the
+exact cell masses of :mod:`nuqmc.integrate` read whole tables.  Every table
+read works on whole arrays: an analytic measure calls its callback once per
+read, never once per cell.
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -128,10 +140,11 @@ def _upper_axis(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _product_table(factors: Sequence[np.ndarray]):
     """Row reader of the table ``factors[0] x ... x factors[-1]``, built in
     ``reduce(np.multiply.outer, ...)`` axis order so that every entry is the
-    same floating point product whichever rows are read."""
+    same floating point product whichever rows and columns are read."""
 
-    def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-        axes = [factors[0][start:stop], *factors[1:]]
+    def rows(start: int, stop: int, out: np.ndarray, cols=None) -> np.ndarray:
+        axes = [factors[0][start:stop]]
+        axes += factors[1:] if cols is None else [f[j] for f, j in zip(factors[1:], cols)]
         head = reduce(np.multiply.outer, axes[:-1], 1.0)  # 1.0 * x == x exactly
         return np.multiply.outer(head, axes[-1], out=out)
 
@@ -467,7 +480,10 @@ class DiscreteMeasure(_PointCdf):
         are prefix sums along axis 0, then axis 1, and so on.  Atoms covered
         only by earlier rows are summed into the first row read, in the
         support's axis-0 order, which reproduces the axis-0 prefix sum of
-        the whole table bit for bit.
+        the whole table bit for bit.  Under a column selection an atom moves
+        to the first selected column at or after its cell, and atoms past
+        the last selected column drop out; a selection that leaves two atom
+        columns in one gap raises ``ValueError``.
         """
         shape = tuple(len(c) for c in coords)
         locations, weights = self.support.locations, self.support.weights
@@ -478,11 +494,22 @@ class DiscreteMeasure(_PointCdf):
         covered = np.all([j < n for j, n in zip(cells, shape)], axis=0)
         cells = [j[covered] for j in cells]
         weights = weights[covered]
+        atom_cols = [np.unique(j) for j in cells[1:]]
 
-        def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        def rows(start: int, stop: int, out: np.ndarray, cols=None) -> np.ndarray:
+            at = cells[1:]
             keep = cells[0] < stop
+            if cols is not None:
+                for c, u in zip(cols, atom_cols):
+                    gaps = np.searchsorted(c, u)
+                    gaps = gaps[gaps < c.size]
+                    if np.any(gaps[1:] == gaps[:-1]):
+                        raise ValueError("column selection leaves two atom columns in one gap")
+                at = [np.searchsorted(c, j) for c, j in zip(cols, at)]
+                for j, c in zip(at, cols):
+                    keep &= j < c.size
             flat = np.ravel_multi_index(
-                [np.maximum(cells[0][keep] - start, 0)] + [j[keep] for j in cells[1:]], out.shape
+                [np.maximum(cells[0][keep] - start, 0)] + [j[keep] for j in at], out.shape
             )
             out.fill(0.0)
             np.add.at(out.reshape(-1), flat, weights[keep])  # in support order
@@ -529,7 +556,10 @@ class AnalyticCdfMeasure(_PointCdf):
     callback must be supplied for one-sided evaluation.  It takes ``(k, d)``
     points and a ``(k, d)`` boolean array, True where the limit from the left
     is taken on that axis, and returns ``(k,)`` values; a row with no True
-    entry asks for ``F`` itself.  ``grid_hints`` may list per-axis
+    entry asks for ``F`` itself.  Both must compute each value from its own
+    point alone, and nondecreasing in every coordinate: the exact
+    discrepancy engine reads a table on a few columns and relies on both
+    (see :mod:`nuqmc.discrepancy`).  ``grid_hints`` may list per-axis
     coordinates worth injecting into exact discrepancy grids (kinks, say);
     correctness does not depend on them.
     """
@@ -582,9 +612,11 @@ class AnalyticCdfMeasure(_PointCdf):
         def corners(axes):
             return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
-        def rows(start: int, stop: int, out: np.ndarray) -> np.ndarray:
-            points = corners([coords[0][start:stop]] + coords[1:])
-            flags = corners([left[0][start:stop]] + left[1:])
+        def rows(start: int, stop: int, out: np.ndarray, cols=None) -> np.ndarray:
+            picks = [slice(start, stop)]
+            picks += [slice(None)] * (len(coords) - 1) if cols is None else list(cols)
+            points = corners([c[j] for c, j in zip(coords, picks)])
+            flags = corners([f[j] for f, j in zip(left, picks)])
             out[...] = np.reshape(self._cdf_points(points, flags), out.shape)
             return out
 

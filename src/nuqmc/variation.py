@@ -301,8 +301,7 @@ def hk0_prefix_grid(f: GridFunction) -> np.ndarray:
         v = np.abs(_face_differences(f.values, axes, 0))
         for s in axes:
             v = np.cumsum(v, axis=s)
-        pad = [(1, 0) if s in axes else (0, 0) for s in range(d)]
-        out += np.pad(v, pad)
+        out[tuple(slice(1, None) if s in axes else slice(None) for s in range(d))] += v
     return out
 
 

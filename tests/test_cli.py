@@ -116,6 +116,17 @@ class TestDiscrepancyCommand:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_past_what_memory_holds_exit_code(self, capsys, tmp_path):
+        # 3^40 cells pass a budget of 10^20, but a row of 3^39 cells is more
+        # than one array can address: refused before anything is allocated
+        pfile = write_json(tmp_path / "p.json", {"d": 40, "points": [[0.5] * 40]})
+        mfile = write_json(tmp_path / "m.json", {"type": "uniform", "d": 40})
+        code, out, err = run_cli(capsys, "discrepancy", "--points", pfile, "--measure", mfile,
+                                 "--budget", str(10**20))
+        assert code == 3 and out == ""
+        assert str(3**39) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("measure, points", [
         ({"type": "uniform", "d": "x"}, None),
         ({"type": "uniform", "d": 2.7}, None),

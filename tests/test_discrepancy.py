@@ -268,11 +268,44 @@ class TestStarDiscrepancyExact:
 _SLAB_KINDS = ["uniform-d2", "uniform-d3", "uniform-d4", "jump-product", "discrete-on-points",
                "chelson", "d1", "tensor-d3", "rounded-d2", "alternating-rows",
                "uniform-d5", "uniform-d6", "uniform-d7", "jump-product-d5", "jump-product-d6",
-               "discrete-d5", "discrete-d7"]
+               "discrete-d5", "discrete-d7", "jump-plateau-run", "discrete-shared-columns",
+               "ulp-run"]
+
+
+def _run_points(rng):
+    """40 points whose one-sided supremum is approached at ``(u0, 0.972)``,
+    ``u0 <= 0.6`` the first axis-0 coordinate past the point ``(0.25, 0.972)``,
+    and on the four axis-1 coordinates one ulp apart below 0.972, held by
+    rows past 0.6: in the row of the supremum they lie inside one run of
+    equal counts, where ``F(u-)`` rounds to its value at 0.972."""
+    y = [0.972]
+    for _ in range(4):
+        y.insert(0, np.nextafter(y[0], 0.0))
+    below = np.stack([[0.8, 0.85, 0.9, 0.95], y[:4]], axis=1)
+    rest = np.stack([np.append(0.6, rng.uniform(0.6, 1.0, 34)), rng.random(35)], axis=1)
+    return np.concatenate([[[0.25, y[4]]], below, rest])
 
 
 def _slab_case(kind):
     rng = np.random.default_rng(_SLAB_KINDS.index(kind))
+    if kind == "jump-plateau-run":
+        # G_0 ramps to 1 at 0.5 and stays there; G_1 jumps to 0.5 at 0, then
+        # ramps to 1 with slope 0.5
+        m = ProductMeasure([AxisCdf([0.0, 0.5, 1.0], [0.0, 1.0, 1.0]),
+                            AxisCdf([0.0, 1.0], [0.5, 1.0], [0.0, 1.0])])
+        return PointSet(2, _run_points(rng)), m
+    if kind == "ulp-run":
+        return PointSet(2, _run_points(rng)), UniformMeasure(2)
+    if kind == "discrete-shared-columns":
+        # atoms on 8 axis-1 coordinates and the float after each, 3 atoms to a
+        # column: adjacent columns and columns shared by atoms of other rows
+        x1 = np.round(rng.random(8), 3)
+        x1 = np.repeat(np.concatenate([x1, np.nextafter(x1, 1.0)]), 3)
+        atoms = np.stack([rng.random(x1.size), x1], axis=1)
+        w = rng.random(x1.size) + 0.05
+        pts = rng.random((400, 2))
+        pts[:24] = atoms[::2]  # points on atoms, too
+        return PointSet(2, pts), DiscreteMeasure.from_points(2, atoms, w / w.sum())
     if kind.startswith("uniform"):
         d = int(kind[-1])
         n = {2: 600, 3: 80, 4: 20, 5: 12, 6: 6, 7: 4}[d]
@@ -304,14 +337,48 @@ def _slab_case(kind):
     if kind == "rounded-d2":  # axis-0 ties in some rows, one point in most
         return PointSet(2, np.round(rng.random((900, 2)) * 1024) / 1024), UniformMeasure(2)
     if kind == "alternating-rows":
-        # rows of 1024 cells, so 64 rows to a default slab: the first 64 rows
-        # hold one point each, the next 64 two each, and so on
+        # rows of 1024 cells, 64 to a slab once every column is active: the
+        # first 64 rows hold one point each, the next 64 two each, and so on
         per_row = 1 + (np.arange(1, 769) // 64) % 2  # grid row 0 is x = 0
         x0 = np.repeat((np.arange(768) + 0.5) / 768, per_row)
         x1 = (np.arange(1022) + 0.5) / 1022
         x1 = np.concatenate([x1, rng.choice(x1, x0.size - x1.size)])
         return PointSet(2, np.stack([x0, rng.permutation(x1)], axis=1)), UniformMeasure(2)
     return PointSet(1, rng.random((3000, 1))), UniformMeasure(1)
+
+
+def _walk_geometry(ps, m, slab_cells):
+    """The slabs of an exact walk of a d = 2 case, restated from its geometry:
+    ``(slabs, held, reread)``, each slab ``(start, stop, width)`` with
+    ``width`` the compressed cells of its last row, ``held[i]`` the points
+    row ``i`` holds, and ``reread`` whether the row of a one-sided supremum
+    lies in a compressed slab, so that it is read densely once more.
+
+    Compressed row ``i`` has a cell for column 0, the last column, each
+    measure coordinate's column and each column holding a point of rows
+    ``<= i``; a grid that fits one slab reads every column.  A slab is the
+    most rows, at least one, whose count times its last row's width fits
+    ``slab_cells``.
+    """
+    g0, g1 = (np.union1d(np.union1d([0.0, 1.0], ps.points[:, s]), m.axis_coordinates(s))
+              for s in range(2))
+    row = np.searchsorted(g0, ps.points[:, 0])  # every point is on the grid
+    held = np.bincount(row, minlength=g0.size)
+    fixed = np.union1d([0.0, 1.0], m.axis_coordinates(1))
+    width = np.array([np.union1d(fixed, ps.points[row <= i, 1]).size for i in range(g0.size)])
+    if g0.size * g1.size <= slab_cells:
+        width[:] = g1.size
+    slabs, start = [], 0
+    while start < g0.size:
+        stop = start + 1
+        while stop < g0.size and (stop + 1 - start) * width[stop] <= slab_cells:
+            stop += 1
+        slabs.append((start, stop, width[stop - 1]))
+        start = stop
+    _, witness, flags, attained = dense_star_discrepancy(ps, m)
+    r = g0.size - 1 if flags[0] == "at" else np.searchsorted(g0, witness[0]) - 1
+    reread = not attained and any(a <= r < b and w < g1.size for a, b, w in slabs)
+    return slabs, held, reread
 
 
 def _summary(res):
@@ -347,16 +414,27 @@ class TestSlabEngine:
         ps, m = _slab_case(kind)
         assert _summary(star_discrepancy(ps, m)) == dense_star_discrepancy(ps, m)
 
-    @pytest.mark.parametrize("kind, slab_cells, histogram_slabs", [
-        ("uniform-d2", None, 0),
+    @pytest.mark.parametrize("kind, slab_cells, histogram_calls", [
+        # rows r >= 1 hold one point each, on distinct axis-1 columns, so
+        # compressed row r has r + 2 cells (column 0, the last, r point
+        # columns): the default slabs are rows 0-254 (255 x 256 cells), rows
+        # 255-412 (158 x 414), then rows of 536 cells and more; the first two
+        # take the histogram
+        ("uniform-d2", None, "geometry"),
+        ("uniform-d2", 1, "geometry"),  # one row per slab: rows 0-509 are under 512 cells
+        # rows 1-22 hold 22^2 points each, so every column is active from row
+        # 1 on: one dense slab of all 24 rows
         ("tensor-d3", None, 1),
-        ("alternating-rows", None, 6),
-        ("rounded-d2", 1, "crowded rows"),
+        # slabs of many rows that mix rows of one point and of two
+        ("alternating-rows", None, "geometry"),
+        ("alternating-rows", 1, "geometry"),
+        ("rounded-d2", 1, "geometry"),
         ("d1", 97, 31),  # rows of one cell: every slab, though no row is crowded
     ])
-    def test_count_path_of_each_slab(self, kind, slab_cells, histogram_slabs, monkeypatch):
-        # a slab of long rows that hold at most one point each takes the
-        # orthant counts, any other slab the histogram
+    def test_count_path_of_each_slab(self, kind, slab_cells, histogram_calls, monkeypatch):
+        # a slab takes the orthant counts when its compressed rows reach
+        # _ROW_LOOP_CELLS and each holds at most one point, else the
+        # histogram; the dense re-read of a row histograms it, too
         calls = []
 
         def spy(*args):
@@ -368,11 +446,19 @@ class TestSlabEngine:
         if slab_cells is not None:
             monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
         ps, m = _slab_case(kind)
-        if histogram_slabs == "crowded rows":  # one row per slab
-            histogram_slabs = int(np.sum(np.unique(ps.points[:, 0], return_counts=True)[1] > 1))
-            assert 0 < histogram_slabs < ps.n // 2
+        if histogram_calls == "geometry":
+            slabs, held, reread = _walk_geometry(ps, m, engine._SLAB_CELLS)
+            takes = [w < engine._ROW_LOOP_CELLS or held[a:b].max() > 1 for a, b, w in slabs]
+            if kind == "alternating-rows" and slab_cells is None:
+                # a slab of long rows whose first row holds one point and a
+                # later one two: the most points of any row decides
+                assert any(w >= engine._ROW_LOOP_CELLS and held[a] == 1 and held[a:b].max() == 2
+                           for a, b, w in slabs)
+            else:
+                assert 0 < sum(takes) < len(slabs)
+            histogram_calls = sum(takes) + reread
         star_discrepancy(ps, m)
-        assert len(calls) == histogram_slabs
+        assert len(calls) == histogram_calls
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -418,6 +504,36 @@ class TestSlabEngine:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_peak_memory_of_a_compressed_walk(self):
+        # about 1.3 MiB at N = 4096 before slabs were compressed: the gathered
+        # columns, the compressed buffers and the dense re-read row stay small
+        ps = PointSet(2, halton(4096, 2).points)
+        tracemalloc.start()
+        try:
+            star_discrepancy(ps, UniformMeasure(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("kind", ["jump-plateau-run", "ulp-run"])
+    def test_one_sided_maximum_first_occurs_inside_a_run(self, kind, monkeypatch):
+        # read one row per slab, the row of the supremum is compressed, and
+        # the dense first occurrence is not the end of its run, so only the
+        # dense re-read of that row names the witness
+        ps, m = _slab_case(kind)
+        value, witness, flags, attained = dense_star_discrepancy(ps, m)
+        assert not attained and flags == ("left", "left")
+        g0, g1 = (np.union1d([0.0, 1.0], ps.points[:, s]) for s in range(2))
+        g0, g1 = np.union1d(g0, m.axis_coordinates(0)), np.union1d(g1, m.axis_coordinates(1))
+        row, col = np.searchsorted(g0, witness[0]) - 1, np.searchsorted(g1, witness[1]) - 1
+        held = ps.points[ps.points[:, 0] <= g0[row], 1]
+        active = np.union1d(np.union1d([0.0, 1.0], m.axis_coordinates(1)), held)
+        assert active.size < g1.size  # the row is compressed
+        assert g1[col + 1] not in active  # the run goes on past the witness
+        monkeypatch.setattr(engine, "_SLAB_CELLS", 1)
+        assert _summary(star_discrepancy(ps, m)) == (value, witness, flags, attained)
 
     def test_analytic_callback_is_called_once_per_table_read(self):
         # one slab here, so one read of lower-corner and one of upper-corner

@@ -23,6 +23,7 @@ from nuqmc import (
     jordan_decompose_measure,
     total_variation,
 )
+from nuqmc.measures import _covering_index, _upper_axis
 from helpers import (
     chelson_box_mass,
     random_discrete_probability,
@@ -401,3 +402,52 @@ class TestPointCdf:
             assert np.array_equal(ax._one_sided_at(xs, left), expect)
             assert np.array_equal(ax.values_at(xs), reference_axis_values(ax, xs, False))
             assert np.array_equal(ax.left_values_at(xs), reference_axis_values(ax, xs, True))
+
+
+class TestCdfTableColumns:
+    """A ``_cdf_table`` rows reader given a column selection writes the full
+    table's entries at those columns, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "product", "discrete", "chelson"])
+    def test_selected_columns_equal_the_gathered_table(self, kind):
+        rng = np.random.default_rng(["uniform", "product", "discrete", "chelson"].index(kind) + 70)
+        for d in [2] if kind == "chelson" else [1, 2, 3]:
+            if kind == "uniform":
+                m = UniformMeasure(d)
+            elif kind == "product":
+                m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            elif kind == "discrete":
+                m = random_discrete_probability(rng, d, max_atoms=30)
+            else:
+                m = chelson_measure()
+            grids = [np.union1d(np.append(rng.random(6), [0.0, 1.0]), m.axis_coordinates(s))
+                     for s in range(d)]
+            # the lower corners, and the upper corners approached from below
+            for coords, left in [(grids, [np.zeros(g.size, dtype=bool) for g in grids]),
+                                 zip(*(_upper_axis(g[1:]) for g in grids))]:
+                coords, left = list(coords), list(left)
+                rows = m._cdf_table(coords, left)
+                full = rows(0, coords[0].size, np.empty([c.size for c in coords]))
+                must = [np.empty(0, dtype=np.intp) for _ in range(d)]
+                if kind == "discrete":  # every atom column selected: no gap holds two
+                    must = [_covering_index(c, f, m.support.locations[:, s])
+                            for s, (c, f) in enumerate(zip(coords, left))]
+                for _ in range(10):
+                    start = int(rng.integers(coords[0].size))
+                    stop = int(rng.integers(start, coords[0].size)) + 1
+                    cols = [np.union1d(rng.choice(c.size, int(rng.integers(1, c.size + 1))),
+                                       j[j < c.size]) for c, j in zip(coords[1:], must[1:])]
+                    out = np.empty((stop - start,) + tuple(c.size for c in cols))
+                    expect = full[start:stop][np.ix_(np.arange(stop - start), *cols)]
+                    assert np.array_equal(rows(start, stop, out, cols), expect)
+
+    def test_two_atom_columns_in_one_gap_are_refused(self):
+        # atoms on axis-1 columns 1 and 2; selecting columns 0 and 2 leaves
+        # both in the gap (0, 2], where they would be summed out of order
+        m = DiscreteMeasure.from_points(2, [[0.5, 0.25], [0.5, 0.5]], [0.5, 0.5])
+        coords = [np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5, 1.0])]
+        rows = m._cdf_table(coords, [np.zeros(c.size, dtype=bool) for c in coords])
+        assert np.array_equal(rows(0, 3, np.empty((3, 3)), [np.array([0, 1, 2])]),
+                              rows(0, 3, np.empty((3, 4)))[:, :3])
+        with pytest.raises(ValueError, match="two atom columns in one gap"):
+            rows(0, 3, np.empty((3, 2)), [np.array([0, 2])])
