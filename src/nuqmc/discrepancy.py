@@ -68,6 +68,7 @@ from .measures import (
     LEFT_LIMIT,
     _inside,
     _limit_flags,
+    _unit,
     _unit_point,
     _upper_axis,
     cdf_one_sided,
@@ -104,11 +105,7 @@ class PointSet:
             raise DimensionMismatchError(
                 f"points must form an (N, {dimension}) array, got shape {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("points must be finite")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValidationError("points must lie in [0,1]^d")
-        pts = pts.copy()
+        pts = _unit(pts, "points").copy()
         pts.flags.writeable = False
         self.dimension = int(dimension)
         self.points = pts
@@ -222,8 +219,8 @@ def _slab_maxima(ps: PointSet, m, grids):
       to name the witness.
 
     A slab whose active columns are all its columns (every slab once every
-    point has been read, so every grid that fits one slab) is read as it
-    stands, with no gather and no second read.
+    point has been read, so every grid that fits one slab) names its
+    one-sided witness directly, with no second read.
 
     A row's prefix counts are the previous row's (the previous slab's last
     row, widened by an index gather when columns activate) plus 1 on the
@@ -258,7 +255,8 @@ def _slab_maxima(ps: PointSet, m, grids):
     # compressed row length once rows 0..r have been read.  The one slab of
     # a grid that fits one holds every point, so it reads every column.
     since = [np.zeros(size, dtype=np.intp) for size in sizes[1:]]
-    active = rank = [np.arange(size) for size in sizes[1:]]
+    every = [np.arange(size) for size in sizes[1:]]
+    active = hi_cols = rank = every
     width = np.full(sizes[0], row_cells)
     carry = carried.reshape(sizes[1:])
     if math.prod(sizes) > _SLAB_CELLS:
@@ -285,6 +283,9 @@ def _slab_maxima(ps: PointSet, m, grids):
         stop = start + rows
         if width[stop - 1] > carry.size:  # columns activate: widen the carried row
             active = [np.flatnonzero(opens < stop) for opens in since]
+            # a compressed column reads the first column of its run below,
+            # the last column above
+            hi_cols = [np.append(a[1:] - 1, size - 1) for a, size in zip(active, sizes[1:])]
             # gather it one axis at a time through the two slab buffers, free
             # until this slab's counts
             staged = carry
@@ -310,19 +311,11 @@ def _slab_maxima(ps: PointSet, m, grids):
         carry[...] = c[-1]
         share = np.divide(c, ps.n, out=counts[:n_cells].reshape(shape))
 
-        # a compressed column reads the first column of its run below, the
-        # last column above
-        lo_cols = hi_cols = None
-        if not dense:
-            lo_cols = active
-            hi_cols = [np.append(a[1:] - 1, size - 1) for a, size in zip(active, sizes[1:])]
         t = table[:n_cells].reshape(shape)
-        dev = np.subtract(share, f_lo(start, stop, t, lo_cols), out=t)
+        dev = np.subtract(share, f_lo(start, stop, t, active), out=t)
         i = int(np.argmax(dev))  # largest at a lower corner (attained)
         r, *j = np.unravel_index(i, shape)
-        if not dense:
-            j = [a[k] for a, k in zip(active, j)]
-        lo_candidates.append((dev.flat[i], (start + r, *j)))
+        lo_candidates.append((dev.flat[i], (start + r, *(a[k] for a, k in zip(active, j)))))
         dev = np.subtract(f_hi(start, stop, t, hi_cols), share, out=t)
         i = int(np.argmax(dev))  # approached at an upper corner (one-sided)
         r, *j = np.unravel_index(i, shape)  # a compressed slab names its row only
@@ -334,19 +327,20 @@ def _slab_maxima(ps: PointSet, m, grids):
         return float(value), index
 
     lo_value, lo_index = first_max(lo_candidates)
-    hi_value, (row, hi_cols) = first_max(hi_candidates)
+    hi_value, (row, hi_index) = first_max(hi_candidates)
     if lo_value >= hi_value:
         return lo_value, tuple(int(j) for j in lo_index), True
-    if hi_cols is None:  # a row of a compressed slab: read it densely
+    if hi_index is None:  # a row of a compressed slab: read it densely
         shape = (1,) + tuple(sizes[1:])
         held = np.searchsorted(cells[0], row, side="right")  # the points of rows <= row
         c = _histogram_counts(table[:row_cells].view(np.int64).reshape(shape),
                               np.zeros((), dtype=np.int64),
                               [np.zeros(held, dtype=np.intp)] + [j[:held] for j in cells[1:]])
         share = np.divide(c, ps.n, out=counts[:row_cells].reshape(shape))
-        dev = np.subtract(f_hi(row, row + 1, table[:row_cells].reshape(shape)), share, out=share)
-        hi_cols = np.unravel_index(int(np.argmax(dev)), sizes[1:])
-    return hi_value, tuple(int(j) for j in (row, *hi_cols)), False
+        t = table[:row_cells].reshape(shape)
+        dev = np.subtract(f_hi(row, row + 1, t, every), share, out=share)
+        hi_index = np.unravel_index(int(np.argmax(dev)), sizes[1:])
+    return hi_value, tuple(int(j) for j in (row, *hi_index)), False
 
 
 def _slab_buffers(cells: int, row_cells: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import PointSet, star_discrepancy
+from .discrepancy import CELL_BUDGET, PointSet, star_discrepancy
 from .errors import UnsupportedIntegrandError, ValidationError
 from .measures import DiscreteMeasure, UniformMeasure, _upper_axis
 from .variation import ANCHOR_ONE, STEP, GridFunction, hk_variation
@@ -44,11 +44,17 @@ class KHCertificate:
     variation_certified: bool = True
 
 
+def _sample(f, points: np.ndarray) -> np.ndarray:
+    """``f`` at the rows of ``points``: a grid function evaluated on the
+    whole array, a callback one point at a time."""
+    if isinstance(f, GridFunction):
+        return f.evaluate(points)
+    return np.asarray([float(f(x)) for x in points])
+
+
 def qmc_estimate(f, ps: PointSet) -> float:
     """Sample mean ``(1/N) sum f(x_n)`` of a grid function or callback."""
-    if isinstance(f, GridFunction):
-        return float(np.mean(f.evaluate(ps.points)))
-    return float(np.mean([f(x) for x in ps.points]))
+    return float(np.mean(_sample(f, ps.points)))
 
 
 def _generalized_cell_masses(m, breakpoints) -> np.ndarray:
@@ -64,7 +70,8 @@ def _generalized_cell_masses(m, breakpoints) -> np.ndarray:
             f"no exact cell masses for measure type {type(m).__name__}"
         )
     coords, left = zip(*(_upper_axis(np.asarray(b, dtype=float)) for b in breakpoints))
-    table = table_of(coords, left)(0, coords[0].size, np.empty([c.size for c in coords]))
+    table = table_of(coords, left)(0, coords[0].size, np.empty([c.size for c in coords]),
+                                   [np.arange(c.size) for c in coords[1:]])
     for s in range(len(coords)):
         table = np.diff(table, axis=s)
     return table
@@ -91,27 +98,29 @@ def integral_under_measure(f: GridFunction, m) -> float:
     return float(np.sum(f.values * masses))
 
 
-def kh_certificate(f: GridFunction, ps: PointSet, m, **discrepancy_options) -> KHCertificate:
+def kh_certificate(f: GridFunction, ps: PointSet, m,
+                   cell_budget: int = CELL_BUDGET) -> KHCertificate:
     """Full error certificate for estimating ``integral f dm`` by the sample
     mean over ``ps``.
 
     All fields are populated; since the underlying inequality is a theorem,
     ``satisfied`` must come out True for every valid input -- a False here
     indicates an implementation bug, which is the point of the certificate.
+    ``cell_budget`` gates the exact star-discrepancy.
     """
     estimate = qmc_estimate(f, ps)
     reference = integral_under_measure(f, m)
     variation = hk_variation(f, ANCHOR_ONE)
-    return _certificate(ps, m, discrepancy_options, estimate, reference, variation)
+    return _certificate(ps, m, cell_budget, estimate, reference, variation)
 
 
-def _certificate(ps, m, discrepancy_options, estimate, reference, variation,
+def _certificate(ps, m, cell_budget, estimate, reference, variation,
                  variation_certified=True) -> KHCertificate:
     """The certificate of ``estimate`` against ``reference`` (None when no
     exact reference is known): ``bound = variation * D*`` with the exact
     star-discrepancy of ``ps`` under ``m``, satisfied when the observed error
     is at most the bound plus :data:`CERTIFICATE_TOL`."""
-    disc = star_discrepancy(ps, m, **discrepancy_options).value
+    disc = star_discrepancy(ps, m, cell_budget).value
     bound = variation * disc
     observed = None if reference is None else abs(estimate - reference)
     return KHCertificate(
@@ -138,18 +147,18 @@ def importance_sampling_estimate(
     variation: float | None = None,
     reference_integral: float | None = None,
     proxy_grid=None,
-    **discrepancy_options,
+    cell_budget: int = CELL_BUDGET,
 ) -> tuple[float, KHCertificate]:
     """Estimate ``integral f dx`` as the sample mean of ``f/g`` over a point
     set equidistributed for the measure with density ``g``.
 
     When ``f`` and ``g`` are step grid functions on the same grid the ratio
     is formed exactly: its variation, the reference integral of ``f``, and
-    the certificate are all exact.  For callbacks the certificate's
-    variation is either the caller-supplied bound or the grid variation of
-    ``f/g`` sampled on ``proxy_grid`` -- a lower-bound proxy, flagged
-    uncertified; the reference integral must then be supplied by the caller
-    for the observed error to be reported.
+    the certificate are all exact.  Otherwise the certificate's variation
+    is either the caller-supplied bound or the grid variation of ``f/g``
+    sampled on ``proxy_grid`` -- a lower-bound proxy, flagged uncertified;
+    the reference integral must then be supplied by the caller for the
+    observed error to be reported.  ``cell_budget`` gates the exact D*.
     """
     if m_g.dimension != ps.dimension:
         raise ValidationError("measure and point set dimensions differ")
@@ -173,11 +182,10 @@ def importance_sampling_estimate(
         if reference_integral is None:
             reference_integral = integral_under_measure(f, UniformMeasure(f.dimension))
     else:
-        g_vals = np.asarray([float(g(x)) for x in ps.points])
+        g_vals = _sample(g, ps.points)
         if np.any(g_vals <= 0.0):
             raise ValidationError("density must be positive at every sample point")
-        f_vals = np.asarray([float(f(x)) for x in ps.points])
-        estimate = float(np.mean(f_vals / g_vals))
+        estimate = float(np.mean(_sample(f, ps.points) / g_vals))
         if variation is not None:
             var = float(variation)
             certified = True
@@ -185,10 +193,10 @@ def importance_sampling_estimate(
             grid = proxy_grid if proxy_grid is not None else _default_proxy_grid(ps.dimension)
             mesh = np.meshgrid(*grid, indexing="ij")
             vertices = np.stack([c.reshape(-1) for c in mesh], axis=-1)
-            ratio_vals = np.asarray([float(f(v)) / float(g(v)) for v in vertices])
+            ratio_vals = _sample(f, vertices) / _sample(g, vertices)
             sampled = GridFunction(grid, ratio_vals.reshape([len(b) for b in grid]), STEP)
             var = hk_variation(sampled, ANCHOR_ONE)
             certified = False
 
-    return estimate, _certificate(ps, m_g, discrepancy_options, estimate, reference_integral,
+    return estimate, _certificate(ps, m_g, cell_budget, estimate, reference_integral,
                                   var, certified)

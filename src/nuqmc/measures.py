@@ -14,13 +14,14 @@ representations are provided:
 Every one of them also has a private ``_cdf_table(coords, left)``: the CDF
 on the product grid ``coords[0] x ... x coords[d-1]`` (nondecreasing
 coordinate arrays), taking the left limit on axis ``s`` wherever the boolean
-array ``left[s]`` is True.  It returns ``rows(start, stop, out, cols=None)``,
+array ``left[s]`` is True.  It returns ``rows(start, stop, out, cols)``,
 which writes the table's axis-0 indices ``start:stop`` into the C-contiguous
 float array ``out`` and returns it, so that a caller can stream a large table
-in slabs through one buffer.  ``cols``, when given, selects columns on the
-other axes: one increasing index array per axis ``1..d-1``, and ``out`` then
-has the shape ``(stop - start, len(cols[0]), ...)``.  Every entry read through
-a selection is the same float as the full table's entry at those indices:
+in slabs through one buffer.  ``cols`` selects columns on the other axes: one
+increasing index array per axis ``1..d-1`` (``np.arange`` for every column),
+and ``out`` has the shape ``(stop - start, len(cols[0]), ...)``.  Every entry
+read through a selection is the same float as the full table's entry at those
+indices:
 uniform and product tables gather their per-axis factors (evaluated once per
 ``_cdf_table`` call), an analytic table builds its corners from the selected
 coordinates, and a discrete table moves each atom to the first selected
@@ -46,6 +47,11 @@ Signed measures are restricted to the purely atomic case
 correspondence of :mod:`nuqmc.variation` produces.  Jordan decomposition and
 total variation are exact there.  Its atoms are validated and merged as
 arrays; a merged weight is the same float a sequential sum would give.
+
+Every coordinate entering the package (points, atoms, breakpoints, corners,
+CDF arguments) passes one ingest check: ``_unit`` (``0 <= x <= 1``, which
+NaN and the infinities fail) or ``_breakpoints`` (a strictly increasing grid
+from 0.0 to 1.0).  Constructors store copies of the arrays they are given.
 
 All numeric comparisons in this package use a documented floating point
 tolerance of ``1e-12`` (non-dyadic rational fixtures make bit-exact
@@ -76,17 +82,37 @@ AT_POINT = "at"
 LEFT_LIMIT = "left"
 
 
+def _unit(values, name: str) -> np.ndarray:
+    """``values`` as a float array whose every entry satisfies
+    ``0 <= x <= 1``, a test that NaN and the infinities fail."""
+    arr = np.asarray(values, dtype=float)
+    inside = (arr >= 0.0) & (arr <= 1.0)
+    if not np.all(inside):
+        raise ValidationError(f"{name} must lie in [0,1], got {float(arr[~inside].flat[0])}")
+    return arr
+
+
+def _breakpoints(values, name: str) -> np.ndarray:
+    """A fresh read-only copy of ``values``: a 1-d grid of at least two
+    entries, from 0.0 to 1.0 and strictly increasing."""
+    arr = np.array(_unit(values, name))
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValidationError(f"{name} must be a 1-d array of size >= 2")
+    if arr[0] != 0.0 or arr[-1] != 1.0:
+        raise ValidationError(f"{name} must start at 0.0 and end at 1.0")
+    if np.any(np.diff(arr) <= 0):
+        raise ValidationError(f"{name} must be strictly increasing")
+    arr.flags.writeable = False
+    return arr
+
+
 def _unit_point(a, dimension: int, name: str = "point") -> np.ndarray:
     arr = np.asarray(a, dtype=float).reshape(-1)
     if arr.size != dimension:
         raise DimensionMismatchError(
             f"{name} has {arr.size} coordinates, expected {dimension}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} has non-finite coordinates: {arr}")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValidationError(f"{name} must lie in [0,1]^d, got {arr}")
-    return arr
+    return _unit(arr, name)
 
 
 def _limit_flags(flags, dimension: int) -> tuple[str, ...]:
@@ -142,9 +168,8 @@ def _product_table(factors: Sequence[np.ndarray]):
     ``reduce(np.multiply.outer, ...)`` axis order so that every entry is the
     same floating point product whichever rows and columns are read."""
 
-    def rows(start: int, stop: int, out: np.ndarray, cols=None) -> np.ndarray:
-        axes = [factors[0][start:stop]]
-        axes += factors[1:] if cols is None else [f[j] for f, j in zip(factors[1:], cols)]
+    def rows(start: int, stop: int, out: np.ndarray, cols) -> np.ndarray:
+        axes = [factors[0][start:stop]] + [f[j] for f, j in zip(factors[1:], cols)]
         head = reduce(np.multiply.outer, axes[:-1], 1.0)  # 1.0 * x == x exactly
         return np.multiply.outer(head, axes[-1], out=out)
 
@@ -214,10 +239,7 @@ class DiscreteSignedMeasure(_PointCdf):
                 f"atom locations have shape {locations.shape} and weights shape "
                 f"{weights.shape}, expected ({n}, {self.dimension}) and ({n},)"
             )
-        if not np.all(np.isfinite(locations)):
-            raise ValidationError("atom locations have non-finite coordinates")
-        if np.any(locations < 0.0) or np.any(locations > 1.0):
-            raise ValidationError("atom locations must lie in [0,1]^d")
+        _unit(locations, "atom locations")
         if not np.all(np.isfinite(weights)):
             raise ValidationError("atom weight must be finite")
         # merge duplicates: lexicographic sort, then sum each run of equal
@@ -313,26 +335,20 @@ class AxisCdf:
         values: Sequence[float],
         values_left: Sequence[float] | None = None,
     ) -> None:
-        bp = np.asarray(breakpoints, dtype=float)
-        va = np.asarray(values, dtype=float)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ValidationError("breakpoints must be a 1-d array of size >= 2")
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValidationError("breakpoints must start at 0.0 and end at 1.0")
-        if np.any(np.diff(bp) <= 0):
-            raise ValidationError("breakpoints must be strictly increasing")
+        bp = _breakpoints(breakpoints, "breakpoints")
+        va = np.array(values, dtype=float)
         if va.shape != bp.shape:
             raise ValidationError("values must match breakpoints in length")
         if values_left is None:
             vl = va.copy()
             vl[0] = 0.0
         else:
-            vl = np.asarray(values_left, dtype=float)
+            vl = np.array(values_left, dtype=float)
             if vl.shape != bp.shape:
                 raise ValidationError("values_left must match breakpoints in length")
-        if not all(np.all(np.isfinite(arr)) for arr in (bp, va, vl)):
+        if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vl))):
             # NaN slips through the ordering checks below: every comparison is False
-            raise ValidationError("breakpoints and CDF values must be finite")
+            raise ValidationError("CDF values must be finite")
         if vl[0] != 0.0:
             raise ValidationError("values_left[0] must be 0 (no mass below 0)")
         chain = np.empty(2 * bp.size)
@@ -342,7 +358,7 @@ class AxisCdf:
             raise ValidationError("CDF data must be nondecreasing")
         if abs(va[-1] - 1.0) > TOLERANCE:
             raise ValidationError(f"G(1) must equal 1, got {va[-1]}")
-        for arr in (bp, va, vl):
+        for arr in (va, vl):
             arr.flags.writeable = False
         self.breakpoints = bp
         self.values = va
@@ -373,9 +389,7 @@ class AxisCdf:
     def _one_sided_at(self, xs, left) -> np.ndarray:
         """Vectorized ``G(x)``, or ``G(x-)`` where the boolean ``left`` (one
         flag, or one per ``x``) is True: the two differ only at breakpoints."""
-        xs = np.asarray(xs, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > 1.0):
-            raise ValidationError("CDF argument outside [0,1]")
+        xs = _unit(xs, "CDF argument")
         bp, va, vl = self.breakpoints, self.values, self.values_left
         j = np.searchsorted(bp, xs, side="right") - 1
         j = np.clip(j, 0, bp.size - 2)
@@ -397,8 +411,7 @@ class AxisCdf:
 
     def _pseudo_inverse_at(self, ys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`pseudo_inverse`."""
-        if not np.all((ys >= 0.0) & (ys <= 1.0)):
-            raise ValidationError("pseudo-inverse argument outside [0,1]")
+        ys = _unit(ys, "pseudo-inverse argument")
         bp, va, vl = self.breakpoints, self.values, self.values_left
         # nondecreasing chain va[0], vl[1], va[1], ..., vl[n-1], va[n-1]: its
         # first entry >= y is va[0] (index 0, answer 0), the end vl[j] of the
@@ -496,18 +509,16 @@ class DiscreteMeasure(_PointCdf):
         weights = weights[covered]
         atom_cols = [np.unique(j) for j in cells[1:]]
 
-        def rows(start: int, stop: int, out: np.ndarray, cols=None) -> np.ndarray:
-            at = cells[1:]
+        def rows(start: int, stop: int, out: np.ndarray, cols) -> np.ndarray:
+            for c, u in zip(cols, atom_cols):
+                gaps = np.searchsorted(c, u)
+                gaps = gaps[gaps < c.size]
+                if np.any(gaps[1:] == gaps[:-1]):
+                    raise ValueError("column selection leaves two atom columns in one gap")
+            at = [np.searchsorted(c, j) for c, j in zip(cols, cells[1:])]
             keep = cells[0] < stop
-            if cols is not None:
-                for c, u in zip(cols, atom_cols):
-                    gaps = np.searchsorted(c, u)
-                    gaps = gaps[gaps < c.size]
-                    if np.any(gaps[1:] == gaps[:-1]):
-                        raise ValueError("column selection leaves two atom columns in one gap")
-                at = [np.searchsorted(c, j) for c, j in zip(cols, at)]
-                for j, c in zip(at, cols):
-                    keep &= j < c.size
+            for j, c in zip(at, cols):
+                keep &= j < c.size
             flat = np.ravel_multi_index(
                 [np.maximum(cells[0][keep] - start, 0)] + [j[keep] for j in at], out.shape
             )
@@ -583,7 +594,7 @@ class AnalyticCdfMeasure(_PointCdf):
         if grid_hints is None:
             self._hints = tuple(np.empty(0) for _ in range(dimension))
         else:
-            self._hints = tuple(np.asarray(h, dtype=float) for h in grid_hints)
+            self._hints = tuple(np.array(_unit(h, "grid hints")) for h in grid_hints)
         norm = self.cdf(np.ones(self.dimension))
         if abs(norm - 1.0) > TOLERANCE:
             raise ValidationError(f"F(1,...,1) must equal 1, got {norm}")
@@ -612,9 +623,8 @@ class AnalyticCdfMeasure(_PointCdf):
         def corners(axes):
             return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
-        def rows(start: int, stop: int, out: np.ndarray, cols=None) -> np.ndarray:
-            picks = [slice(start, stop)]
-            picks += [slice(None)] * (len(coords) - 1) if cols is None else list(cols)
+        def rows(start: int, stop: int, out: np.ndarray, cols) -> np.ndarray:
+            picks = [slice(start, stop)] + list(cols)
             points = corners([c[j] for c, j in zip(coords, picks)])
             flags = corners([f[j] for f, j in zip(left, picks)])
             out[...] = np.reshape(self._cdf_points(points, flags), out.shape)

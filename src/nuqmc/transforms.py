@@ -26,6 +26,7 @@ from .measures import (
     AxisCdf,
     ProductMeasure,
     UniformMeasure,
+    _unit,
     _unit_point,
     cdf_eval,
 )
@@ -61,8 +62,7 @@ def pseudo_inverse(g, y: float) -> float:
     Jumps map the whole jump range to the jump location; plateaus map to
     their left edge.
     """
-    if not 0.0 <= y <= 1.0:
-        raise ValidationError("pseudo-inverse argument outside [0,1]")
+    y = float(_unit(y, "pseudo-inverse argument"))
     if isinstance(g, AxisCdf):
         return g.pseudo_inverse(y)
     if g(0.0) >= y:

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import DiscreteSignedMeasure
+from .measures import DiscreteSignedMeasure, _breakpoints, _unit
 
 #: Interpretation flags for :class:`GridFunction`.
 STEP = "step"
@@ -46,12 +46,12 @@ class Box:
     upper: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        lo = _unit(self.lower, "box lower corner")
+        hi = _unit(self.upper, "box upper corner")
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValidationError("box corners must be points of equal dimension")
-        if np.any(lo < 0.0) or np.any(hi > 1.0) or np.any(lo > hi):
-            raise ValidationError("box needs 0 <= lower <= upper <= 1 componentwise")
+        if np.any(lo > hi):
+            raise ValidationError("box needs lower <= upper componentwise")
         object.__setattr__(self, "lower", tuple(float(x) for x in lo))
         object.__setattr__(self, "upper", tuple(float(x) for x in hi))
 
@@ -97,17 +97,7 @@ class GridFunction:
     """
 
     def __init__(self, breakpoints, values, interp: str = STEP) -> None:
-        bps = []
-        for b in breakpoints:
-            arr = np.asarray(b, dtype=float)
-            if arr.ndim != 1 or arr.size < 2:
-                raise ValidationError("each axis needs >= 2 breakpoints")
-            if arr[0] != 0.0 or arr[-1] != 1.0:
-                raise ValidationError("breakpoints must start at 0.0 and end at 1.0")
-            if np.any(np.diff(arr) <= 0):
-                raise ValidationError("breakpoints must be strictly increasing")
-            arr.flags.writeable = False
-            bps.append(arr)
+        bps = [_breakpoints(b, "breakpoints") for b in breakpoints]
         if not bps:
             raise ValidationError("dimension must be >= 1")
         vals = np.asarray(values, dtype=float)
@@ -167,15 +157,13 @@ class GridFunction:
 
     def evaluate(self, points) -> np.ndarray:
         """Evaluate the interpreted function at points of ``[0,1]^d``."""
-        pts = np.asarray(points, dtype=float)
+        pts = _unit(points, "evaluation points")
         squeeze = pts.ndim == 1
         pts = np.atleast_2d(pts)
         if pts.shape[1] != self.dimension:
             raise DimensionMismatchError(
                 f"points have {pts.shape[1]} coordinates, expected {self.dimension}"
             )
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise ValidationError("evaluation points must lie in [0,1]^d")
         if self.interp == STEP:
             idx = tuple(
                 np.searchsorted(b, pts[:, s], side="right") - 1
@@ -363,7 +351,7 @@ def mirror(f: GridFunction) -> GridFunction:
     Exchanges the roles of the two anchors:
     ``hk_variation(f, "one") == hk_variation(mirror(f), "zero")``.
     """
-    bps = tuple(np.ascontiguousarray((1.0 - b)[::-1]) for b in f.breakpoints)
+    bps = tuple((1.0 - b)[::-1] for b in f.breakpoints)
     vals = f.values[(slice(None, None, -1),) * f.dimension]
     return GridFunction(bps, vals, f.interp)
 
@@ -412,9 +400,7 @@ def measure_to_function(nu: DiscreteSignedMeasure) -> GridFunction:
 def _indicator(corner, inside) -> GridFunction:
     """Step function that is 1 where ``inside(b, corner[s])`` holds on every
     axis ``s`` and 0 elsewhere, on the grid ``{0, corner[s], 1}``."""
-    c = np.asarray(corner, dtype=float).reshape(-1)
-    if np.any(c < 0.0) or np.any(c > 1.0):
-        raise ValidationError("box corner must lie in [0,1]^d")
+    c = _unit(corner, "box corner").reshape(-1)
     bps = [np.unique(np.concatenate([[0.0, 1.0], [x]])) for x in c]
     vals = np.ones(tuple(b.size for b in bps))
     for s, b in enumerate(bps):

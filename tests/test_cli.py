@@ -13,6 +13,11 @@ from nuqmc import chelson_conditional, forward_cdf_map, halton
 from nuqmc.cli import main
 
 
+#: a step function whose breakpoints hold NaN
+_NAN_FUNCTION = {"breakpoints": [[0.0, float("nan"), 1.0], [0.0, 1.0]],
+                 "values": [0, 0, 1, 1, 1, 1], "interp": "step"}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -203,6 +208,16 @@ class TestVariationAndDecompose:
         code, out, _ = run_cli(capsys, "decompose", "--function", ffile)
         assert code == 0
         assert "measure" not in json.loads(out)["result"]
+
+    @pytest.mark.parametrize("argv", [["variation"], ["decompose"], ["integrate", "--certify"]],
+                             ids=["variation", "decompose", "integrate-certify"])
+    def test_nan_breakpoint_exit_code(self, capsys, tmp_path, points_file, uniform_file, argv):
+        ffile = write_json(tmp_path / "nan.json", _NAN_FUNCTION)
+        if argv[0] == "integrate":
+            argv = argv + ["--measure", uniform_file, "--points", points_file]
+        code, out, err = run_cli(capsys, *argv, "--function", ffile)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "breakpoints" in err
 
 
 class TestTransformAndGenerate:
@@ -563,6 +578,11 @@ class TestCliFuzz:
     # found by this test: a whole-number float dimension of 2^60 with no points
     @example((["discrepancy", "--points", "points", "--measure", "measure"],
               {"points": {"d": float(2**60), "points": []}, "measure": _UNIFORM}))
+    # NaN breakpoints, once a NaN reference integral and exit 0
+    @example((["integrate", "--function", "function", "--measure", "measure",
+               "--points", "points", "--certify"],
+              {"function": _NAN_FUNCTION, "measure": _UNIFORM, "points": _POINTS}))
+    @example((["variation", "--function", "function"], {"function": _NAN_FUNCTION}))
     def test_exit_code_is_documented_and_no_traceback(self, request):
         argv, files = request
         with tempfile.TemporaryDirectory() as tmp:
@@ -580,7 +600,20 @@ class TestCliFuzz:
                     code = main(argv)
                 except SystemExit as exc:  # argparse usage errors
                     code = exc.code
+            report = stdout.getvalue()
+            if code == 0 and "--out" in argv and argv[0] not in ("transform", "generate"):
+                report = Path(argv[argv.index("--out") + 1]).read_text()
         assert code in (0, 2, 3), (argv, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
         if code:
             assert stderr.getvalue(), argv
+        elif "csv" not in argv:
+            json.loads(report, parse_constant=_no_constant(argv))
+
+
+def _no_constant(argv):
+    """A ``parse_constant`` hook: the JSON parser calls it on ``NaN``,
+    ``Infinity`` and ``-Infinity``, none of which a report may hold."""
+    def reject(name):
+        raise AssertionError(f"exit 0 with {name} in the report: {argv}")
+    return reject

@@ -5,6 +5,7 @@ import pytest
 
 from nuqmc import (
     AxisCdf,
+    BudgetExceededError,
     GridFunction,
     MULTILINEAR,
     PointSet,
@@ -254,6 +255,31 @@ class TestImportanceSampling:
         )
         assert not cert.variation_certified
         assert cert.satisfied is None  # no reference integral supplied
+
+    @pytest.mark.parametrize("g_grid, g_interp", [
+        ([[0.0, 0.25, 1.0], [0.0, 0.5, 1.0]], STEP),  # other breakpoints
+        ([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], MULTILINEAR),  # same grid, not a step function
+    ], ids=["other-grid", "multilinear"])
+    def test_grid_functions_off_one_step_grid_are_sampled(self, g_grid, g_interp):
+        f = GridFunction([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], np.arange(1.0, 10.0), STEP)
+        g = GridFunction(g_grid, np.linspace(0.5, 1.5, 9), g_interp)
+        ps = PointSet(2, [[0.1, 0.2], [0.6, 0.3], [0.9, 0.8]])
+        estimate, cert = importance_sampling_estimate(f, g, ps, UniformMeasure(2))
+        assert estimate == float(np.mean(f.evaluate(ps.points) / g.evaluate(ps.points)))
+        assert not cert.variation_certified
+        assert cert.satisfied is None  # no reference integral supplied
+
+    def test_cell_budget_gates_the_certificate_discrepancy(self):
+        rng = np.random.default_rng(81)
+        f = random_grid_function(rng, d=2, max_intervals=2, interp=STEP)
+        ps = random_point_set(rng, 2, max_points=4)  # at least a 3 x 3 critical grid
+        with pytest.raises(BudgetExceededError):
+            kh_certificate(f, ps, UniformMeasure(2), cell_budget=8)
+        with pytest.raises(BudgetExceededError):
+            importance_sampling_estimate(f, f.with_values(np.ones(f.shape)), ps,
+                                         UniformMeasure(2), cell_budget=8)
+        with pytest.raises(TypeError):
+            kh_certificate(f, ps, UniformMeasure(2), cell_budjet=8)
 
     def test_nonpositive_density_rejected(self):
         ps = PointSet(1, [[0.5]])

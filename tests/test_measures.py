@@ -9,18 +9,29 @@ from nuqmc import (
     AnalyticCdfMeasure,
     Atom,
     AxisCdf,
+    Box,
     DiscreteMeasure,
     DiscreteSignedMeasure,
     DimensionMismatchError,
+    GridFunction,
+    PointSet,
     ProductMeasure,
     UniformMeasure,
     ValidationError,
     UnsupportedMeasureError,
+    box_indicator,
     box_measure,
     cdf_eval,
     cdf_one_sided,
+    chelson_cdf,
+    chelson_conditional,
     chelson_measure,
+    conditional_transform_2d,
+    corner_indicator,
     jordan_decompose_measure,
+    local_discrepancy,
+    one_sided_deviation,
+    pseudo_inverse,
     total_variation,
 )
 from nuqmc.measures import _covering_index, _upper_axis
@@ -427,7 +438,8 @@ class TestCdfTableColumns:
                                  zip(*(_upper_axis(g[1:]) for g in grids))]:
                 coords, left = list(coords), list(left)
                 rows = m._cdf_table(coords, left)
-                full = rows(0, coords[0].size, np.empty([c.size for c in coords]))
+                full = rows(0, coords[0].size, np.empty([c.size for c in coords]),
+                            [np.arange(c.size) for c in coords[1:]])
                 must = [np.empty(0, dtype=np.intp) for _ in range(d)]
                 if kind == "discrete":  # every atom column selected: no gap holds two
                     must = [_covering_index(c, f, m.support.locations[:, s])
@@ -448,6 +460,75 @@ class TestCdfTableColumns:
         coords = [np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5, 1.0])]
         rows = m._cdf_table(coords, [np.zeros(c.size, dtype=bool) for c in coords])
         assert np.array_equal(rows(0, 3, np.empty((3, 3)), [np.array([0, 1, 2])]),
-                              rows(0, 3, np.empty((3, 4)))[:, :3])
+                              rows(0, 3, np.empty((3, 4)), [np.arange(4)])[:, :3])
         with pytest.raises(ValueError, match="two atom columns in one gap"):
             rows(0, 3, np.empty((3, 2)), [np.array([0, 2])])
+
+
+_PS = PointSet(2, [[0.25, 0.5]])
+
+#: every public way a coordinate enters, given one bad coordinate ``x``
+_INGEST = {
+    "PointSet": lambda x: PointSet(2, [[0.5, x]]),
+    "DiscreteSignedMeasure": lambda x: DiscreteSignedMeasure(2, [((0.5, x), 1.0)]),
+    "DiscreteMeasure.from_points": lambda x: DiscreteMeasure.from_points(2, [[x, 0.5]], [1.0]),
+    "cdf": lambda x: UniformMeasure(2).cdf([0.5, x]),
+    "cdf_one_sided": lambda x: cdf_one_sided(UniformMeasure(2), [x, 0.5], ("left", "at")),
+    "box_measure-lower": lambda x: box_measure(UniformMeasure(2), [x, 0.0], [1.0, 1.0]),
+    "box_measure-upper": lambda x: box_measure(UniformMeasure(2), [0.0, 0.0], [1.0, x]),
+    "local_discrepancy": lambda x: local_discrepancy([0.5, x], _PS, UniformMeasure(2)),
+    "one_sided_deviation": lambda x: one_sided_deviation([x, 0.5], _PS, UniformMeasure(2)),
+    "AxisCdf-breakpoints": lambda x: AxisCdf([0.0, x, 1.0], [0.0, 0.5, 1.0]),
+    "AxisCdf.value": lambda x: AxisCdf.identity().value(x),
+    "AxisCdf.left_value": lambda x: AxisCdf.identity().left_value(x),
+    "AxisCdf.values_at": lambda x: AxisCdf.identity().values_at(np.array([0.5, x])),
+    "AxisCdf.pseudo_inverse": lambda x: AxisCdf.identity().pseudo_inverse(x),
+    "pseudo_inverse-axis": lambda x: pseudo_inverse(AxisCdf.identity(), x),
+    "pseudo_inverse-callback": lambda x: pseudo_inverse(lambda t: t, x),
+    "AnalyticCdfMeasure-hints": lambda x: AnalyticCdfMeasure(2, chelson_cdf, grid_hints=[[x], []]),
+    "GridFunction": lambda x: GridFunction([[0.0, x, 1.0]], [0.0, 1.0, 2.0]),
+    "GridFunction.evaluate": lambda x: GridFunction(
+        [[0.0, 0.5, 1.0]], [0.0, 1.0, 5.0]).evaluate([[x]]),
+    "Box-lower": lambda x: Box((x, 0.0), (1.0, 1.0)),
+    "Box-upper": lambda x: Box((0.0, 0.0), (0.5, x)),
+    "box_indicator": lambda x: box_indicator((x, 0.5)),
+    "corner_indicator": lambda x: corner_indicator((0.5, x)),
+    "conditional_transform_2d": lambda x: conditional_transform_2d((x, 0.5),
+                                                                    chelson_conditional()),
+}
+
+
+class TestCoordinateIngest:
+    """Every coordinate entering the package goes through one check, which
+    NaN and the infinities fail as surely as values outside [0,1]."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
+    @pytest.mark.parametrize("entry", sorted(_INGEST))
+    def test_coordinate_outside_the_unit_interval_is_rejected(self, entry, bad):
+        with pytest.raises(ValidationError):
+            _INGEST[entry](bad)
+
+    @pytest.mark.parametrize("case", ["points", "atoms", "axis", "grid-function", "grid-hints"])
+    def test_constructors_copy_the_callers_arrays(self, case):
+        b = np.array([0.0, 0.5, 1.0])
+        v = np.array([0.0, 0.25, 1.0])
+        if case == "points":
+            given, kept = [b], [PointSet(1, b).points]
+        elif case == "atoms":
+            w = np.array([0.25, 0.25, 0.5])
+            m = DiscreteMeasure.from_points(1, b.reshape(-1, 1), w)
+            given, kept = [b, w], [m.support.locations, m.support.weights]
+        elif case == "axis":
+            a = AxisCdf(b, v, v)
+            given, kept = [b, v], [a.breakpoints, a.values, a.values_left]
+        elif case == "grid-function":
+            f = GridFunction([b], v)
+            given, kept = [b, v], [f.breakpoints[0], f.values]
+        else:
+            m = AnalyticCdfMeasure(1, lambda a: a[:, 0], grid_hints=[b])
+            given, kept = [b], [m.axis_coordinates(0)]
+        before = [k.copy() for k in kept]
+        for g in given:
+            g[1] = 0.75  # the caller's array stays the caller's to write
+        for k, old in zip(kept, before):
+            assert np.array_equal(k, old)
