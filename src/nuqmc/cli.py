@@ -5,8 +5,8 @@ Subcommands: ``discrepancy``, ``variation``, ``decompose``, ``transform``,
 the schemas of :mod:`nuqmc.jsonio`; every report embeds the config that
 produced it and is byte-identical across runs for a fixed config and seed.
 
-Exit codes: 0 success, 2 validation error (including malformed JSON),
-3 exact-mode budget exceeded.
+Exit codes: 0 success, 2 validation error (including malformed JSON, and a
+result that is not finite), 3 exact-mode budget exceeded.
 """
 
 from __future__ import annotations
@@ -152,10 +152,30 @@ def _flatten(prefix: str, obj, rows: list) -> None:
         rows.append((prefix, obj))
 
 
+def _non_finite(prefix: str, obj) -> str | None:
+    """The first key, in report order, that holds a NaN or an infinity."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            key = _non_finite(f"{prefix}.{k}" if prefix else str(k), obj[k])
+            if key is not None:
+                return key
+    elif isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            key = _non_finite(f"{prefix}[{i}]", item)
+            if key is not None:
+                return key
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        return f"{prefix} = {obj}"
+    return None
+
+
 def _emit(report: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
+    try:  # JSON has no NaN or infinity, and no result is meant to be one
+        text = json.dumps(report, sort_keys=True, indent=2 if fmt == "json" else None,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise ValidationError(f"report is not finite: {_non_finite('', report)}") from None
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])
@@ -327,7 +347,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = _RUNNERS[args.subcommand](args)
+        with np.errstate(all="ignore"):  # a non-finite result is refused by _emit
+            result = _RUNNERS[args.subcommand](args)
         out = args.out
         if args.subcommand in ("transform", "generate") and out:
             # --out receives the point-set file itself (loadable by --points);

@@ -58,6 +58,7 @@ corners at once, through each measure's batched ``_cdf_points``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,10 @@ from .errors import BudgetExceededError, DimensionMismatchError, ValidationError
 from .measures import (
     AT_POINT,
     LEFT_LIMIT,
+    _ROW_LOOP_CELLS,
     _inside,
     _limit_flags,
+    _prefix_rows,
     _unit,
     _unit_point,
     _upper_axis,
@@ -79,12 +82,11 @@ from .variation import Box
 CELL_BUDGET = 10**8
 
 #: Cells per slab of the streamed critical grid (rounded down to whole
-#: axis-0 rows, at least one row).
+#: axis-0 rows, at least one row).  Slabs of compressed rows of at least
+#: ``measures._ROW_LOOP_CELLS`` cells are counted one row at a time: from
+#: the point's orthant when each row holds at most one point, else by a
+#: row-by-row axis-0 prefix sum of the slab's histogram.
 _SLAB_CELLS = 2**16
-#: Rows at least this long are counted one row at a time: from the point's
-#: orthant when each row holds at most one point, else by a row-by-row
-#: axis-0 prefix sum of the slab's histogram.
-_ROW_LOOP_CELLS = 512
 
 EXACT_GRID = "exact"
 RANDOM_SEARCH = "search"
@@ -233,7 +235,7 @@ def _slab_maxima(ps: PointSet, m, grids):
     """
     d = ps.dimension
     sizes = [g.size for g in grids]
-    row_cells = math.prod(sizes[1:])
+    n_rows, row_cells = sizes[0], math.prod(sizes[1:])
     table_of = _measure_method(m, "_cdf_table")
     # two float64 slab buffers for the whole walk: the counts, divided by N
     # in place, and the CDF tables (the histogram's int64 scratch before
@@ -249,37 +251,39 @@ def _slab_maxima(ps: PointSet, m, grids):
     cells = [np.searchsorted(g, ps.points[:, s], side="right") - 1 for s, g in enumerate(grids)]
     order = np.argsort(cells[0], kind="stable")
     cells = [c[order] for c in cells]
+    # per row r: the points of rows < r, and, read only where rows reach
+    # _ROW_LOOP_CELLS, the rows < r that hold several points
+    before = np.searchsorted(cells[0], np.arange(n_rows + 1))
+    crowded = (np.concatenate([[0], np.cumsum(np.diff(before) > 1)])
+               if row_cells >= _ROW_LOOP_CELLS else None)
 
-    # per axis s >= 1: the first row from which each column is active, the
-    # active columns and the compressed column of every column; and the
-    # compressed row length once rows 0..r have been read.  The one slab of
-    # a grid that fits one holds every point, so it reads every column.
-    since = [np.zeros(size, dtype=np.intp) for size in sizes[1:]]
+    # per axis s >= 1: the first row from which each column is active, and
+    # the active columns; and the compressed row length once rows 0..r have
+    # been read.  The one slab of a grid that fits one holds every point, so
+    # it reads every column.
     every = [np.arange(size) for size in sizes[1:]]
-    active = hi_cols = rank = every
-    width = np.full(sizes[0], row_cells)
+    active = hi_cols = every
+    width = np.full(n_rows, row_cells)
     carry = carried.reshape(sizes[1:])
     if math.prod(sizes) > _SLAB_CELLS:
+        since = [np.full(size, n_rows) for size in sizes[1:]]  # row n_rows: never
         width.fill(1)
         for s, opens in enumerate(since, start=1):
-            opens.fill(sizes[0])  # row sizes[0]: never
             opens[[0, -1]] = 0
             opens[np.searchsorted(grids[s], np.asarray(m.axis_coordinates(s), dtype=float))] = 0
             np.minimum.at(opens, cells[s], cells[0])
-            width *= np.cumsum(np.bincount(opens, minlength=sizes[0] + 1))[:sizes[0]]
-        rank = [np.zeros(size, dtype=np.intp) for size in sizes[1:]]
+            width *= np.cumsum(np.bincount(opens, minlength=n_rows + 1))[:n_rows]
         carry = carried[:1].reshape((1,) * (d - 1))
     carry.fill(0)  # the counts of row -1
-    # the points each row holds, read only where rows reach _ROW_LOOP_CELLS
-    per_row = np.bincount(cells[0], minlength=sizes[0]) if row_cells >= _ROW_LOOP_CELLS else None
     lo_candidates, hi_candidates = [], []
     start = 0
-    while start < sizes[0]:
+    while start < n_rows:
         # as many rows as fill _SLAB_CELLS compressed cells, at least one
-        rows = min(sizes[0] - start, max(1, _SLAB_CELLS // int(width[start])))
+        rows = min(n_rows - start, max(1, _SLAB_CELLS // int(width[start])))
         if rows * width[start + rows - 1] > _SLAB_CELLS:  # columns activate on the way
-            k = np.arange(1, rows + 1)
-            rows = max(1, int(np.count_nonzero(k * width[start + k - 1] <= _SLAB_CELLS)))
+            # k rows fit while k * width[start + k - 1], which grows with k, does
+            rows = max(1, bisect_right(range(1, rows + 1), _SLAB_CELLS,
+                                       key=lambda k: k * width[start + k - 1]))
         stop = start + rows
         if width[stop - 1] > carry.size:  # columns activate: widen the carried row
             active = [np.flatnonzero(opens < stop) for opens in since]
@@ -289,22 +293,23 @@ def _slab_maxima(ps: PointSet, m, grids):
             # gather it one axis at a time through the two slab buffers, free
             # until this slab's counts
             staged = carry
-            for s, (cols, a) in enumerate(zip(rank, active)):
+            for s, (opens, a) in enumerate(zip(since, active)):
                 shape = staged.shape[:s] + (a.size,) + staged.shape[s + 1:]
                 out = (table, counts)[s % 2].view(np.int64)[:math.prod(shape)].reshape(shape)
                 # every index is in range; mode "raise" would copy through a temporary
-                staged = np.take(staged, cols[a], axis=s, out=out, mode="clip")
+                staged = np.take(staged, _carried_columns(opens, a, start), axis=s, out=out,
+                                 mode="clip")
             carry = carried[:staged.size].reshape(staged.shape)
             carry[...] = staged
-            rank = [np.cumsum(opens < stop) - 1 for opens in since]
         dense = carry.size == row_cells
-        shape = (stop - start,) + carry.shape
+        shape = (rows,) + carry.shape
         n_cells = math.prod(shape)
 
-        first, last = np.searchsorted(cells[0], [start, stop])
+        # the slab cells of the slab's points: each column is active
+        first, last = before[start], before[stop]
         slab_cells = [cells[0][first:last] - start]
-        slab_cells += [cols[c[first:last]] for cols, c in zip(rank, cells[1:])]
-        if carry.size >= _ROW_LOOP_CELLS and per_row[start:stop].max() < 2:
+        slab_cells += [np.searchsorted(a, c[first:last]) for a, c in zip(active, cells[1:])]
+        if carry.size >= _ROW_LOOP_CELLS and crowded[stop] == crowded[start]:
             c = _orthant_counts(counts[:n_cells].reshape(shape), carry, slab_cells)
         else:
             c = _histogram_counts(table[:n_cells].view(np.int64).reshape(shape), carry, slab_cells)
@@ -332,15 +337,27 @@ def _slab_maxima(ps: PointSet, m, grids):
         return lo_value, tuple(int(j) for j in lo_index), True
     if hi_index is None:  # a row of a compressed slab: read it densely
         shape = (1,) + tuple(sizes[1:])
-        held = np.searchsorted(cells[0], row, side="right")  # the points of rows <= row
+        upto = before[row + 1]  # the points of rows <= row
         c = _histogram_counts(table[:row_cells].view(np.int64).reshape(shape),
                               np.zeros((), dtype=np.int64),
-                              [np.zeros(held, dtype=np.intp)] + [j[:held] for j in cells[1:]])
+                              [np.zeros(upto, dtype=np.intp)] + [j[:upto] for j in cells[1:]])
         share = np.divide(c, ps.n, out=counts[:row_cells].reshape(shape))
         t = table[:row_cells].reshape(shape)
         dev = np.subtract(f_hi(row, row + 1, t, every), share, out=share)
         hi_index = np.unravel_index(int(np.argmax(dev)), sizes[1:])
     return hi_value, tuple(int(j) for j in (row, *hi_index)), False
+
+
+def _carried_columns(opens: np.ndarray, active: np.ndarray, start: int) -> np.ndarray:
+    """For each of the ``active`` columns of one axis, the compressed column
+    of the carried row (the counts of row ``start - 1``) whose run holds it:
+    the number of columns after column 0, up to it, that are active in rows
+    ``< start``.  Column 0 is active from row 0 on, so row -1's carried row
+    is one cell."""
+    index = np.empty(active.size, dtype=np.intp)
+    index[0] = 0
+    np.add.accumulate(opens[active[1:]] < start, dtype=np.intp, out=index[1:])
+    return index
 
 
 def _slab_buffers(cells: int, row_cells: int):
@@ -369,7 +386,8 @@ def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarray
     for hit, *orthant in zip(point_cells[0].tolist(), *orthants):
         c[r:hit + 1] = prev  # the rows without a point, then the point's row
         prev, r = c[hit, ...], hit + 1
-        prev[tuple(orthant)] += 1
+        v = prev[(*orthant, ...)]  # a view, also of a 0-d row
+        np.add(v, 1.0, out=v)  # `+=` would copy v back onto itself
     c[r:] = prev
     return c
 
@@ -384,12 +402,7 @@ def _histogram_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarr
     for s in range(1, c.ndim):
         np.cumsum(c, axis=s, out=c)
     c[0] += carry
-    if carry.size < _ROW_LOOP_CELLS:
-        np.cumsum(c, axis=0, out=c)
-    else:  # a strided cumsum over long rows is slower than a row loop
-        for r in range(1, c.shape[0]):
-            c[r] += c[r - 1]
-    return c
+    return _prefix_rows(c)
 
 
 def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> DiscrepancyResult:

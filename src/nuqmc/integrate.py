@@ -193,7 +193,15 @@ def importance_sampling_estimate(
             grid = proxy_grid if proxy_grid is not None else _default_proxy_grid(ps.dimension)
             mesh = np.meshgrid(*grid, indexing="ij")
             vertices = np.stack([c.reshape(-1) for c in mesh], axis=-1)
-            ratio_vals = _sample(f, vertices) / _sample(g, vertices)
+            g_vals = _sample(g, vertices)
+            zero = np.flatnonzero(g_vals <= 0.0)
+            if zero.size:
+                vertex = tuple(float(x) for x in vertices[zero[0]])
+                raise ValidationError(
+                    f"density is {float(g_vals[zero[0]])} at proxy-grid vertex {vertex}; "
+                    "pass a proxy_grid= on which it is positive, or a variation= bound"
+                )
+            ratio_vals = _sample(f, vertices) / g_vals
             sampled = GridFunction(grid, ratio_vals.reshape([len(b) for b in grid]), STEP)
             var = hk_variation(sampled, ANCHOR_ONE)
             certified = False

@@ -33,7 +33,11 @@ checks this and raises ``ValueError`` on such a selection.  The exact
 discrepancy engine reads only the columns where a count can change; the
 exact cell masses of :mod:`nuqmc.integrate` read whole tables.  Every table
 read works on whole arrays: an analytic measure calls its callback once per
-read, never once per cell.
+read, never once per cell.  Uniform and product tables are read with NumPy's
+ufunc buffer cut to one row where that is faster, restored before the read
+returns or raises (see ``_product_table``); a discrete table's axis-0 prefix
+sums add long rows one at a time, by the rule the exact engine's counts
+share (``_prefix_rows``).
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -62,6 +66,7 @@ synchronization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Sequence
@@ -80,6 +85,13 @@ TOLERANCE = 1e-12
 #: Per-axis evaluation flags for one-sided CDF limits.
 AT_POINT = "at"
 LEFT_LIMIT = "left"
+
+#: Tables whose rows have at least this many cells are prefix-summed along
+#: axis 0 one row at a time (see ``_prefix_rows``).
+_ROW_LOOP_CELLS = 512
+#: Last-axis lengths of a product table read with a ufunc buffer of one row
+#: (see ``_product_table``).
+_ROW_BUFFER = range(256, 8192)
 
 
 def _unit(values, name: str) -> np.ndarray:
@@ -163,15 +175,43 @@ def _upper_axis(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords, np.arange(coords.size) < xs.size
 
 
+def _prefix_rows(c: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``c`` along axis 0, in place.  Rows of at least
+    ``_ROW_LOOP_CELLS`` cells are added one row at a time: a cumsum along
+    axis 0 strides across them and is several times slower.  Both add the
+    rows in the same order, so the sums are the same floats."""
+    if math.prod(c.shape[1:]) < _ROW_LOOP_CELLS:
+        return np.cumsum(c, axis=0, out=c)
+    prev = c[0]
+    for row in c[1:]:
+        np.add(row, prev, out=row)
+        prev = row
+    return c
+
+
 def _product_table(factors: Sequence[np.ndarray]):
     """Row reader of the table ``factors[0] x ... x factors[-1]``, built in
     ``reduce(np.multiply.outer, ...)`` axis order so that every entry is the
-    same floating point product whichever rows and columns are read."""
+    same floating point product whichever rows and columns are read.
+
+    NumPy copies the operands of this broadcast product through its ufunc
+    buffer when a row is shorter than the buffer (8192 entries): about 1.6
+    ns a cell against 0.5 with a buffer no longer than one row.  So a last
+    axis of ``_ROW_BUFFER`` entries is read with the buffer cut to its
+    length (a multiple of 16, as NumPy 1.x requires), restored afterwards;
+    on shorter last axes a small buffer is slower."""
 
     def rows(start: int, stop: int, out: np.ndarray, cols) -> np.ndarray:
         axes = [factors[0][start:stop]] + [f[j] for f, j in zip(factors[1:], cols)]
         head = reduce(np.multiply.outer, axes[:-1], 1.0)  # 1.0 * x == x exactly
-        return np.multiply.outer(head, axes[-1], out=out)
+        n = axes[-1].size
+        if n not in _ROW_BUFFER:
+            return np.multiply.outer(head, axes[-1], out=out)
+        size = np.setbufsize(n - n % 16)
+        try:
+            return np.multiply.outer(head, axes[-1], out=out)
+        finally:
+            np.setbufsize(size)
 
     return rows
 
@@ -524,7 +564,8 @@ class DiscreteMeasure(_PointCdf):
             )
             out.fill(0.0)
             np.add.at(out.reshape(-1), flat, weights[keep])  # in support order
-            for s in range(out.ndim):
+            _prefix_rows(out)
+            for s in range(1, out.ndim):
                 np.cumsum(out, axis=s, out=out)
             return out
 

@@ -36,6 +36,19 @@ def halton(n_points: int, dimension: int) -> PointSet:
         raise ValidationError("n_points must be >= 1")
     pts = np.empty((n_points, dimension))
     for s in range(dimension):
-        base = _PRIMES[s]
-        pts[:, s] = [van_der_corput(n, base) for n in range(1, n_points + 1)]
+        pts[:, s] = _radical_inverses(n_points, _PRIMES[s])
     return PointSet(dimension, pts)
+
+
+def _radical_inverses(n_points: int, base: int) -> np.ndarray:
+    """:func:`van_der_corput` of the indices ``1..n_points``, one digit
+    position at a time: the same divisions and additions in the same order,
+    so the same floats (an index out of digits adds ``+0.0``)."""
+    n = np.arange(1, n_points + 1)
+    inv = np.zeros(n_points)
+    denom = 1.0
+    while n[-1] > 0:  # the last index has the most digits
+        n, digit = np.divmod(n, base)
+        denom *= base
+        inv += digit / denom
+    return inv

@@ -16,6 +16,8 @@ from nuqmc.cli import main
 #: a step function whose breakpoints hold NaN
 _NAN_FUNCTION = {"breakpoints": [[0.0, float("nan"), 1.0], [0.0, 1.0]],
                  "values": [0, 0, 1, 1, 1, 1], "interp": "step"}
+#: finite values whose variations and sample means overflow to infinity
+_HUGE_FUNCTION = {"breakpoints": [[0, 1]], "values": [1e308, -1e308]}
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +220,27 @@ class TestVariationAndDecompose:
         code, out, err = run_cli(capsys, *argv, "--function", ffile)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "breakpoints" in err
+
+
+    @pytest.mark.parametrize("argv, key", [
+        (["variation"], "result.hk_one = inf"),
+        (["decompose"], None),  # refused before the report, as a grid of infinite values
+        (["integrate", "--certify"], "result.bound = inf"),
+    ], ids=["variation", "decompose", "integrate-certify"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_report_that_is_not_finite_exit_code(self, capsys, tmp_path, argv, key, fmt):
+        # once "hk_one": Infinity, and "bound": Infinity, "satisfied": true,
+        # with exit code 0 after a NumPy overflow warning
+        ffile = write_json(tmp_path / "huge.json", _HUGE_FUNCTION)
+        if argv[0] == "integrate":
+            argv = argv + [
+                "--measure", write_json(tmp_path / "u.json", {"type": "uniform", "d": 1}),
+                "--points", write_json(tmp_path / "p.json", {"d": 1, "points": [[0.25], [0.5]]})]
+        code, out, err = run_cli(capsys, *argv, "--function", ffile, "--format", fmt)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1  # no warning either
+        if key is not None:
+            assert key in err
 
 
 class TestTransformAndGenerate:
@@ -583,6 +606,8 @@ class TestCliFuzz:
                "--points", "points", "--certify"],
               {"function": _NAN_FUNCTION, "measure": _UNIFORM, "points": _POINTS}))
     @example((["variation", "--function", "function"], {"function": _NAN_FUNCTION}))
+    # values near the float limit, once an infinite report and exit 0
+    @example((["variation", "--function", "function"], {"function": _HUGE_FUNCTION}))
     def test_exit_code_is_documented_and_no_traceback(self, request):
         argv, files = request
         with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,7 @@
 """QMC estimates, exact reference integrals, and error certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -280,6 +282,18 @@ class TestImportanceSampling:
                                          UniformMeasure(2), cell_budget=8)
         with pytest.raises(TypeError):
             kh_certificate(f, ps, UniformMeasure(2), cell_budjet=8)
+
+    def test_density_vanishing_on_the_proxy_grid_is_named(self):
+        # g(x) = 2x is 0 on the face x = 0 of the default proxy grid; the
+        # division used to warn and end in "vertex values must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as err:
+                importance_sampling_estimate(lambda x: 1.0, lambda x: 2 * x[0],
+                                             PointSet(1, [[0.5]]), UniformMeasure(1))
+        message = str(err.value)
+        assert "proxy-grid vertex (0.0,)" in message
+        assert "proxy_grid=" in message and "variation=" in message
 
     def test_nonpositive_density_rejected(self):
         ps = PointSet(1, [[0.5]])

@@ -1,6 +1,8 @@
 """Measure representations: CDF evaluation, Jordan decomposition, total
 variation, and box masses via inclusion-exclusion."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +31,11 @@ from nuqmc import (
     conditional_transform_2d,
     corner_indicator,
     jordan_decompose_measure,
+    kh_certificate,
     local_discrepancy,
     one_sided_deviation,
     pseudo_inverse,
+    star_discrepancy,
     total_variation,
 )
 from nuqmc.measures import _covering_index, _upper_axis
@@ -453,6 +457,52 @@ class TestCdfTableColumns:
                     expect = full[start:stop][np.ix_(np.arange(stop - start), *cols)]
                     assert np.array_equal(rows(start, stop, out, cols), expect)
 
+    @pytest.mark.parametrize("last", [255, 256, 8191, 8192, 9000])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "product"])
+    def test_product_table_at_the_edges_of_the_row_buffer(self, kind, d, last):
+        # last axes of 256..8191 entries are read with a ufunc buffer of one
+        # row; the product is the same float either way
+        rng = np.random.default_rng([d, last])
+        shape = (3, 4)[:d - 1] + (last,)
+        coords = [np.union1d(rng.random(n - 2), [0.0, 1.0]) for n in shape]
+        left = [rng.random(c.size) < 0.5 for c in coords]
+        if kind == "uniform":
+            m, factors = UniformMeasure(d), coords
+        else:
+            m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            factors = [ax._one_sided_at(c, f) for ax, c, f in zip(m.axes, coords, left)]
+        expect = reduce(np.multiply.outer, factors)
+        rows = m._cdf_table(coords, left)
+        cols = [np.arange(n) for n in shape[1:]]
+        assert np.array_equal(rows(0, 3, np.empty(shape), cols), expect)
+        assert np.array_equal(rows(1, 3, np.empty((2,) + shape[1:]), cols), expect[1:])
+        pick = np.sort(rng.choice(last, last - 7, replace=False))  # 7 columns fewer
+        out = np.empty(shape[:-1] + (pick.size,))
+        assert np.array_equal(rows(0, 3, out, cols[:-1] + [pick]), expect[..., pick])
+
+    @pytest.mark.parametrize("shape", [(40, 600), (12, 24, 30), (5, 8192)])
+    def test_discrete_table_of_long_rows(self, shape):
+        # rows of 512 cells or more are prefix-summed along axis 0 one row at
+        # a time: the same floats as a cumsum over the whole grid
+        rng = np.random.default_rng(list(shape))
+        d = len(shape)
+        m = random_discrete_probability(rng, d, max_atoms=200)
+        coords = [np.union1d(rng.random(n - 2), [0.0, 1.0]) for n in shape]
+        left = [np.zeros(c.size, dtype=bool) for c in coords]
+        expect = np.zeros(shape)
+        at = [_covering_index(c, f, m.support.locations[:, s])
+              for s, (c, f) in enumerate(zip(coords, left))]
+        inside = np.all([j < n for j, n in zip(at, shape)], axis=0)
+        np.add.at(expect, tuple(j[inside] for j in at), m.support.weights[inside])
+        for s in range(d):
+            expect = np.cumsum(expect, axis=s)
+        rows = m._cdf_table(coords, left)
+        cols = [np.arange(n) for n in shape[1:]]
+        assert np.array_equal(rows(0, shape[0], np.empty(shape), cols), expect)
+        out = np.empty((shape[0] - 2,) + shape[1:])
+        assert np.array_equal(rows(2, shape[0], out, cols), expect[2:])
+
     def test_two_atom_columns_in_one_gap_are_refused(self):
         # atoms on axis-1 columns 1 and 2; selecting columns 0 and 2 leaves
         # both in the gap (0, 2], where they would be summed out of order
@@ -463,6 +513,41 @@ class TestCdfTableColumns:
                               rows(0, 3, np.empty((3, 4)), [np.arange(4)])[:, :3])
         with pytest.raises(ValueError, match="two atom columns in one gap"):
             rows(0, 3, np.empty((3, 2)), [np.array([0, 2])])
+
+
+class TestUfuncBufferScope:
+    """Product tables shrink NumPy's ufunc buffer for one read; the caller's
+    buffer size is the same after every public call, and after a read that
+    raises."""
+
+    @pytest.fixture(autouse=True)
+    def odd_buffer(self):
+        size = np.setbufsize(4096)  # not the default, so a reset to it would show
+        try:
+            yield
+        finally:
+            np.setbufsize(size)
+
+    def test_star_discrepancy(self):
+        ps = PointSet(2, np.random.default_rng(90).random((600, 2)))
+        star_discrepancy(ps, UniformMeasure(2))
+        assert np.getbufsize() == 4096
+
+    def test_kh_certificate(self):
+        rng = np.random.default_rng(91)
+        bps = [np.union1d(rng.random(300), [0.0, 1.0])] * 2
+        f = GridFunction(bps, rng.integers(-3, 4, (302, 302)).astype(float))
+        m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(2)])
+        kh_certificate(f, PointSet(2, rng.random((300, 2))), m)
+        assert np.getbufsize() == 4096
+
+    def test_read_that_raises(self):
+        coords = [np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 300)]
+        rows = UniformMeasure(2)._cdf_table(coords, [np.zeros(c.size, dtype=bool)
+                                                     for c in coords])
+        with pytest.raises(ValueError):
+            rows(0, 3, np.empty((3, 299)), [np.arange(300)])  # an out of the wrong shape
+        assert np.getbufsize() == 4096
 
 
 _PS = PointSet(2, [[0.25, 0.5]])
