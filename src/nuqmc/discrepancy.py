@@ -37,17 +37,22 @@ positive weights); for :class:`~nuqmc.measures.AnalyticCdfMeasure` it is
 part of the callback contract.
 
 Slabs hold about 2^16 compressed cells, at least one row.  Peak memory is
-two float64 slab buffers of at most ``max(2^16, m_1 ... m_{d-1})`` cells and
-the int64 carried row, so the cell budget bounds time, and memory only
+two float64 slab buffers of at most ``max(2^16, m_1 ... m_{d-1})`` cells,
+the int64 carried row and, in d = 2, a float64 step row of two grid rows,
+so the cell budget bounds time, and memory only
 through the row length (300 points in d=4 on one axis-0 coordinate: rows of
 302^3 cells, about 630 MiB); slab buffers larger than one array can
 address, or than memory holds, end in
 :class:`~nuqmc.errors.BudgetExceededError`, not a traceback.
 The points are sorted by axis-0 row, so a slab builds its counts row by
-row: each row starts as a copy of the row before, and the point it holds at
-compressed cells ``(j_1, ..., j_{d-1})`` adds 1 on the orthant
-``[j_1:, ..., j_{d-1}:]``.  Slabs of short rows, or with a row holding
-several points, histogram their points and sum along every axis instead.
+row: a row without a point is a copy of the row before, and the point a row
+holds at compressed cells ``(j_1, ..., j_{d-1})`` adds 1 on the orthant
+``[j_1:, ..., j_{d-1}:]``.  In d = 2 that is one add of the row before and
+a window of a step row, one NumPy call a row.  When ``N = 2^m`` the rows
+count in units of ``2^-m``, so they hold the shares ``count/N`` exactly
+(``k/N = k * 2^-m``) and need no divide pass.  Slabs of short rows, or with
+a row holding several points, histogram their points and sum along every
+axis instead.
 The measure supplies its CDF tables slab by slab, on the active columns,
 through one ``_cdf_table`` method per measure class.
 
@@ -226,19 +231,26 @@ def _slab_maxima(ps: PointSet, m, grids):
 
     A row's prefix counts are the previous row's (the previous slab's last
     row, widened by an index gather when columns activate) plus 1 on the
-    orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds, if any.  Slabs
-    of compressed rows shorter than ``_ROW_LOOP_CELLS``, or with a row
-    holding several points, histogram their points and sum along every axis
-    instead.  Memory is two slab buffers and the carried row, however many
-    rows the grid has; an earlier slab keeps a tie, as one argmax over the
-    whole grid would.
+    orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds, if any; a d = 2
+    row is one add of a window of a step row (see ``_orthant_counts``).
+    When ``N = 2^m`` those rows count in units of ``2^-m``: each ``k/N`` is
+    ``k * 2^-m`` exactly, so the rows are the shares and the divide pass
+    goes; the carried row stays in whole points, converted by one exact
+    multiply at each end of a slab.  For any other ``N`` the rows count
+    whole points and are divided by ``N``.  Slabs of compressed rows shorter
+    than ``_ROW_LOOP_CELLS``, or with a row holding several points,
+    histogram their points and sum along every axis instead, and their
+    shares are ``count * 2^-m`` or ``count / N``, the same floats.  Memory
+    is two slab buffers, the carried row and, in d = 2, a step row of two
+    dense rows; an earlier slab keeps a tie, as one argmax over the whole
+    grid would.
     """
     d = ps.dimension
     sizes = [g.size for g in grids]
     n_rows, row_cells = sizes[0], math.prod(sizes[1:])
     table_of = _measure_method(m, "_cdf_table")
-    # two float64 slab buffers for the whole walk: the counts, divided by N
-    # in place, and the CDF tables (the histogram's int64 scratch before
+    # two float64 slab buffers for the whole walk: the counts, as shares
+    # count/N, and the CDF tables (the histogram's int64 scratch before
     # that); a dense row, for the re-read, fits in each.  The carried row
     # lives in a third, int64 buffer of one dense row.
     counts, table, carried = _slab_buffers(min(math.prod(sizes), max(_SLAB_CELLS, row_cells)),
@@ -275,6 +287,17 @@ def _slab_maxima(ps: PointSet, m, grids):
             width *= np.cumsum(np.bincount(opens, minlength=n_rows + 1))[:n_rows]
         carry = carried[:1].reshape((1,) * (d - 1))
     carry.fill(0)  # the counts of row -1
+    # the orthant rows count in units of `unit`: for N = 2^m every k/N is
+    # k * 2^-m exactly, so those rows hold the shares themselves; a d = 2
+    # row adds a window of `step`, a dense row of zeros, then one of units
+    n = ps.n
+    exact_unit = n & (n - 1) == 0
+    unit = 1.0 / n if exact_unit else 1.0
+    step = np.repeat([0.0, unit], row_cells) if d == 2 and row_cells >= _ROW_LOOP_CELLS else None
+
+    def shares(c, out):  # c/N of integer counts c, the same floats either way
+        return np.multiply(c, unit, out=out) if exact_unit else np.divide(c, n, out=out)
+
     lo_candidates, hi_candidates = [], []
     start = 0
     while start < n_rows:
@@ -310,11 +333,16 @@ def _slab_maxima(ps: PointSet, m, grids):
         slab_cells = [cells[0][first:last] - start]
         slab_cells += [np.searchsorted(a, c[first:last]) for a, c in zip(active, cells[1:])]
         if carry.size >= _ROW_LOOP_CELLS and crowded[stop] == crowded[start]:
-            c = _orthant_counts(counts[:n_cells].reshape(shape), carry, slab_cells)
+            share = _orthant_counts(counts[:n_cells].reshape(shape), carry, slab_cells, unit, step)
+            if exact_unit:  # back to whole points, exactly
+                np.multiply(share[-1], n, out=carry, casting="unsafe")
+            else:
+                carry[...] = share[-1]
+                np.divide(share, n, out=share)
         else:
             c = _histogram_counts(table[:n_cells].view(np.int64).reshape(shape), carry, slab_cells)
-        carry[...] = c[-1]
-        share = np.divide(c, ps.n, out=counts[:n_cells].reshape(shape))
+            carry[...] = c[-1]
+            share = shares(c, counts[:n_cells].reshape(shape))
 
         t = table[:n_cells].reshape(shape)
         dev = np.subtract(share, f_lo(start, stop, t, active), out=t)
@@ -341,7 +369,7 @@ def _slab_maxima(ps: PointSet, m, grids):
         c = _histogram_counts(table[:row_cells].view(np.int64).reshape(shape),
                               np.zeros((), dtype=np.int64),
                               [np.zeros(upto, dtype=np.intp)] + [j[:upto] for j in cells[1:]])
-        share = np.divide(c, ps.n, out=counts[:row_cells].reshape(shape))
+        share = shares(c, counts[:row_cells].reshape(shape))
         t = table[:row_cells].reshape(shape)
         dev = np.subtract(f_hi(row, row + 1, t, every), share, out=share)
         hi_index = np.unravel_index(int(np.argmax(dev)), sizes[1:])
@@ -376,18 +404,35 @@ def _slab_buffers(cells: int, row_cells: int):
         raise err from None
 
 
-def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarray:
-    """Prefix counts of a slab written into ``c``: each row is the row before
-    it (``carry`` for the first) plus 1 on the orthant of the point it holds,
-    if any.  ``point_cells[s]`` are the slab cells of the slab's points on
-    axis ``s``, ordered by row."""
-    prev, r = carry, 0
-    orthants = ([slice(j, None) for j in cols.tolist()] for cols in point_cells[1:])
-    for hit, *orthant in zip(point_cells[0].tolist(), *orthants):
-        c[r:hit + 1] = prev  # the rows without a point, then the point's row
-        prev, r = c[hit, ...], hit + 1
-        v = prev[(*orthant, ...)]  # a view, also of a 0-d row
-        np.add(v, 1.0, out=v)  # `+=` would copy v back onto itself
+def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float,
+                    step: np.ndarray | None) -> np.ndarray:
+    """Prefix counts of a slab, in multiples of ``unit``, written into ``c``:
+    each row is the row before it (``carry``, counts, for the first) plus
+    ``unit`` on the orthant of the point it holds, if any.  ``point_cells[s]``
+    are the slab cells of the slab's points on axis ``s``, ordered by row.
+
+    A d = 2 row with a point is one add of a window of ``step`` (zeros, then
+    as many units as a dense row has cells): the window starting ``j`` cells
+    before the units adds ``unit`` from column ``j`` on.  Other rows with a
+    point add on a view of their orthant."""
+    prev, r = c[0, ...], 1
+    prev[...] = carry  # row -1, staged in row 0
+    if unit != 1.0:
+        np.multiply(prev, unit, out=prev)
+    if step is not None:
+        half = step.size // 2
+        w = c.shape[1]
+        for hit, j in zip(point_cells[0].tolist(), point_cells[1].tolist()):
+            if r < hit:
+                c[r:hit] = prev  # the rows without a point
+            prev, r = np.add(prev, step[half - j:half - j + w], out=c[hit]), hit + 1
+    else:
+        orthants = ([slice(j, None) for j in cols.tolist()] for cols in point_cells[1:])
+        for hit, *orthant in zip(point_cells[0].tolist(), *orthants):
+            c[r:hit + 1] = prev  # the rows without a point, then the point's row
+            prev, r = c[hit, ...], hit + 1
+            v = prev[(*orthant, ...)]  # a view, also of a 0-d row
+            np.add(v, unit, out=v)  # `+=` would copy v back onto itself
     c[r:] = prev
     return c
 

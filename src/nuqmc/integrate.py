@@ -11,6 +11,7 @@ of a bug rather than of quadrature error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +120,15 @@ def _certificate(ps, m, cell_budget, estimate, reference, variation,
     """The certificate of ``estimate`` against ``reference`` (None when no
     exact reference is known): ``bound = variation * D*`` with the exact
     star-discrepancy of ``ps`` under ``m``, satisfied when the observed error
-    is at most the bound plus :data:`CERTIFICATE_TOL`."""
+    is at most the bound plus :data:`CERTIFICATE_TOL`.  An infinite or NaN
+    estimate, reference, variation or bound proves nothing, so it raises
+    :class:`ValidationError` naming the first such factor."""
     disc = star_discrepancy(ps, m, cell_budget).value
     bound = variation * disc
+    for name, value in (("estimate", estimate), ("reference_integral", reference),
+                        ("variation", variation), ("bound", bound)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"certificate is not finite: {name} = {value}")
     observed = None if reference is None else abs(estimate - reference)
     return KHCertificate(
         estimate=estimate,

@@ -657,18 +657,28 @@ class AnalyticCdfMeasure(_PointCdf):
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring): one
-        callback call per read, on all the corners of the rows read."""
+        callback call per read, on all the corners of the rows read, in C
+        order.  A continuous measure never reads the left-limit flags, so
+        they are only built for the others."""
         coords = [np.asarray(c, dtype=float) for c in coords]
         left = [np.asarray(f, dtype=bool) for f in left]
+        d = self.dimension
 
-        def corners(axes):
-            return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        def corners(axes, dtype):
+            # one (n_1, ..., n_d, d) array filled axis by axis by broadcasting
+            out = np.empty(tuple(a.size for a in axes) + (d,), dtype=dtype)
+            for s, a in enumerate(axes):
+                out[..., s] = a.reshape((-1,) + (1,) * (d - 1 - s))
+            return out.reshape(-1, d)
 
         def rows(start: int, stop: int, out: np.ndarray, cols) -> np.ndarray:
             picks = [slice(start, stop)] + list(cols)
-            points = corners([c[j] for c, j in zip(coords, picks)])
-            flags = corners([f[j] for f, j in zip(left, picks)])
-            out[...] = np.reshape(self._cdf_points(points, flags), out.shape)
+            points = corners([c[j] for c, j in zip(coords, picks)], float)
+            if self.continuous:
+                values = self._cdf(points)
+            else:
+                values = self._cdf_points(points, corners([f[j] for f, j in zip(left, picks)], bool))
+            out[...] = np.reshape(values, out.shape)
             return out
 
         return rows

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -162,6 +165,31 @@ class TestDiscrepancyCommand:
         assert code == 2
         assert "atoms" in err
 
+    def test_module_entry_point(self, capsys, tmp_path, uniform_file):
+        # `python -m nuqmc.cli` in a fresh interpreter: its report is the
+        # in-process one byte for byte, and its exit codes are main's
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def run(*argv):
+            done = subprocess.run([sys.executable, "-m", "nuqmc.cli", *argv], env=env,
+                                  capture_output=True, timeout=300)
+            return done.returncode, done.stdout, done.stderr
+
+        # 1024 points: rows long enough for the orthant counts, N = 2^10
+        pfile = write_json(tmp_path / "p.json", {"d": 2, "points": halton(1024, 2).points.tolist()})
+        argv = ["discrepancy", "--points", pfile, "--measure", uniform_file]
+        code, out, err = run(*argv)
+        assert (code, err) == (0, b"")
+        assert out == run_cli(capsys, *argv)[1].encode()
+
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"d": 2, "points": [[0.1, ')
+        code, out, err = run("discrepancy", "--points", str(bad), "--measure", uniform_file)
+        assert (code, out) == (2, b"") and err.startswith(b"error:")
+
+        code, out, err = run(*argv, "--budget", "1")
+        assert (code, out) == (3, b"") and err.startswith(b"error:") and b"budget" in err
+
 
 class TestVariationAndDecompose:
     @pytest.fixture()
@@ -225,7 +253,8 @@ class TestVariationAndDecompose:
     @pytest.mark.parametrize("argv, key", [
         (["variation"], "result.hk_one = inf"),
         (["decompose"], None),  # refused before the report, as a grid of infinite values
-        (["integrate", "--certify"], "result.bound = inf"),
+        # refused by the library: a certificate on an infinite estimate proves nothing
+        (["integrate", "--certify"], "certificate is not finite: estimate = inf"),
     ], ids=["variation", "decompose", "integrate-certify"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_report_that_is_not_finite_exit_code(self, capsys, tmp_path, argv, key, fmt):

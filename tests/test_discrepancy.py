@@ -553,6 +553,58 @@ class TestSlabEngine:
         assert res.value == star_discrepancy(ps, chelson_measure()).value
 
 
+#: The sizes 2^m - 1, 2^m, 2^m + 1 of the unit sweep, per dimension: the
+#: walk counts in units of 2^-m when N = 2^m, in whole points otherwise.
+_UNIT_SIZES = {1: range(5, 12), 2: range(5, 12), 3: range(5, 8), 4: range(5, 6)}
+
+
+def _unit_case(kind, d, n, points, rng):
+    """``n`` points in ``d`` dimensions, random, rounded to eighths (a few
+    short rows, each holding many points) or ``"paired"`` (random, with every
+    16th point moved onto the axis-0 coordinate of the point before it, so
+    that some long rows hold two points), and a measure of class ``kind``.
+    Product and discrete measures add rows that hold no point."""
+    pts = rng.random((n, d))
+    if points == "eighths":
+        pts = np.round(pts * 8) / 8
+    elif points == "paired":
+        pts[1::16, 0] = pts[:-1:16, 0]
+    if kind == "uniform":
+        m = UniformMeasure(d)
+    elif kind == "product":
+        m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+    elif kind == "discrete":
+        m = random_discrete_probability(rng, d, max_atoms=8)
+    else:
+        m = chelson_measure()
+    return PointSet(d, pts), m
+
+
+class TestCountUnits:
+    """The walk's counts in units of ``1/N`` when ``N`` is a power of two,
+    in whole points otherwise, and its d = 2 rows built by one add of a
+    window of the step row: equal to the whole-grid reduction, bit for bit,
+    on either side of each power of two and at every slab size."""
+
+    @pytest.mark.parametrize("kind, d", [(kind, d) for kind in ["uniform", "product", "discrete"]
+                                         for d in _UNIT_SIZES] + [("chelson", 2)])
+    def test_matches_dense_reduction_around_powers_of_two(self, kind, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        # the Chelson reference reads its CDF one cell at a time
+        exponents = range(5, 7) if kind == "chelson" else _UNIT_SIZES[d]
+        for e, k in ((e, k) for e in exponents for k in (-1, 0, 1)):
+            # random and paired points take turns, so that each size class
+            # sees both; past 2^9 points a slab of 97 cells is one row but
+            # for the first short rows, as a slab of 1 cell is
+            for points in ["eighths", ("random", "paired")[(e + k) % 2]]:
+                ps, m = _unit_case(kind, d, 2**e + k, points, rng)
+                expect = dense_star_discrepancy(ps, m)
+                for slab_cells in [2**16, 97, 1][:3 if e < 10 else 2]:
+                    monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+                    got = _summary(star_discrepancy(ps, m))
+                    assert got == expect, (ps.n, points, slab_cells)
+
+
 class TestRandomSearch:
     def test_never_exceeds_exact(self):
         rng = np.random.default_rng(10)

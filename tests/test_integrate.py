@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nuqmc import (
+    AnalyticCdfMeasure,
     AxisCdf,
     BudgetExceededError,
     GridFunction,
@@ -172,6 +173,19 @@ class TestCertificate:
             )
 
 
+    def test_overflowing_function_is_refused(self):
+        # once estimate=inf, variation=inf, bound=inf and satisfied=True
+        f = GridFunction([[0.0, 1.0]], [1e308, -1e308])
+        with np.errstate(over="ignore"), pytest.raises(ValidationError) as err:
+            kh_certificate(f, PointSet(1, [[0.25], [0.75]]), UniformMeasure(1))
+        assert str(err.value) == "certificate is not finite: estimate = inf"
+
+
+#: An analytic CDF that is NaN below the top corner: every exact
+#: discrepancy under it, and so every bound, is NaN.
+_NAN_CDF = AnalyticCdfMeasure(1, lambda a: np.where(np.all(a == 1.0, axis=1), 1.0, np.nan))
+
+
 class TestImportanceSampling:
     def test_ideal_density_is_exact_for_any_points(self):
         rng = np.random.default_rng(77)
@@ -301,3 +315,19 @@ class TestImportanceSampling:
             importance_sampling_estimate(
                 lambda x: 1.0, lambda x: 0.0, ps, UniformMeasure(1), variation=1.0
             )
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"f": lambda x: float("inf")}, "estimate = inf"),
+        ({"reference_integral": float("nan")}, "reference_integral = nan"),
+        ({"variation": float("inf")}, "variation = inf"),
+        ({"m_g": _NAN_CDF}, "bound = nan"),
+    ], ids=["estimate", "reference", "variation", "bound"])
+    def test_certificate_that_is_not_finite_is_refused(self, kwargs, message):
+        # the first factor that is infinite or NaN is named; a certificate
+        # built on it would read satisfied=True (or False) and prove nothing
+        args = {"f": lambda x: float(x[0]), "m_g": UniformMeasure(1), "variation": 1.0,
+                "reference_integral": 0.5, **kwargs}
+        with pytest.raises(ValidationError) as err:
+            importance_sampling_estimate(args.pop("f"), lambda x: 1.0, PointSet(1, [[0.25], [0.75]]),
+                                         args.pop("m_g"), **args)
+        assert str(err.value) == f"certificate is not finite: {message}"
