@@ -127,6 +127,18 @@ def _unit_point(a, dimension: int, name: str = "point") -> np.ndarray:
     return _unit(arr, name)
 
 
+def _strictly_increasing_rows(a: np.ndarray) -> bool:
+    """True iff the rows of the 2-d array ``a`` strictly increase in
+    lexicographic order (so no two are equal)."""
+    columns = np.ascontiguousarray(a.T)
+    lo, hi = columns[:, :-1], columns[:, 1:]
+    later = lo[-1] < hi[-1]
+    for s in reversed(range(a.shape[1] - 1)):
+        later &= lo[s] == hi[s]
+        later |= lo[s] < hi[s]
+    return bool(later.all())
+
+
 def _limit_flags(flags, dimension: int) -> tuple[str, ...]:
     if flags is None:
         return (AT_POINT,) * dimension
@@ -282,17 +294,22 @@ class DiscreteSignedMeasure(_PointCdf):
         _unit(locations, "atom locations")
         if not np.all(np.isfinite(weights)):
             raise ValidationError("atom weight must be finite")
-        # merge duplicates: lexicographic sort, then sum each run of equal
-        # rows; bincount adds a run's weights one after another in sorted
-        # order, so every sum is the same float as a sequential loop's
-        order = np.lexsort(locations.T[::-1])
-        locations = locations[order]
-        weights = weights[order]
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = np.any(locations[1:] != locations[:-1], axis=1)
-        weights = np.bincount(np.cumsum(starts) - 1, weights=weights)
+        if not _strictly_increasing_rows(locations):
+            # merge duplicates: lexicographic sort, then sum each run of equal
+            # rows; bincount adds a run's weights one after another in sorted
+            # order, so every sum is the same float as a sequential loop's
+            order = np.lexsort(locations.T[::-1])
+            locations = locations[order]
+            weights = weights[order]
+            starts = np.ones(n, dtype=bool)
+            starts[1:] = np.any(locations[1:] != locations[:-1], axis=1)
+            weights = np.bincount(np.cumsum(starts) - 1, weights=weights)
+            locations = locations[starts]
+        # rows already in that order (grid vertices in C order, a subset of a
+        # measure's atoms) skip the sort: every run is one atom, and its sum
+        # 0.0 + w is w or a zero that is dropped here either way
         nonzero = weights != 0.0
-        locations = locations[starts][nonzero]
+        locations = np.compress(nonzero, locations, axis=0)
         weights = weights[nonzero]
         locations.flags.writeable = False
         weights.flags.writeable = False
@@ -311,8 +328,8 @@ class DiscreteSignedMeasure(_PointCdf):
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return tuple(
-            Atom(tuple(loc), float(w))
-            for loc, w in zip(self.locations, self.weights)
+            Atom(tuple(loc), w)
+            for loc, w in zip(self.locations.tolist(), self.weights.tolist())
         )
 
     @property

@@ -423,6 +423,29 @@ def reference_is_completely_monotone(f: GridFunction, tol: float) -> bool:
     return True
 
 
+def reference_function_to_measure(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """``(locations, weights)`` of the measure of a step function: the mixed
+    differences with a zero before every axis, masked over every vertex."""
+    w = f.values
+    for s in range(f.dimension):
+        w = np.diff(w, axis=s, prepend=0.0)
+    mesh = np.meshgrid(*f.breakpoints, indexing="ij")
+    coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+    weights = w.reshape(-1)
+    return coords[weights != 0.0], weights[weights != 0.0]
+
+
+def reference_measure_values(nu: DiscreteSignedMeasure, breakpoints) -> np.ndarray:
+    """``nu([0, v])`` at every vertex ``v`` of the grid: each atom added at
+    its vertex in atom order, then prefix sums along every axis."""
+    vals = np.zeros(tuple(len(b) for b in breakpoints))
+    idx = tuple(np.searchsorted(b, nu.locations[:, s]) for s, b in enumerate(breakpoints))
+    np.add.at(vals, idx, nu.weights)
+    for s in range(vals.ndim):
+        vals = np.cumsum(vals, axis=s)
+    return vals
+
+
 def reference_box_indicator(upper) -> GridFunction:
     u = np.asarray(upper, dtype=float).reshape(-1)
     bps = [np.unique(np.concatenate([[0.0, 1.0], [c]])) for c in u]

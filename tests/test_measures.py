@@ -322,6 +322,79 @@ class TestSignedMeasureArrays:
                 assert np.array_equal(nu.weights, ref_ws)
                 assert not np.any(np.all(nu.locations == 0.75, axis=1))
 
+    @pytest.fixture
+    def lexsort_calls(self, monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+
+        def counting(keys):
+            calls.append(len(keys[0]) if len(keys) else 0)
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", counting)
+        return calls
+
+    @staticmethod
+    def _canonical(rng, d):
+        """C-order vertices of a random grid (rows strictly increasing in
+        lexicographic order) with weights over 16 orders of magnitude, some
+        of them +-0.0."""
+        axes = [np.unique(np.concatenate([[0.0, 1.0], rng.random(2)])) for _ in range(d)]
+        locs = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        ws = rng.standard_normal(len(locs)) * 10.0 ** rng.integers(-8, 8, size=len(locs))
+        ws[rng.random(len(locs)) < 0.2] = rng.choice([0.0, -0.0])
+        return locs, ws
+
+    @staticmethod
+    def _same(nu, ref_locs, ref_ws):
+        return all(a.shape == b.shape and np.array_equal(a, b)
+                   and np.array_equal(np.signbit(a), np.signbit(b))
+                   for a, b in ((nu.locations, ref_locs), (nu.weights, ref_ws)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_canonical_rows_skip_the_sort(self, d, lexsort_calls):
+        rng = np.random.default_rng(320 + d)
+        locs, ws = self._canonical(rng, d)
+        cases = [(locs, ws), (locs[:1], ws[:1]), (locs[:1], np.array([-0.0])),
+                 (locs[:0], ws[:0]), (locs[ws > 0], ws[ws > 0])]
+        for case_locs, case_ws in cases:
+            ref = reference_signed_measure(d, list(zip(case_locs, case_ws)))
+            lexsort_calls.clear()
+            nu = DiscreteSignedMeasure._from_arrays(d, case_locs, case_ws)
+            assert lexsort_calls == []
+            assert self._same(nu, *ref)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_other_rows_take_the_sort(self, d, lexsort_calls):
+        rng = np.random.default_rng(340 + d)
+        locs, ws = self._canonical(rng, d)
+        order = rng.permutation(len(ws))
+        twice = np.repeat(np.arange(len(ws)), 2)  # each row twice, adjacent
+        origin = np.zeros((2, d))
+        origin[1, 0] = -0.0  # equal rows, though their bits differ
+        for case_locs, case_ws in ((locs[order], ws[order]), (locs[twice], ws[twice]),
+                                   (locs[::-1], ws[::-1]), (origin, np.array([1.0, 2.0]))):
+            ref = reference_signed_measure(d, list(zip(case_locs, case_ws)))
+            lexsort_calls.clear()
+            nu = DiscreteSignedMeasure._from_arrays(d, case_locs, case_ws)
+            assert lexsort_calls == [len(case_ws)]
+            assert self._same(nu, *ref)
+
+    @pytest.mark.parametrize("loc, w", [
+        ((0.5, np.nan), 1.0), ((0.5, 1.5), 1.0), ((0.5, -0.1), 1.0),
+        ((0.5, 0.5), np.nan), ((0.5, 0.5), -np.inf),
+    ], ids=["nan", "above", "below", "nan-weight", "inf-weight"])
+    def test_canonical_rows_are_still_checked(self, loc, w):
+        locs = np.array([(0.25, 0.25), loc])
+        with pytest.raises(ValidationError):
+            DiscreteSignedMeasure._from_arrays(2, locs, np.array([1.0, w]))
+
+    def test_atoms_hold_python_floats(self):
+        nu = DiscreteSignedMeasure._from_arrays(2, np.array([[0.25, 0.5], [0.5, 0.0]]),
+                                                np.array([1.5, -2.0]))
+        assert nu.atoms == (Atom((0.25, 0.5), 1.5), Atom((0.5, 0.0), -2.0))
+        assert all(type(x) is float for a in nu.atoms for x in (*a.location, a.weight))
+
     def test_empty(self):
         for nu in (DiscreteSignedMeasure(3, []),
                    DiscreteSignedMeasure._from_arrays(3, np.empty((0, 3)), np.empty(0))):

@@ -44,9 +44,11 @@ from helpers import (
     reference_box_indicator,
     reference_cell_sum,
     reference_corner_indicator,
+    reference_function_to_measure,
     reference_hk0_prefix_grid,
     reference_hk_variation,
     reference_is_completely_monotone,
+    reference_measure_values,
     vitali_by_enumeration,
 )
 
@@ -303,6 +305,15 @@ class TestCompleteMonotonicity:
         f = GridFunction([[0.0, 0.5, 1.0]] * 2, vals, STEP)
         assert not is_completely_monotone(f)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        # a NaN or infinite tolerance would pass every function
+        f = GridFunction([[0.0, 1.0]] * 2, [[0.0, 1.0], [1.0, 0.0]], STEP)
+        assert not is_completely_monotone(f)
+        assert not is_completely_monotone(f, 0.0)
+        with pytest.raises(ValidationError):
+            is_completely_monotone(f, tol)
+
 
 class TestMirror:
     def test_symmetric_function_is_fixed(self):
@@ -506,6 +517,13 @@ def kernel_cases(d: int):
             vals = completely_monotone_function(rng, bps).values.copy()
             vals[(1,) * d] -= dip
             yield GridFunction(bps, vals, interp)
+        # length-2 axes, as in (4, 4, 4, 4, 2, 2): a face block there is one
+        # difference wide, and a pinned index is also the last one
+        for shape in ((4,) * max(d - 2, 0) + (2,) * min(d, 2),
+                      tuple(2 + s % 2 for s in range(d))):
+            bps = [np.linspace(0.0, 1.0, n) for n in shape]
+            yield GridFunction(bps, rng.integers(-3, 4, size=shape).astype(float), interp)
+            yield GridFunction(bps, rng.standard_normal(shape), interp)
 
 
 def all_faces(d: int):
@@ -513,7 +531,7 @@ def all_faces(d: int):
         yield from combinations(range(d), r)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 class TestSharedFaceKernel:
     """The face loops share one kernel; every float must stay as the
     separate loops computed it."""
@@ -552,6 +570,21 @@ class TestSharedFaceKernel:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
+    def test_measure_round_trip(self, d):
+        for f in kernel_cases(d):
+            if f.interp != STEP:
+                continue
+            nu = function_to_measure(f)
+            locs, ws = reference_function_to_measure(f)
+            assert bit_equal(nu.locations, locs) and bit_equal(nu.weights, ws)
+            back = measure_to_function(nu)
+            assert all(bit_equal(a, b) for a, b in zip(back.breakpoints, f.breakpoints))
+            assert bit_equal(back.values, reference_measure_values(nu, f.breakpoints))
+            pos, neg = jordan_decompose_measure(nu)
+            for part, mask, sign in ((pos, ws > 0, 1.0), (neg, ws < 0, -1.0)):
+                assert bit_equal(part.locations, locs[mask])
+                assert bit_equal(part.weights, sign * ws[mask])
+
     def test_indicators(self, d):
         rng = np.random.default_rng(500 + d)
         corners = [np.zeros(d), np.ones(d), np.full(d, 0.5), rng.random(d),
@@ -563,3 +596,42 @@ class TestSharedFaceKernel:
                 assert got.interp == want.interp == STEP
                 assert all(bit_equal(a, b) for a, b in zip(got.breakpoints, want.breakpoints))
                 assert bit_equal(got.values, want.values)
+
+
+class TestFaceLoopCost:
+    """The face sums cut every face out of one pinned-difference array, so
+    they difference the grid once per axis, not once per face (63 faces at
+    d = 6); the monotonicity walk differences once per face."""
+
+    @pytest.fixture
+    def diff_calls(self, monkeypatch):
+        calls = []
+        diff = np.diff
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("axis"))
+            return diff(*args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", counting)
+        return calls
+
+    @staticmethod
+    def length_two_axes_d6():
+        rng = np.random.default_rng(600)
+        shape = (4, 4, 4, 4, 2, 2)
+        return GridFunction([np.linspace(0.0, 1.0, n) for n in shape],
+                            rng.integers(-9, 10, size=shape).astype(float))
+
+    def test_face_sums_difference_once_per_axis(self, diff_calls):
+        f = self.length_two_axes_d6()
+        for run in (lambda: hk_variation(f, ANCHOR_ONE), lambda: hk_variation(f, ANCHOR_ZERO),
+                    lambda: hk0_prefix_grid(f), lambda: vitali_variation(f)):
+            diff_calls.clear()
+            run()
+            assert diff_calls == list(range(6))
+
+    def test_monotonicity_differences_once_per_face(self, diff_calls):
+        f_plus = jordan_decompose_function(self.length_two_axes_d6()).f_plus
+        diff_calls.clear()
+        assert is_completely_monotone(f_plus)
+        assert len(diff_calls) == 2 ** 6 - 1
