@@ -73,13 +73,11 @@ from .measures import (
     AT_POINT,
     LEFT_LIMIT,
     _ROW_LOOP_CELLS,
+    _corner,
     _inside,
-    _limit_flags,
     _prefix_rows,
     _unit,
-    _unit_point,
     _upper_axis,
-    cdf_one_sided,
 )
 from .variation import Box
 
@@ -141,32 +139,19 @@ class DiscrepancyResult:
     method: str
 
 
-def local_discrepancy(a, ps: PointSet, m, limit_flags=None) -> float:
-    """``|#{x_n <= a}/N - F(a)|`` with left limits of F on the flagged axes.
-
-    The count always uses the closed-box convention; see
-    :func:`one_sided_deviation` for the fully one-sided evaluation.
-    """
-    a = _unit_point(a, ps.dimension)
-    if m.dimension != ps.dimension:
-        raise DimensionMismatchError("measure and point set dimensions differ")
-    count = int(np.all(ps.points <= a, axis=1).sum())
-    return abs(count / ps.n - cdf_one_sided(m, a, limit_flags))
-
-
 def one_sided_deviation(a, ps: PointSet, m, limit_flags=None) -> float:
     """Limit of the local discrepancy as the corner is approached from below
     on the flagged axes (count strict there, F by left limit).
 
-    Unlike mixing a closed count with a one-sided CDF, this quantity is a
-    limit of actual local discrepancies and therefore never exceeds the
-    star-discrepancy.
+    With no flags it is the closed-box local discrepancy
+    ``|#{x_n <= a}/N - F(a)|``.  Unlike mixing a closed count with a
+    one-sided CDF, this quantity is a limit of actual local discrepancies
+    and therefore never exceeds the star-discrepancy.
     """
-    a = _unit_point(a, ps.dimension)
+    corner, left = _corner(a, limit_flags, ps.dimension)
     if m.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
-    left = np.array([f == LEFT_LIMIT for f in _limit_flags(limit_flags, ps.dimension)])
-    return float(_deviations(ps, _measure_method(m, "_cdf_points"), a[None, :], left[None, :])[0])
+    return float(_deviations(ps, _measure_method(m, "_cdf_points"), corner, left)[0])
 
 
 def _deviations(ps: PointSet, cdf_points, corners: np.ndarray, left: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrepancy import CELL_BUDGET, PointSet, star_discrepancy
-from .errors import UnsupportedIntegrandError, ValidationError
+from .errors import DimensionMismatchError, UnsupportedIntegrandError, ValidationError
 from .measures import DiscreteMeasure, UniformMeasure, _upper_axis
 from .variation import ANCHOR_ONE, STEP, GridFunction, hk_variation
 
@@ -87,7 +87,7 @@ def integral_under_measure(f: GridFunction, m) -> float:
     :class:`UnsupportedIntegrandError`.
     """
     if m.dimension != f.dimension:
-        raise ValidationError("measure and integrand dimensions differ")
+        raise DimensionMismatchError("measure and integrand dimensions differ")
     if isinstance(m, DiscreteMeasure):
         values = f.evaluate(m.support.locations)
         return float(np.sum(m.support.weights * values))
@@ -168,7 +168,7 @@ def importance_sampling_estimate(
     observed error to be reported.  ``cell_budget`` gates the exact D*.
     """
     if m_g.dimension != ps.dimension:
-        raise ValidationError("measure and point set dimensions differ")
+        raise DimensionMismatchError("measure and point set dimensions differ")
 
     exact_pair = (
         isinstance(f, GridFunction)

@@ -42,9 +42,11 @@ share (``_prefix_rows``).
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
 ``points``, with the left limit on the axes where the ``(k, d)`` boolean
-array ``left`` is True.  The randomized discrepancy search reads a whole
-chunk of corners through it, and the public ``cdf``/``cdf_one_sided`` of
-every measure are one-row calls into it.
+array ``left`` is True.  It is the one way a measure is read at a corner:
+the randomized discrepancy search reads a whole chunk of corners through
+it, :func:`box_measure` the ``2^d`` corners of its inclusion-exclusion in
+one call, and the public ``cdf``/``cdf_one_sided`` of every measure and
+:func:`~nuqmc.discrepancy.one_sided_deviation` make one-row calls into it.
 
 Signed measures are restricted to the purely atomic case
 (:class:`DiscreteSignedMeasure`), which is all the function/measure
@@ -139,18 +141,27 @@ def _strictly_increasing_rows(a: np.ndarray) -> bool:
     return bool(later.all())
 
 
-def _limit_flags(flags, dimension: int) -> tuple[str, ...]:
+def _corner(a, flags, dimension: int, name: str = "point",
+            values=(AT_POINT, LEFT_LIMIT)) -> tuple[np.ndarray, np.ndarray]:
+    """The point ``a`` as a ``(1, d)`` corner and ``flags`` as its ``(1, d)``
+    mask: all False for None, else exactly ``dimension`` entries, each
+    ``values[0]`` (False) or ``values[1]`` (True), from a tuple or an array.
+    By default the mask is True on the axes flagged ``"left"``: one row of a
+    ``_cdf_points`` call."""
+    corner = _unit_point(a, dimension, name)[None, :]
     if flags is None:
-        return (AT_POINT,) * dimension
-    out = tuple(flags)
-    if len(out) != dimension:
-        raise DimensionMismatchError(
-            f"expected {dimension} limit flags, got {len(out)}"
-        )
-    for f in out:
-        if f not in (AT_POINT, LEFT_LIMIT):
-            raise ValidationError(f"unknown limit flag {f!r}")
-    return out
+        return corner, np.zeros((1, dimension), dtype=bool)
+    meaning = dict(zip(values, (False, True)))
+    try:
+        flags = list(flags)
+        mask = [meaning[f] for f in flags]
+    except (KeyError, TypeError):
+        raise ValidationError(
+            f"flags of the {name} must be one of {values} per axis, got {flags!r}"
+        ) from None
+    if len(mask) != dimension:
+        raise DimensionMismatchError(f"the {name} has {len(mask)} flags, expected {dimension}")
+    return corner, np.array([mask])
 
 
 def _inside(locations: np.ndarray, corners: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -174,9 +185,7 @@ class _PointCdf:
 
     def cdf_one_sided(self, a, flags) -> float:
         """``F`` at ``a`` with left limits on the axes flagged ``"left"``."""
-        a = _unit_point(a, self.dimension)
-        left = np.array([f == LEFT_LIMIT for f in _limit_flags(flags, self.dimension)])
-        return float(self._cdf_points(a[None, :], left[None, :])[0])
+        return float(self._cdf_points(*_corner(a, flags, self.dimension))[0])
 
 
 def _upper_axis(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -628,9 +637,9 @@ class AnalyticCdfMeasure(_PointCdf):
     entry asks for ``F`` itself.  Both must compute each value from its own
     point alone, and nondecreasing in every coordinate: the exact
     discrepancy engine reads a table on a few columns and relies on both
-    (see :mod:`nuqmc.discrepancy`).  ``grid_hints`` may list per-axis
-    coordinates worth injecting into exact discrepancy grids (kinks, say);
-    correctness does not depend on them.
+    (see :mod:`nuqmc.discrepancy`).  ``grid_hints``, one 1-d array of
+    coordinates per axis, may list those worth injecting into exact
+    discrepancy grids (kinks, say); correctness does not depend on them.
     """
 
     def __init__(
@@ -653,6 +662,12 @@ class AnalyticCdfMeasure(_PointCdf):
             self._hints = tuple(np.empty(0) for _ in range(dimension))
         else:
             self._hints = tuple(np.array(_unit(h, "grid hints")) for h in grid_hints)
+            if len(self._hints) != self.dimension:
+                raise DimensionMismatchError(
+                    f"grid hints hold {len(self._hints)} arrays, expected {self.dimension}"
+                )
+            if any(h.ndim != 1 for h in self._hints):
+                raise ValidationError("grid hints must be 1-d arrays, one per axis")
         norm = self.cdf(np.ones(self.dimension))
         if abs(norm - 1.0) > TOLERANCE:
             raise ValidationError(f"F(1,...,1) must equal 1, got {norm}")
@@ -701,51 +716,27 @@ class AnalyticCdfMeasure(_PointCdf):
         return rows
 
 
-def cdf_eval(m, a) -> float:
-    """Anchored CDF ``F(a) = m([0, a])`` of a measure at a point.
-
-    Accepts any of the measure classes above as well as a raw
-    :class:`DiscreteSignedMeasure`.
-    """
-    return m.cdf(a)
-
-
-def cdf_one_sided(m, a, flags=None) -> float:
-    """CDF with left limits taken on the axes flagged ``"left"``."""
-    return m.cdf_one_sided(a, flags)
-
-
 def box_measure(m, lower, upper, lower_open=None, upper_open=None) -> float:
     """Measure of an axis-parallel box with per-axis open/closed sides.
 
-    The default is the closed box ``[lower, upper]``.  Computed by
-    inclusion-exclusion over the anchored CDF, taking one-sided limits where
-    a closed lower side (or an open upper side) requires them.  A degenerate
-    axis (``lower == upper``, both sides closed) measures the mass of the
-    slab through that coordinate.
+    The default is the closed box ``[lower, upper]``; ``lower_open`` and
+    ``upper_open`` are ``d`` booleans each.  Computed by inclusion-exclusion
+    over the anchored CDF, its ``2^d`` corners read in one ``_cdf_points``
+    call, taking one-sided limits where a closed lower side (or an open
+    upper side) requires them.  A degenerate axis (``lower == upper``, both
+    sides closed) measures the mass of the slab through that coordinate.
     """
     d = m.dimension
-    lo = _unit_point(lower, d, "lower corner")
-    hi = _unit_point(upper, d, "upper corner")
+    lo, lo_open = _corner(lower, lower_open, d, "lower corner", (False, True))
+    hi, hi_open = _corner(upper, upper_open, d, "upper corner", (False, True))
     if np.any(lo > hi):
         raise ValidationError("box needs lower <= upper componentwise")
-    lo_open = tuple(bool(b) for b in (lower_open or (False,) * d))
-    hi_open = tuple(bool(b) for b in (upper_open or (False,) * d))
-    if len(lo_open) != d or len(hi_open) != d:
-        raise DimensionMismatchError("openness flags must have one entry per axis")
-
+    # corner `bits` takes the lower coordinate on the axes whose bit is set
+    takes_lower = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1 == 1
+    corners = np.where(takes_lower, lo, hi)
+    left = np.where(takes_lower, ~lo_open, hi_open)
+    signs = np.where(takes_lower.sum(axis=1) % 2 == 1, -1.0, 1.0)
     total = 0.0
-    corner = np.empty(d)
-    flags: list[str] = [AT_POINT] * d
-    for bits in range(1 << d):
-        sign = 1.0
-        for s in range(d):
-            if bits >> s & 1:  # this axis takes the lower coordinate
-                sign = -sign
-                corner[s] = lo[s]
-                flags[s] = AT_POINT if lo_open[s] else LEFT_LIMIT
-            else:
-                corner[s] = hi[s]
-                flags[s] = LEFT_LIMIT if hi_open[s] else AT_POINT
-        total += sign * m.cdf_one_sided(corner, tuple(flags))
+    for term in (signs * m._cdf_points(corners, left)).tolist():
+        total += term
     return total

@@ -28,7 +28,6 @@ from .measures import (
     UniformMeasure,
     _unit,
     _unit_point,
-    cdf_eval,
 )
 
 #: Bisection tolerance for pseudo-inverses of callback CDFs.
@@ -245,7 +244,7 @@ def chelson_identity_check(
 
     probe = _unit_point(probe, 2)
     probe_image = forward_cdf_map(probe, cdf)
-    mu_mass = cdf_eval(m, probe)
+    mu_mass = m.cdf(probe)
     uniform_mass = float(np.prod(probe_image))
     in_probe = int(np.all(images.points <= probe, axis=1).sum())
     in_image = int(np.all(ps.points <= np.asarray(probe_image), axis=1).sum())

@@ -368,7 +368,7 @@ def function_to_measure(f: GridFunction) -> DiscreteSignedMeasure:
     Atom weights are the d-fold mixed backward differences of the vertex
     values (an axis at coordinate 0 has no predecessor and contributes the
     anchored value itself, so ``f(0)`` lands as an atom at the origin).
-    Satisfies ``cdf_eval(result, v) == f(v)`` at every grid vertex and
+    Satisfies ``result.cdf(v) == f(v)`` at every grid vertex and
     ``total_variation(result) == hk_variation(f, "zero") + |f(0)|``.
     """
     if f.interp != STEP:

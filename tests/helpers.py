@@ -10,12 +10,14 @@ and as exact rationals) rather than through its closed-form CDF.  The face
 loops of the variation module, its two indicator builders and the
 segment-by-segment pseudo-inverse are kept here as written before they were
 folded into shared code paths, so the shared paths can be compared with them
-bit for bit; so are the per-point one-sided CDFs of the measures and the
-per-trial randomized discrepancy search, which now evaluate whole batches.
+bit for bit; so are the per-point one-sided CDFs of the measures, the
+per-corner box masses and the per-trial randomized discrepancy search, which
+now evaluate whole batches.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
@@ -157,12 +159,14 @@ def _dense_cdf_arrays(m, grids):
             np.cumsum(lo, axis=s, out=lo)
         return lo, lo  # atoms lie on the grid: the limit at the next vertex
     if isinstance(m, AnalyticCdfMeasure):
-        lo, hi = np.empty(shape), np.empty(shape)
-        for index in np.ndindex(shape):
-            lo[index] = m.cdf([grids[s][index[s]] for s in range(d)])
-            flags = tuple("at" if index[s] == shape[s] - 1 else "left" for s in range(d))
-            hi[index] = m.cdf_one_sided([uppers[s][index[s]] for s in range(d)], flags)
-        return lo, hi
+        # one batched read per array over all its corners, in C order: the
+        # callback contract makes each value independent of the batch
+        def corners(axes):
+            return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+
+        lo = m._cdf_points(corners(grids), np.zeros((math.prod(shape), d), dtype=bool))
+        hi = m._cdf_points(corners(uppers), corners([np.arange(n) < n - 1 for n in shape]))
+        return lo.reshape(shape), hi.reshape(shape)
     raise TypeError(f"no dense CDF arrays for {type(m).__name__}")
 
 
@@ -222,6 +226,28 @@ def reference_cdf_one_sided(m, a, flags) -> float:
     if isinstance(m, AnalyticCdfMeasure):
         return m.cdf_one_sided(a, flags)
     raise TypeError(f"no reference CDF for {type(m).__name__}")
+
+
+def reference_box_measure(m, lower, upper, lower_open=None, upper_open=None) -> float:
+    """Box mass by inclusion-exclusion with one ``cdf_one_sided`` call per
+    corner, as ``box_measure`` computed it before reading its corners in one
+    batch."""
+    d = m.dimension
+    lo_open = tuple(bool(b) for b in (lower_open or (False,) * d))
+    hi_open = tuple(bool(b) for b in (upper_open or (False,) * d))
+    total = 0.0
+    for bits in range(1 << d):
+        sign, corner, flags = 1.0, [], []
+        for s in range(d):
+            if bits >> s & 1:  # this axis takes the lower coordinate
+                sign = -sign
+                corner.append(lower[s])
+                flags.append("at" if lo_open[s] else "left")
+            else:
+                corner.append(upper[s])
+                flags.append("left" if hi_open[s] else "at")
+        total += sign * m.cdf_one_sided(corner, tuple(flags))
+    return total
 
 
 def reference_axis_values(ax: AxisCdf, xs: np.ndarray, left: bool) -> np.ndarray:

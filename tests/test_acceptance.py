@@ -22,7 +22,6 @@ from nuqmc import (
     chelson_measure,
     conditional_transform_2d,
     corner_indicator,
-    cdf_eval,
     forward_cdf_map,
     function_to_measure,
     halton,
@@ -31,8 +30,8 @@ from nuqmc import (
     jordan_decompose_function,
     kh_certificate,
     leonov_decompose,
-    local_discrepancy,
     measure_to_function,
+    one_sided_deviation,
     product_transform,
     star_discrepancy,
     total_variation,
@@ -79,7 +78,7 @@ def test_criterion_1_chelson_counterexample():
         assert d_original == pytest.approx(20 / 23, abs=1e-12)
 
         probe = (1.0, 0.8)
-        assert cdf_eval(m, probe) == pytest.approx(22 / 25, abs=1e-12)
+        assert m.cdf(probe) == pytest.approx(22 / 25, abs=1e-12)
         image = forward_cdf_map(probe, cdf)
         assert float(np.prod(image)) == pytest.approx(0.8, abs=1e-12)
 
@@ -153,7 +152,7 @@ def test_criterion_5_certificate_fuzzing():
             ps = random_point_set(rng, d, max_points=32)
             cert = kh_certificate(box_indicator(a), ps, m)
             assert cert.observed_error == pytest.approx(
-                local_discrepancy(a, ps, m), abs=1e-12
+                one_sided_deviation(a, ps, m), abs=1e-12
             )
 
 

@@ -20,7 +20,6 @@ from nuqmc import (
     chelson_cdf,
     chelson_measure,
     halton,
-    local_discrepancy,
     one_sided_deviation,
     random_search_lower_bound,
     star_discrepancy,
@@ -40,13 +39,16 @@ TOL = 1e-12
 
 
 class TestLocalDiscrepancy:
+    """The closed-box local discrepancy: ``one_sided_deviation`` with no
+    flags."""
+
     def test_single_midpoint(self):
         ps = PointSet(1, [[0.5]])
-        assert local_discrepancy((0.5,), ps, UniformMeasure(1)) == pytest.approx(0.5)
+        assert one_sided_deviation((0.5,), ps, UniformMeasure(1)) == pytest.approx(0.5)
 
     def test_chelson_at_point(self):
         ps = PointSet(2, [[7 / 9, 20 / 27]])
-        got = local_discrepancy((1.0, 20 / 27), ps, chelson_measure())
+        got = one_sided_deviation((1.0, 20 / 27), ps, chelson_measure())
         assert got == pytest.approx(119 / 729, abs=TOL)
 
     def test_empirical_measure_vanishes(self):
@@ -56,11 +58,11 @@ class TestLocalDiscrepancy:
         m = DiscreteMeasure.empirical(pts)
         for _ in range(50):
             a = rng.random(2)
-            assert local_discrepancy(a, ps, m) <= TOL
+            assert one_sided_deviation(a, ps, m) <= TOL
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            local_discrepancy((0.5, 0.5), PointSet(1, [[0.5]]), UniformMeasure(1))
+            one_sided_deviation((0.5, 0.5), PointSet(1, [[0.5]]), UniformMeasure(1))
 
 
 class TestStarDiscrepancyExact:
@@ -96,10 +98,7 @@ class TestStarDiscrepancyExact:
             ps = random_point_set(rng, d, max_points=12)
             m = random_discrete_probability(rng, d, max_atoms=6)
             res = star_discrepancy(ps, m)
-            if res.attained:
-                got = local_discrepancy(res.witness_box.upper, ps, m)
-            else:
-                got = one_sided_deviation(res.witness_box.upper, ps, m, res.witness_flags)
+            got = one_sided_deviation(res.witness_box.upper, ps, m, res.witness_flags)
             assert got == pytest.approx(res.value, abs=TOL)
 
     def test_point_at_one_gives_unattained_sup_one(self):
@@ -590,8 +589,9 @@ class TestCountUnits:
                                          for d in _UNIT_SIZES] + [("chelson", 2)])
     def test_matches_dense_reduction_around_powers_of_two(self, kind, d, monkeypatch):
         rng = np.random.default_rng(d)
-        # the Chelson reference reads its CDF one cell at a time
-        exponents = range(5, 7) if kind == "chelson" else _UNIT_SIZES[d]
+        # up to 2^10 + 1 Chelson points, whose rows reach the orthant and
+        # step-window counts
+        exponents = range(5, 11) if kind == "chelson" else _UNIT_SIZES[d]
         for e, k in ((e, k) for e in exponents for k in (-1, 0, 1)):
             # random and paired points take turns, so that each size class
             # sees both; past 2^9 points a slab of 97 cells is one row but
@@ -703,11 +703,12 @@ class TestPointSetValidation:
             PointSet(dimension, points)
 
     def test_mixed_closed_count_is_not_a_lower_bound(self):
-        # the closed-count/left-limit mix can exceed the true supremum, which
-        # is why the search uses the fully one-sided evaluation instead
+        # a closed count with a left-limit F can exceed the true supremum,
+        # which is why the search uses the fully one-sided evaluation instead
         pts = np.array([[0.5]])
         ps = PointSet(1, pts)
         m = DiscreteMeasure.empirical(pts)
-        mixed = local_discrepancy((0.5,), ps, m, ("left",))
-        assert mixed == pytest.approx(1.0)  # exceeds the exact value 0
+        mixed = abs(1 / ps.n - m.cdf_one_sided((0.5,), ("left",)))
+        assert mixed == 1.0  # exceeds the exact value 0
+        assert star_discrepancy(ps, m).value == 0.0
         assert one_sided_deviation((0.5,), ps, m, ("left",)) == 0.0

@@ -9,6 +9,7 @@ from nuqmc import (
     AnalyticCdfMeasure,
     AxisCdf,
     BudgetExceededError,
+    DimensionMismatchError,
     GridFunction,
     MULTILINEAR,
     PointSet,
@@ -23,7 +24,7 @@ from nuqmc import (
     importance_sampling_estimate,
     integral_under_measure,
     kh_certificate,
-    local_discrepancy,
+    one_sided_deviation,
     product_transform,
     qmc_estimate,
     star_discrepancy,
@@ -113,6 +114,11 @@ class TestIntegralUnderMeasure:
         with pytest.raises(UnsupportedIntegrandError):
             integral_under_measure(f, UniformMeasure(1))
 
+    def test_dimension_mismatch(self):
+        f = GridFunction([[0.0, 0.5, 1.0]] * 2, np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            integral_under_measure(f, UniformMeasure(1))
+
 
 class TestCertificate:
     def test_box_indicator_bound_is_the_discrepancy(self):
@@ -169,7 +175,7 @@ class TestCertificate:
             ps = random_point_set(rng, d, max_points=16)
             cert = kh_certificate(box_indicator(a), ps, m)
             assert cert.observed_error == pytest.approx(
-                local_discrepancy(a, ps, m), abs=TOL
+                one_sided_deviation(a, ps, m), abs=TOL
             )
 
 
@@ -308,6 +314,11 @@ class TestImportanceSampling:
         message = str(err.value)
         assert "proxy-grid vertex (0.0,)" in message
         assert "proxy_grid=" in message and "variation=" in message
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            importance_sampling_estimate(lambda x: 1.0, lambda x: 1.0, PointSet(1, [[0.5]]),
+                                         UniformMeasure(2), variation=1.0)
 
     def test_nonpositive_density_rejected(self):
         ps = PointSet(1, [[0.5]])

@@ -23,8 +23,6 @@ from nuqmc import (
     UnsupportedMeasureError,
     box_indicator,
     box_measure,
-    cdf_eval,
-    cdf_one_sided,
     chelson_cdf,
     chelson_conditional,
     chelson_measure,
@@ -32,7 +30,6 @@ from nuqmc import (
     corner_indicator,
     jordan_decompose_measure,
     kh_certificate,
-    local_discrepancy,
     one_sided_deviation,
     pseudo_inverse,
     star_discrepancy,
@@ -45,6 +42,7 @@ from helpers import (
     random_general_axis_cdf,
     random_signed_measure,
     reference_axis_values,
+    reference_box_measure,
     reference_cdf_one_sided,
     reference_signed_measure,
 )
@@ -54,18 +52,18 @@ TOL = 1e-12
 
 class TestCdfEval:
     def test_uniform_box(self):
-        assert cdf_eval(UniformMeasure(2), (1.0, 0.8)) == pytest.approx(0.8, abs=TOL)
+        assert UniformMeasure(2).cdf((1.0, 0.8)) == pytest.approx(0.8, abs=TOL)
 
     def test_chelson_box(self):
-        assert cdf_eval(chelson_measure(), (1.0, 0.8)) == pytest.approx(22 / 25, abs=TOL)
+        assert chelson_measure().cdf((1.0, 0.8)) == pytest.approx(22 / 25, abs=TOL)
 
     def test_atom_outside_box(self):
         m = DiscreteMeasure(DiscreteSignedMeasure(2, [((0.5, 0.5), 1.0)]))
-        assert cdf_eval(m, (0.25, 1.0)) == 0.0
+        assert m.cdf((0.25, 1.0)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            cdf_eval(UniformMeasure(2), (0.5,))
+            UniformMeasure(2).cdf((0.5,))
 
     def test_normalization_at_the_far_corner(self):
         rng = np.random.default_rng(11)
@@ -76,7 +74,7 @@ class TestCdfEval:
             chelson_measure(),
         ]
         for m in specs:
-            assert cdf_eval(m, np.ones(m.dimension)) == pytest.approx(1.0, abs=TOL)
+            assert m.cdf(np.ones(m.dimension)) == pytest.approx(1.0, abs=TOL)
 
     def test_monotone_in_every_coordinate(self):
         rng = np.random.default_rng(12)
@@ -92,7 +90,7 @@ class TestCdfEval:
                 b = a.copy()
                 s = rng.integers(2)
                 b[s] = rng.uniform(a[s], 1.0)
-                assert cdf_eval(m, b) >= cdf_eval(m, a) - TOL
+                assert m.cdf(b) >= m.cdf(a) - TOL
 
 
 class TestJordanDecomposition:
@@ -165,9 +163,9 @@ class TestBoxMeasure:
         got = box_measure(m, a, (1.0, 1.0), lower_open=(True, True))
         by_cdf = (
             1.0
-            - cdf_eval(m, (1.0, a[1]))
-            - cdf_eval(m, (a[0], 1.0))
-            + cdf_eval(m, a)
+            - m.cdf((1.0, a[1]))
+            - m.cdf((a[0], 1.0))
+            + m.cdf(a)
         )
         assert got == pytest.approx(by_cdf, abs=TOL)
         assert got == pytest.approx(chelson_box_mass(a, (1.0, 1.0)), abs=1e-9)
@@ -237,6 +235,114 @@ class TestBoxMeasure:
                 assert parts == pytest.approx(whole, abs=TOL)
 
 
+    @pytest.mark.parametrize("kind", ["uniform", "product", "discrete", "signed", "chelson",
+                                      "atom"])
+    def test_matches_the_per_corner_loop(self, kind):
+        # the 2^d corners read in one batch give the floats of one
+        # cdf_one_sided call per corner, on random open and closed sides,
+        # degenerate axes, and corners on the atoms and breakpoints
+        rng = np.random.default_rng(["uniform", "product", "discrete", "signed", "chelson",
+                                     "atom"].index(kind) + 40)
+        for d in [2] if kind in ("chelson", "atom") else range(1, 5):
+            if kind == "uniform":
+                m = UniformMeasure(d)
+            elif kind == "product":
+                m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            elif kind == "discrete":
+                m = random_discrete_probability(rng, d, max_atoms=20)
+            elif kind == "signed":
+                m = random_signed_measure(rng, d, max_atoms=20)
+            elif kind == "chelson":
+                m = chelson_measure()
+            else:
+                m = _atom_mixture((0.5, 0.25))
+            coords = [np.concatenate([m.axis_coordinates(s), rng.random(4), [0.0, 1.0]])
+                      for s in range(d)]
+            for _ in range(40):
+                a, b = (np.array([rng.choice(c) for c in coords]) for _ in range(2))
+                lo = np.minimum(a, b)
+                hi = np.where(rng.random(d) < 0.2, lo, np.maximum(a, b))
+                sides = {}
+                for key in ("lower_open", "upper_open"):
+                    if rng.random() < 0.7:
+                        sides[key] = tuple(bool(x) for x in rng.random(d) < 0.5)
+                assert box_measure(m, lo, hi, **sides) == reference_box_measure(m, lo, hi,
+                                                                                **sides)
+
+    @pytest.mark.parametrize("m", [UniformMeasure(3), chelson_measure(),
+                                   DiscreteMeasure.from_points(2, [[0.5, 0.5]], [1.0])],
+                             ids=["uniform", "chelson", "discrete"])
+    def test_one_cdf_points_call_per_box(self, m, monkeypatch):
+        calls = []
+        read = type(m)._cdf_points
+
+        def counting(self, points, left):
+            calls.append(points.shape)
+            return read(self, points, left)
+
+        monkeypatch.setattr(type(m), "_cdf_points", counting)
+        d = m.dimension
+        box_measure(m, [0.25] * d, [0.75] * d, upper_open=(True,) * d)
+        assert calls == [(2**d, d)]
+
+    def test_openness_flags_from_an_array(self):
+        m = DiscreteMeasure.from_points(2, [[0.5, 0.5]], [1.0])
+        assert box_measure(m, (0.5, 0.0), (1.0, 1.0), lower_open=np.array([True, False])) == 0.0
+        assert box_measure(m, (0.5, 0.0), (1.0, 1.0), lower_open=np.array([False, True])) == 1.0
+
+    @pytest.mark.parametrize("flags", [(), (True,), (True, False, True), np.array([True])],
+                             ids=["empty", "short", "long", "short-array"])
+    @pytest.mark.parametrize("side", ["lower_open", "upper_open"])
+    def test_openness_flags_of_the_wrong_length_are_refused(self, side, flags):
+        # an empty tuple once read as all closed: 0.16 for [0.1, 0.5]^2
+        with pytest.raises(DimensionMismatchError):
+            box_measure(UniformMeasure(2), (0.1, 0.1), (0.5, 0.5), **{side: flags})
+
+    @pytest.mark.parametrize("flags", [("at", "left"), True, [[True, False]], (2, 0)],
+                             ids=["strings", "scalar", "nested", "integers"])
+    def test_openness_flags_that_are_not_booleans_are_refused(self, flags):
+        with pytest.raises(ValidationError):
+            box_measure(UniformMeasure(2), (0.1, 0.1), (0.5, 0.5), lower_open=flags)
+
+
+def _atom_mixture(c, w_atom=0.5):
+    """Half uniform, half an atom at ``c``, in d = 2: an analytic measure
+    with a ``left_limit`` callback."""
+    c = np.asarray(c, dtype=float)
+
+    def cdf(a):
+        return (1.0 - w_atom) * np.prod(a, axis=1) + np.where(np.all(c <= a, axis=1), w_atom, 0.0)
+
+    def left_limit(a, left):
+        inside = np.all(np.where(left, c < a, c <= a), axis=1)
+        return (1.0 - w_atom) * np.prod(a, axis=1) + np.where(inside, w_atom, 0.0)
+
+    return AnalyticCdfMeasure(2, cdf, continuous=False, left_limit=left_limit,
+                              grid_hints=[[c[0]], [c[1]]])
+
+
+class TestGridHints:
+    """``grid_hints`` is one 1-d array per axis, checked at construction."""
+
+    @pytest.mark.parametrize("hints", [[[0.5]], [[0.5], [0.5], [0.5]]],
+                             ids=["one-array", "three-arrays"])
+    def test_wrong_number_of_arrays(self, hints):
+        # one array once ended in an IndexError inside star_discrepancy; a
+        # third was ignored
+        with pytest.raises(DimensionMismatchError, match="grid hints"):
+            AnalyticCdfMeasure(2, chelson_cdf, grid_hints=hints)
+
+    @pytest.mark.parametrize("hints", [[[[0.5]], [0.5]], [0.5, 0.5]], ids=["nested", "flat"])
+    def test_arrays_that_are_not_1d(self, hints):
+        # a nested list once ended in NumPy's ValueError from np.concatenate
+        with pytest.raises(ValidationError, match="grid hints"):
+            AnalyticCdfMeasure(2, chelson_cdf, grid_hints=hints)
+
+    def test_one_row_per_axis_of_an_array(self):
+        m = AnalyticCdfMeasure(2, chelson_cdf, grid_hints=np.array([[0.5], [0.25]]))
+        assert [list(m.axis_coordinates(s)) for s in range(2)] == [[0.5], [0.25]]
+
+
 class TestAxisCdf:
     def test_identity(self):
         ax = AxisCdf.identity()
@@ -274,8 +380,8 @@ class TestAxisCdf:
 
 def test_one_sided_left_limit_on_atoms():
     m = DiscreteMeasure(DiscreteSignedMeasure(1, [((0.5,), 1.0)]))
-    assert cdf_one_sided(m, (0.5,), ("left",)) == 0.0
-    assert cdf_one_sided(m, (0.5,), ("at",)) == 1.0
+    assert m.cdf_one_sided((0.5,), ("left",)) == 0.0
+    assert m.cdf_one_sided((0.5,), ("at",)) == 1.0
 
 
 def test_atoms_merge_and_drop_zeros():
@@ -631,10 +737,9 @@ _INGEST = {
     "DiscreteSignedMeasure": lambda x: DiscreteSignedMeasure(2, [((0.5, x), 1.0)]),
     "DiscreteMeasure.from_points": lambda x: DiscreteMeasure.from_points(2, [[x, 0.5]], [1.0]),
     "cdf": lambda x: UniformMeasure(2).cdf([0.5, x]),
-    "cdf_one_sided": lambda x: cdf_one_sided(UniformMeasure(2), [x, 0.5], ("left", "at")),
+    "cdf_one_sided": lambda x: UniformMeasure(2).cdf_one_sided([x, 0.5], ("left", "at")),
     "box_measure-lower": lambda x: box_measure(UniformMeasure(2), [x, 0.0], [1.0, 1.0]),
     "box_measure-upper": lambda x: box_measure(UniformMeasure(2), [0.0, 0.0], [1.0, x]),
-    "local_discrepancy": lambda x: local_discrepancy([0.5, x], _PS, UniformMeasure(2)),
     "one_sided_deviation": lambda x: one_sided_deviation([x, 0.5], _PS, UniformMeasure(2)),
     "AxisCdf-breakpoints": lambda x: AxisCdf([0.0, x, 1.0], [0.0, 0.5, 1.0]),
     "AxisCdf.value": lambda x: AxisCdf.identity().value(x),

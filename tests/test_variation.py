@@ -18,7 +18,6 @@ from nuqmc import (
     STEP,
     ValidationError,
     box_indicator,
-    cdf_eval,
     chelson_cdf,
     corner_indicator,
     function_to_measure,
@@ -367,7 +366,7 @@ class TestFunctionToMeasure:
             f = random_grid_function(rng, max_intervals=3)
             nu = function_to_measure(f)
             for idx, v in zip(np.ndindex(f.shape), f.vertex_coordinates()):
-                assert cdf_eval(nu, v) == pytest.approx(float(f.values[idx]), abs=1e-10)
+                assert nu.cdf(v) == pytest.approx(float(f.values[idx]), abs=1e-10)
 
     def test_total_variation_identity(self):
         rng = np.random.default_rng(55)
