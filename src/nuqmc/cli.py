@@ -246,7 +246,8 @@ def _run_decompose(args) -> dict:
             max_err = float(np.max(np.abs(nu.weights - roundtrip.weights))) \
                 if len(nu) == len(roundtrip) else float("inf")
         result["measure"] = {
-            "atoms": [{"x": list(a.location), "w": a.weight} for a in nu.atoms],
+            "atoms": [{"x": x, "w": w}
+                      for x, w in zip(nu.locations.tolist(), nu.weights.tolist())],
             "total_variation": total_variation(nu),
             "roundtrip_max_weight_error": max_err,
         }

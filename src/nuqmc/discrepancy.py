@@ -74,6 +74,7 @@ from .measures import (
     LEFT_LIMIT,
     _ROW_LOOP_CELLS,
     _corner,
+    _floats,
     _inside,
     _prefix_rows,
     _unit,
@@ -101,7 +102,7 @@ class PointSet:
     def __init__(self, dimension: int, points) -> None:
         if dimension < 1:
             raise ValidationError("dimension must be >= 1")
-        pts = np.asarray(points, dtype=float)
+        pts = _floats(points, "points")
         if pts.size == 0:
             raise ValidationError("point set must contain at least one point")
         if pts.ndim == 1 and pts.size % dimension == 0:  # flat coordinates

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import AxisCdf, DiscreteMeasure, DiscreteSignedMeasure, ProductMeasure, UniformMeasure
+from .measures import AxisCdf, DiscreteMeasure, ProductMeasure, UniformMeasure, _floats
 from .discrepancy import PointSet
 from .transforms import chelson_measure
 from .variation import GridFunction, STEP
@@ -72,10 +72,7 @@ def _numbers(value, where: str) -> np.ndarray:
     """A (possibly nested) list of numbers as a float array."""
     if not isinstance(value, list):
         raise ValidationError(f"{where}: expected a list of numbers")
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"{where}: expected a list of numbers ({err})") from err
+    return _floats(value, where)
 
 
 def measure_from_dict(obj, where: str = "measure"):
@@ -98,7 +95,7 @@ def measure_from_dict(obj, where: str = "measure"):
                     f"{where}.atoms[{i}].x has {loc.size} coordinates, expected {d}"
                 )
         locations = np.array([loc.reshape(-1) for loc in locs])
-        return DiscreteMeasure(DiscreteSignedMeasure._from_arrays(d, locations, ws))
+        return DiscreteMeasure.from_points(d, locations, ws)
     if kind == "product":
         axes = _require(obj, "axes", where)
         if not isinstance(axes, list) or not axes:

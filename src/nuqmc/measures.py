@@ -51,13 +51,19 @@ one call, and the public ``cdf``/``cdf_one_sided`` of every measure and
 Signed measures are restricted to the purely atomic case
 (:class:`DiscreteSignedMeasure`), which is all the function/measure
 correspondence of :mod:`nuqmc.variation` produces.  Jordan decomposition and
-total variation are exact there.  Its atoms are validated and merged as
-arrays; a merged weight is the same float a sequential sum would give.
+total variation are exact there.  It has one constructor,
+``DiscreteSignedMeasure(dimension, locations, weights)``, on an ``(n, d)``
+location array and ``(n,)`` weights, which every build in the package calls;
+duplicate locations are merged as arrays, and a merged weight is the same
+float a sequential sum would give.
 
-Every coordinate entering the package (points, atoms, breakpoints, corners,
-CDF arguments) passes one ingest check: ``_unit`` (``0 <= x <= 1``, which
-NaN and the infinities fail) or ``_breakpoints`` (a strictly increasing grid
-from 0.0 to 1.0).  Constructors store copies of the arrays they are given.
+Every number entering the package is read by ``_floats``, which turns ragged
+nesting into ``DimensionMismatchError`` and anything else that is not numbers
+into ``ValidationError``.  Every coordinate (points, atoms, breakpoints,
+corners, CDF arguments) then passes one ingest check: ``_unit``
+(``0 <= x <= 1``, which NaN and the infinities fail) or ``_breakpoints`` (a
+strictly increasing grid from 0.0 to 1.0).  Constructors store copies of the
+arrays they are given.
 
 All numeric comparisons in this package use a documented floating point
 tolerance of ``1e-12`` (non-dyadic rational fixtures make bit-exact
@@ -71,7 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -96,10 +102,23 @@ _ROW_LOOP_CELLS = 512
 _ROW_BUFFER = range(256, 8192)
 
 
+def _floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array.  Ragged nesting raises
+    ``DimensionMismatchError`` and other input that is not numbers
+    ``ValidationError``, never NumPy's ``ValueError`` or ``TypeError``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        # NumPy's message when nesting puts a sequence where a number belongs
+        ragged = str(err).startswith("setting an array element with a sequence")
+        error = DimensionMismatchError if ragged else ValidationError
+        raise error(f"{name}: expected a list of numbers ({err})") from None
+
+
 def _unit(values, name: str) -> np.ndarray:
     """``values`` as a float array whose every entry satisfies
     ``0 <= x <= 1``, a test that NaN and the infinities fail."""
-    arr = np.asarray(values, dtype=float)
+    arr = _floats(values, name)
     inside = (arr >= 0.0) & (arr <= 1.0)
     if not np.all(inside):
         raise ValidationError(f"{name} must lie in [0,1], got {float(arr[~inside].flat[0])}")
@@ -121,7 +140,7 @@ def _breakpoints(values, name: str) -> np.ndarray:
 
 
 def _unit_point(a, dimension: int, name: str = "point") -> np.ndarray:
-    arr = np.asarray(a, dtype=float).reshape(-1)
+    arr = _floats(a, name).reshape(-1)
     if arr.size != dimension:
         raise DimensionMismatchError(
             f"{name} has {arr.size} coordinates, expected {dimension}"
@@ -247,53 +266,24 @@ def _covering_index(coords: np.ndarray, left: np.ndarray, xs: np.ndarray) -> np.
     return lo + n_left[hi] - n_left[lo]
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A weighted point mass.  The weight may be negative (signed measures)."""
-
-    location: tuple[float, ...]
-    weight: float
-
-
 class DiscreteSignedMeasure(_PointCdf):
     """A finite signed measure supported on finitely many distinct atoms.
 
-    Atoms at identical locations are merged at construction (weights summed,
-    exact zeros dropped), which makes Jordan decomposition and total
-    variation canonical.  ``atoms`` is an iterable of :class:`Atom` objects
-    or ``(location, weight)`` pairs; code holding the atoms as arrays builds
-    the measure with :meth:`_from_arrays` instead.
+    The atoms sit at the rows of the ``(n, d)`` array ``locations`` with the
+    ``(n,)`` weights ``weights``; an input with no entries, such as ``[]``,
+    is read as ``(0, d)``.  Atoms at identical locations are merged at
+    construction (weights summed, exact zeros dropped), which makes Jordan
+    decomposition and total variation canonical.
     """
 
-    def __init__(self, dimension: int, atoms: Iterable) -> None:
-        locs: list[np.ndarray] = []
-        ws: list[float] = []
-        for atom in atoms:
-            loc, w = (atom.location, atom.weight) if isinstance(atom, Atom) else atom
-            loc = np.asarray(loc, dtype=float).reshape(-1)
-            if loc.size != dimension:
-                raise DimensionMismatchError(
-                    f"atom location has {loc.size} coordinates, expected {dimension}"
-                )
-            locs.append(loc)
-            ws.append(float(w))
-        # an empty input takes the shape (0, d); _init_arrays rejects d < 1
-        locations = np.asarray(locs) if locs else np.empty((0, max(int(dimension), 0)))
-        self._init_arrays(dimension, locations, np.asarray(ws, dtype=float))
-
-    @classmethod
-    def _from_arrays(cls, dimension: int, locations, weights) -> "DiscreteSignedMeasure":
-        """The measure with atoms at the rows of the ``(n, d)`` array
-        ``locations`` and the ``(n,)`` weights ``weights``."""
-        nu = cls.__new__(cls)
-        nu._init_arrays(dimension, np.asarray(locations, dtype=float),
-                        np.asarray(weights, dtype=float))
-        return nu
-
-    def _init_arrays(self, dimension: int, locations: np.ndarray, weights: np.ndarray) -> None:
+    def __init__(self, dimension: int, locations, weights) -> None:
         if dimension < 1:
             raise ValidationError("dimension must be >= 1")
         self.dimension = int(dimension)
+        locations = _floats(locations, "atom locations")
+        weights = _floats(weights, "atom weights")
+        if locations.size == 0 and locations.ndim == 1:
+            locations = locations.reshape(0, self.dimension)
         n = weights.size
         if weights.ndim != 1 or locations.shape != (n, self.dimension):
             raise DimensionMismatchError(
@@ -335,13 +325,6 @@ class DiscreteSignedMeasure(_PointCdf):
         )
 
     @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(
-            Atom(tuple(loc), w)
-            for loc, w in zip(self.locations.tolist(), self.weights.tolist())
-        )
-
-    @property
     def mass(self) -> float:
         return float(self.weights.sum())
 
@@ -368,12 +351,8 @@ def jordan_decompose_measure(
     """
     pos_mask = nu.weights > 0
     neg_mask = nu.weights < 0
-    positive = DiscreteSignedMeasure._from_arrays(
-        nu.dimension, nu.locations[pos_mask], nu.weights[pos_mask]
-    )
-    negative = DiscreteSignedMeasure._from_arrays(
-        nu.dimension, nu.locations[neg_mask], -nu.weights[neg_mask]
-    )
+    positive = DiscreteSignedMeasure(nu.dimension, nu.locations[pos_mask], nu.weights[pos_mask])
+    negative = DiscreteSignedMeasure(nu.dimension, nu.locations[neg_mask], -nu.weights[neg_mask])
     return positive, negative
 
 
@@ -402,14 +381,14 @@ class AxisCdf:
         values_left: Sequence[float] | None = None,
     ) -> None:
         bp = _breakpoints(breakpoints, "breakpoints")
-        va = np.array(values, dtype=float)
+        va = np.array(_floats(values, "CDF values"))
         if va.shape != bp.shape:
             raise ValidationError("values must match breakpoints in length")
         if values_left is None:
             vl = va.copy()
             vl[0] = 0.0
         else:
-            vl = np.array(values_left, dtype=float)
+            vl = np.array(_floats(values_left, "CDF left values"))
             if vl.shape != bp.shape:
                 raise ValidationError("values_left must match breakpoints in length")
         if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vl))):
@@ -536,14 +515,14 @@ class DiscreteMeasure(_PointCdf):
     def from_points(cls, dimension: int, locations, weights) -> "DiscreteMeasure":
         """Atoms at the rows of the ``(n, d)`` array ``locations`` with the
         ``(n,)`` weights ``weights``."""
-        return cls(DiscreteSignedMeasure._from_arrays(dimension, locations, weights))
+        return cls(DiscreteSignedMeasure(dimension, locations, weights))
 
     @classmethod
     def empirical(cls, points: np.ndarray) -> "DiscreteMeasure":
         """Empirical measure of a point set (weight 1/N per point, duplicates merge)."""
-        pts = np.asarray(points, dtype=float)
+        pts = _floats(points, "points")
         n = pts.shape[0]
-        return cls(DiscreteSignedMeasure._from_arrays(pts.shape[1], pts, np.full(n, 1.0 / n)))
+        return cls(DiscreteSignedMeasure(pts.shape[1], pts, np.full(n, 1.0 / n)))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self.support.axis_coordinates(axis)

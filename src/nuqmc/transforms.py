@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .discrepancy import PointSet, star_discrepancy
-from .errors import DimensionMismatchError, UnsupportedMeasureError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .measures import (
     AnalyticCdfMeasure,
     AxisCdf,
@@ -41,16 +41,14 @@ class ConditionalCdf2D:
 
     ``marginal(y1)`` and ``conditional(y2, y1)`` must be nondecreasing CDFs
     with value 0 at 0 and 1 at 1 (for every conditioning value).
-    ``strictly_increasing`` declares a positive density, which makes both
-    invertible; analytic inverses may be supplied, otherwise bisection is
-    used.
+    Analytic inverses may be supplied; otherwise bisection computes the
+    generalized inverse, which maps a plateau to its left edge.
     """
 
     marginal: Callable[[float], float]
     conditional: Callable[[float, float], float]
     marginal_inverse: Callable[[float], float] | None = None
     conditional_inverse: Callable[[float, float], float] | None = None
-    strictly_increasing: bool = True
 
 
 def pseudo_inverse(g, y: float) -> float:
@@ -106,12 +104,8 @@ def conditional_transform_2d(x, cdf: ConditionalCdf2D) -> tuple[float, float]:
         z1 = pseudo_inverse(cdf.marginal, x[0])
     if cdf.conditional_inverse is not None:
         z2 = float(cdf.conditional_inverse(x[1], z1))
-    elif cdf.strictly_increasing:
-        z2 = pseudo_inverse(lambda t: cdf.conditional(t, z1), x[1])
     else:
-        raise UnsupportedMeasureError(
-            "conditional CDF is not declared strictly increasing and has no inverse"
-        )
+        z2 = pseudo_inverse(lambda t: cdf.conditional(t, z1), x[1])
     return (z1, z2)
 
 
@@ -188,7 +182,6 @@ def chelson_conditional() -> ConditionalCdf2D:
         conditional=chelson_conditional_cdf,
         marginal_inverse=chelson_marginal_inverse,
         conditional_inverse=chelson_conditional_inverse,
-        strictly_increasing=True,
     )
 
 

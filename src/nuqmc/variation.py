@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import DiscreteSignedMeasure, _breakpoints, _unit
+from .measures import DiscreteSignedMeasure, _breakpoints, _floats, _unit
 
 #: Interpretation flags for :class:`GridFunction`.
 STEP = "step"
@@ -100,7 +100,7 @@ class GridFunction:
         bps = [_breakpoints(b, "breakpoints") for b in breakpoints]
         if not bps:
             raise ValidationError("dimension must be >= 1")
-        vals = np.asarray(values, dtype=float)
+        vals = _floats(values, "vertex values")
         shape = tuple(b.size for b in bps)
         if vals.size == int(np.prod(shape)):
             vals = vals.reshape(shape)
@@ -137,7 +137,7 @@ class GridFunction:
 
     def vertex_index(self, point) -> tuple[int, ...]:
         """Grid index of a point that must lie exactly on the grid."""
-        p = np.asarray(point, dtype=float).reshape(-1)
+        p = _floats(point, "point").reshape(-1)
         if p.size != self.dimension:
             raise DimensionMismatchError(
                 f"point has {p.size} coordinates, expected {self.dimension}"
@@ -376,7 +376,7 @@ def function_to_measure(f: GridFunction) -> DiscreteSignedMeasure:
     w = _differences(f.values, 0)
     idx = np.nonzero(w)
     coords = np.stack([b[i] for b, i in zip(f.breakpoints, idx)], axis=-1)
-    return DiscreteSignedMeasure._from_arrays(f.dimension, coords, w[idx])
+    return DiscreteSignedMeasure(f.dimension, coords, w[idx])
 
 
 def measure_to_function(nu: DiscreteSignedMeasure) -> GridFunction:

@@ -26,7 +26,6 @@ import numpy as np
 
 from nuqmc import (
     AnalyticCdfMeasure,
-    Atom,
     AxisCdf,
     DiscreteMeasure,
     DiscreteSignedMeasure,
@@ -363,13 +362,13 @@ def chelson_cdf_exact(a) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def reference_signed_measure(dimension: int, atoms) -> tuple[np.ndarray, np.ndarray]:
-    """``(locations, weights)`` of the merged measure, by the per-atom loop
-    the array constructor of :class:`DiscreteSignedMeasure` replaced: stable
+    """``(locations, weights)`` of the merged measure of the
+    ``(location, weight)`` pairs ``atoms``, by the per-atom loop the array
+    constructor of :class:`DiscreteSignedMeasure` replaced: stable
     lexicographic sort, then each weight added to its run's running sum in
     sorted order, then exact zeros dropped."""
     locs, ws = [], []
-    for atom in atoms:
-        loc, w = (atom.location, atom.weight) if isinstance(atom, Atom) else atom
+    for loc, w in atoms:
         locs.append(np.asarray(loc, dtype=float).reshape(-1))
         ws.append(float(w))
     if not locs:
@@ -534,7 +533,7 @@ def random_signed_measure(rng, d, max_atoms=20, wlow=-2.0, whigh=2.0) -> Discret
         locs[-1] = 1.0
     w = rng.uniform(wlow, whigh, size=n)
     w[w == 0.0] = 0.5
-    return DiscreteSignedMeasure(d, zip(locs, w))
+    return DiscreteSignedMeasure(d, locs, w)
 
 
 def random_discrete_probability(rng, d, max_atoms=20) -> DiscreteMeasure:
@@ -542,7 +541,7 @@ def random_discrete_probability(rng, d, max_atoms=20) -> DiscreteMeasure:
     locs = rng.random((n, d))
     w = rng.random(n) + 0.05
     w = w / w.sum()
-    return DiscreteMeasure(DiscreteSignedMeasure(d, zip(locs, w)))
+    return DiscreteMeasure(DiscreteSignedMeasure(d, locs, w))
 
 
 def random_point_set(rng, d, max_points=64) -> PointSet:

@@ -171,8 +171,7 @@ class TestStarDiscrepancyExact:
             assert exact == pytest.approx(brute, abs=1e-9)
 
     def test_points_coinciding_with_atoms_and_breakpoints(self):
-        atoms = [((0.25, 0.5), 0.5), ((0.75, 0.5), 0.5)]
-        m = DiscreteMeasure(DiscreteSignedMeasure(2, atoms))
+        m = DiscreteMeasure(DiscreteSignedMeasure(2, [(0.25, 0.5), (0.75, 0.5)], [0.5, 0.5]))
         ps = PointSet(2, [[0.25, 0.5], [0.75, 0.5], [0.75, 0.5], [0.25, 0.5]])
         assert star_discrepancy(ps, m).value <= TOL
         shifted = PointSet(2, [[0.25, 0.5], [0.25, 0.5], [0.75, 0.5], [0.5, 0.5]])
@@ -185,7 +184,7 @@ class TestStarDiscrepancyExact:
     def test_atoms_on_cube_corners(self):
         # mass at 0 is picked up by every box; mass at 1 only by a = 1
         m = DiscreteMeasure(
-            DiscreteSignedMeasure(1, [((0.0,), 0.5), ((1.0,), 0.5)])
+            DiscreteSignedMeasure(1, [(0.0,), (1.0,)], [0.5, 0.5])
         )
         res = star_discrepancy(PointSet(1, [[0.0]]), m)
         # count jumps to 1 at a = 0 while F(0) = 1/2, and stays ahead by 1/2

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from nuqmc import (
     AnalyticCdfMeasure,
-    Atom,
     AxisCdf,
     Box,
     DiscreteMeasure,
@@ -28,6 +27,7 @@ from nuqmc import (
     chelson_measure,
     conditional_transform_2d,
     corner_indicator,
+    function_to_measure,
     jordan_decompose_measure,
     kh_certificate,
     one_sided_deviation,
@@ -35,6 +35,7 @@ from nuqmc import (
     star_discrepancy,
     total_variation,
 )
+from nuqmc.jsonio import measure_from_dict
 from nuqmc.measures import _covering_index, _upper_axis
 from helpers import (
     chelson_box_mass,
@@ -58,7 +59,7 @@ class TestCdfEval:
         assert chelson_measure().cdf((1.0, 0.8)) == pytest.approx(22 / 25, abs=TOL)
 
     def test_atom_outside_box(self):
-        m = DiscreteMeasure(DiscreteSignedMeasure(2, [((0.5, 0.5), 1.0)]))
+        m = DiscreteMeasure(DiscreteSignedMeasure(2, [(0.5, 0.5)], [1.0]))
         assert m.cdf((0.25, 1.0)) == 0.0
 
     def test_dimension_mismatch(self):
@@ -95,20 +96,20 @@ class TestCdfEval:
 
 class TestJordanDecomposition:
     def test_sign_split(self):
-        nu = DiscreteSignedMeasure(1, [((0.5,), 2.0), ((0.75,), -1.0)])
+        nu = DiscreteSignedMeasure(1, [(0.5,), (0.75,)], [2.0, -1.0])
         pos, neg = jordan_decompose_measure(nu)
-        assert pos.atoms == (type(pos.atoms[0])((0.5,), 2.0),)
-        assert [(a.location, a.weight) for a in neg.atoms] == [((0.75,), 1.0)]
+        assert (pos.locations.tolist(), pos.weights.tolist()) == ([[0.5]], [2.0])
+        assert (neg.locations.tolist(), neg.weights.tolist()) == ([[0.75]], [1.0])
 
     def test_all_positive(self):
-        nu = DiscreteSignedMeasure(1, [((0.2,), 1.0), ((0.8,), 0.5)])
+        nu = DiscreteSignedMeasure(1, [(0.2,), (0.8,)], [1.0, 0.5])
         pos, neg = jordan_decompose_measure(nu)
         assert len(neg) == 0
         assert np.array_equal(pos.locations, nu.locations)
         assert np.array_equal(pos.weights, nu.weights)
 
     def test_cancellation_on_merge(self):
-        nu = DiscreteSignedMeasure(1, [((0.5,), 1.0), ((0.5,), -1.0)])
+        nu = DiscreteSignedMeasure(1, [(0.5,), (0.5,)], [1.0, -1.0])
         assert len(nu) == 0
         pos, neg = jordan_decompose_measure(nu)
         assert len(pos) == 0 and len(neg) == 0
@@ -123,8 +124,8 @@ class TestJordanDecomposition:
             assert not pos_locs & neg_locs
             rebuilt = DiscreteSignedMeasure(
                 2,
-                list(zip(pos.locations, pos.weights))
-                + list(zip(neg.locations, -neg.weights)),
+                np.concatenate([pos.locations, neg.locations]),
+                np.concatenate([pos.weights, -neg.weights]),
             )
             assert np.array_equal(rebuilt.locations, nu.locations)
             assert np.allclose(rebuilt.weights, nu.weights)
@@ -133,11 +134,11 @@ class TestJordanDecomposition:
 class TestTotalVariation:
     def test_two_atoms(self):
         assert total_variation(
-            DiscreteSignedMeasure(1, [((0.5,), 2.0), ((0.75,), -1.0)])
+            DiscreteSignedMeasure(1, [(0.5,), (0.75,)], [2.0, -1.0])
         ) == 3.0
 
     def test_empty(self):
-        assert total_variation(DiscreteSignedMeasure(1, [])) == 0.0
+        assert total_variation(DiscreteSignedMeasure(1, [], [])) == 0.0
 
     def test_matches_jordan_masses(self):
         rng = np.random.default_rng(7)
@@ -152,7 +153,7 @@ class TestBoxMeasure:
         assert box_measure(UniformMeasure(2), (0, 0), (0.5, 0.5)) == pytest.approx(0.25)
 
     def test_open_side_excludes_atom(self):
-        m = DiscreteMeasure(DiscreteSignedMeasure(2, [((0.5, 0.5), 1.0)]))
+        m = DiscreteMeasure(DiscreteSignedMeasure(2, [(0.5, 0.5)], [1.0]))
         assert box_measure(m, (0, 0), (0.5, 0.5), upper_open=(True, True)) == 0.0
         assert box_measure(m, (0, 0), (0.5, 0.5)) == 1.0
 
@@ -201,7 +202,7 @@ class TestBoxMeasure:
             assert total == pytest.approx(1.0, abs=TOL)
 
     def test_degenerate_axis_measures_the_slab(self):
-        m = DiscreteMeasure(DiscreteSignedMeasure(2, [((0.5, 0.25), 0.5), ((0.5, 0.75), 0.5)]))
+        m = DiscreteMeasure(DiscreteSignedMeasure(2, [(0.5, 0.25), (0.5, 0.75)], [0.5, 0.5]))
         assert box_measure(m, (0.5, 0.0), (0.5, 0.5)) == pytest.approx(0.5)
 
     def test_analytic_without_limits_raises(self):
@@ -379,20 +380,20 @@ class TestAxisCdf:
 
 
 def test_one_sided_left_limit_on_atoms():
-    m = DiscreteMeasure(DiscreteSignedMeasure(1, [((0.5,), 1.0)]))
+    m = DiscreteMeasure(DiscreteSignedMeasure(1, [(0.5,)], [1.0]))
     assert m.cdf_one_sided((0.5,), ("left",)) == 0.0
     assert m.cdf_one_sided((0.5,), ("at",)) == 1.0
 
 
 def test_atoms_merge_and_drop_zeros():
-    nu = DiscreteSignedMeasure(2, [((0.5, 0.5), 1.0), ((0.5, 0.5), 2.0), ((0.1, 0.1), 0.0)])
+    nu = DiscreteSignedMeasure(2, [(0.5, 0.5), (0.5, 0.5), (0.1, 0.1)], [1.0, 2.0, 0.0])
     assert len(nu) == 1
     assert nu.weights[0] == 3.0
 
 
 class TestSignedMeasureArrays:
-    """The array constructor against the per-atom merge loop it replaced:
-    equal locations and weights, bit for bit."""
+    """The constructor against the per-atom merge loop it replaced: equal
+    locations and weights, bit for bit, from arrays and from lists."""
 
     @staticmethod
     def _atoms(rng, d):
@@ -409,20 +410,16 @@ class TestSignedMeasureArrays:
         neg = np.flatnonzero(rows == 0)[::2]
         locs[neg] = -0.0
         order = rng.permutation(ws.size)
-        locs, ws = locs[order], ws[order]
-        return [
-            Atom(tuple(loc), w) if i % 3 == 0 else (list(loc) if i % 3 == 1 else loc, w)
-            for i, (loc, w) in enumerate(zip(locs, ws))
-        ], locs, ws
+        return locs[order], ws[order]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_the_per_atom_loop(self, d):
         rng = np.random.default_rng(300 + d)
         for _ in range(5):
-            atoms, locs, ws = self._atoms(rng, d)
-            ref_locs, ref_ws = reference_signed_measure(d, atoms)
-            for nu in (DiscreteSignedMeasure(d, atoms),
-                       DiscreteSignedMeasure._from_arrays(d, locs, ws)):
+            locs, ws = self._atoms(rng, d)
+            ref_locs, ref_ws = reference_signed_measure(d, zip(locs, ws))
+            for nu in (DiscreteSignedMeasure(d, locs, ws),
+                       DiscreteSignedMeasure(d, locs.tolist(), ws.tolist())):
                 assert np.array_equal(nu.locations, ref_locs)
                 assert np.array_equal(np.signbit(nu.locations), np.signbit(ref_locs))
                 assert np.array_equal(nu.weights, ref_ws)
@@ -466,7 +463,7 @@ class TestSignedMeasureArrays:
         for case_locs, case_ws in cases:
             ref = reference_signed_measure(d, list(zip(case_locs, case_ws)))
             lexsort_calls.clear()
-            nu = DiscreteSignedMeasure._from_arrays(d, case_locs, case_ws)
+            nu = DiscreteSignedMeasure(d, case_locs, case_ws)
             assert lexsort_calls == []
             assert self._same(nu, *ref)
 
@@ -482,7 +479,7 @@ class TestSignedMeasureArrays:
                                    (locs[::-1], ws[::-1]), (origin, np.array([1.0, 2.0]))):
             ref = reference_signed_measure(d, list(zip(case_locs, case_ws)))
             lexsort_calls.clear()
-            nu = DiscreteSignedMeasure._from_arrays(d, case_locs, case_ws)
+            nu = DiscreteSignedMeasure(d, case_locs, case_ws)
             assert lexsort_calls == [len(case_ws)]
             assert self._same(nu, *ref)
 
@@ -493,35 +490,31 @@ class TestSignedMeasureArrays:
     def test_canonical_rows_are_still_checked(self, loc, w):
         locs = np.array([(0.25, 0.25), loc])
         with pytest.raises(ValidationError):
-            DiscreteSignedMeasure._from_arrays(2, locs, np.array([1.0, w]))
-
-    def test_atoms_hold_python_floats(self):
-        nu = DiscreteSignedMeasure._from_arrays(2, np.array([[0.25, 0.5], [0.5, 0.0]]),
-                                                np.array([1.5, -2.0]))
-        assert nu.atoms == (Atom((0.25, 0.5), 1.5), Atom((0.5, 0.0), -2.0))
-        assert all(type(x) is float for a in nu.atoms for x in (*a.location, a.weight))
+            DiscreteSignedMeasure(2, locs, np.array([1.0, w]))
 
     def test_empty(self):
-        for nu in (DiscreteSignedMeasure(3, []),
-                   DiscreteSignedMeasure._from_arrays(3, np.empty((0, 3)), np.empty(0))):
+        for nu in (DiscreteSignedMeasure(3, [], []),
+                   DiscreteSignedMeasure(3, np.empty((0, 3)), np.empty(0))):
             assert nu.locations.shape == (0, 3)
             assert nu.weights.shape == (0,)
             assert nu.mass == 0.0
 
-    @pytest.mark.parametrize("atoms", [
-        [((0.5,), 1.0)],
-        [((0.5, 0.5, 0.5), 1.0)],
-        [((0.5, 0.5), 1.0), ((0.5,), 1.0)],
+    @pytest.mark.parametrize("locations", [
+        [(0.5,)],
+        [(0.5, 0.5, 0.5)],
+        [(0.5, 0.5), (0.5,)],
     ], ids=["short", "long", "ragged"])
-    def test_wrong_location_length(self, atoms):
+    def test_wrong_location_length(self, locations):
         with pytest.raises(DimensionMismatchError):
-            DiscreteSignedMeasure(2, atoms)
+            DiscreteSignedMeasure(2, locations, np.ones(len(locations)))
 
     def test_wrong_array_shape(self):
         with pytest.raises(DimensionMismatchError):
-            DiscreteSignedMeasure._from_arrays(2, np.full((3, 3), 0.5), np.ones(3))
+            DiscreteSignedMeasure(2, np.full((3, 3), 0.5), np.ones(3))
         with pytest.raises(DimensionMismatchError):
-            DiscreteSignedMeasure._from_arrays(2, np.full((3, 2), 0.5), np.ones(4))
+            DiscreteSignedMeasure(2, np.full((3, 2), 0.5), np.ones(4))
+        with pytest.raises(DimensionMismatchError):  # an empty input of the wrong width
+            DiscreteSignedMeasure(2, np.empty((0, 3)), [])
 
     @pytest.mark.parametrize("loc, w", [
         ((0.5, np.nan), 1.0), ((np.inf, 0.5), 1.0), ((0.5, 1.5), 1.0), ((-0.1, 0.5), 1.0),
@@ -529,8 +522,75 @@ class TestSignedMeasureArrays:
     ], ids=["nan", "inf", "above", "below", "nan-weight", "inf-weight"])
     def test_invalid_atom(self, loc, w):
         with pytest.raises(ValidationError) as err:
-            DiscreteSignedMeasure(2, [((0.25, 0.25), 1.0), (loc, w)])
+            DiscreteSignedMeasure(2, [(0.25, 0.25), loc], [1.0, w])
         assert err.type is ValidationError
+
+
+class TestOneConstructor:
+    """Every signed measure the package builds goes through
+    ``DiscreteSignedMeasure.__init__``."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = DiscreteSignedMeasure.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(DiscreteSignedMeasure, "__init__", recording)
+        return built
+
+    @pytest.mark.parametrize("entry", [
+        "function_to_measure", "jordan_decompose_measure", "DiscreteMeasure.from_points",
+        "DiscreteMeasure.empirical", "measure_from_dict",
+    ])
+    def test_internal_builds_call_the_constructor(self, entry, built):
+        locs = np.array([[0.25, 0.5], [0.75, 0.25]])
+        if entry == "function_to_measure":
+            results = [function_to_measure(corner_indicator((0.5, 0.25)))]
+        elif entry == "jordan_decompose_measure":
+            nu = function_to_measure(GridFunction([[0.0, 0.5, 1.0]] * 2, [[0, 1, 0], [2, 0, 1],
+                                                                          [1, 1, 3]]))
+            built.clear()
+            results = list(jordan_decompose_measure(nu))
+        elif entry == "DiscreteMeasure.from_points":
+            results = [DiscreteMeasure.from_points(2, locs, [0.5, 0.5]).support]
+        elif entry == "DiscreteMeasure.empirical":
+            results = [DiscreteMeasure.empirical(locs).support]
+        else:
+            atoms = [{"x": x, "w": 0.5} for x in locs.tolist()]
+            results = [measure_from_dict({"type": "discrete", "atoms": atoms}).support]
+        assert len(built) == len(results)
+        assert all(any(r is b for b in built) for r in results)
+        assert all(len(r) for r in results)
+
+
+#: ragged or non-numeric input at the library's entry points, with the error
+#: each must raise instead of NumPy's ``ValueError``/``TypeError``
+_MALFORMED = {
+    "PointSet": (lambda: PointSet(2, [[0.1, 0.2], [0.3]]), DimensionMismatchError),
+    "cdf": (lambda: UniformMeasure(2).cdf([[0.1], [0.2, 0.3]]), DimensionMismatchError),
+    "GridFunction": (lambda: GridFunction([[0, 1]], [[0, 1], [2]]), DimensionMismatchError),
+    "grid-hints": (lambda: AnalyticCdfMeasure(2, chelson_cdf, grid_hints=[[0.5, [0.25]], []]),
+                   DimensionMismatchError),
+    "Box": (lambda: Box((0.0, [0.1]), (1.0, 1.0)), DimensionMismatchError),
+    "PointSet-text": (lambda: PointSet(1, ["a"]), ValidationError),
+    "PointSet-arrays": (lambda: PointSet(2, [np.zeros((2, 2)), np.zeros((2, 3))]),
+                        DimensionMismatchError),
+    "DiscreteSignedMeasure": (
+        lambda: DiscreteSignedMeasure(2, [(0.5, 0.5), (0.5,)], [1.0, 1.0]),
+        DimensionMismatchError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MALFORMED))
+def test_malformed_input_raises_a_validation_error(entry):
+    call, error = _MALFORMED[entry]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert err.type is error
 
 
 class TestAxisCdfFinite:
@@ -565,7 +625,7 @@ class TestPointCdf:
             elif kind == "signed":
                 m = random_signed_measure(rng, d, max_atoms=30)
             elif kind == "empty":
-                m = DiscreteSignedMeasure(d, [])
+                m = DiscreteSignedMeasure(d, [], [])
             else:
                 m = chelson_measure()
             # corners on the atoms and breakpoints, their neighbours, and 0 and 1
@@ -734,7 +794,7 @@ _PS = PointSet(2, [[0.25, 0.5]])
 #: every public way a coordinate enters, given one bad coordinate ``x``
 _INGEST = {
     "PointSet": lambda x: PointSet(2, [[0.5, x]]),
-    "DiscreteSignedMeasure": lambda x: DiscreteSignedMeasure(2, [((0.5, x), 1.0)]),
+    "DiscreteSignedMeasure": lambda x: DiscreteSignedMeasure(2, [(0.5, x)], [1.0]),
     "DiscreteMeasure.from_points": lambda x: DiscreteMeasure.from_points(2, [[x, 0.5]], [1.0]),
     "cdf": lambda x: UniformMeasure(2).cdf([0.5, x]),
     "cdf_one_sided": lambda x: UniformMeasure(2).cdf_one_sided([x, 0.5], ("left", "at")),

@@ -166,6 +166,17 @@ class TestConditionalTransform:
         z = conditional_transform_2d((0.3, 0.8), cdf)
         assert np.allclose(z, (0.3, 0.8), atol=1e-12)
 
+    def test_a_plateau_maps_to_its_left_edge(self):
+        # the conditional CDF is flat at 1/2 on [0.25, 0.75): its generalized
+        # inverse takes 1/2 to the left edge of the plateau
+        def conditional(y2, y1):
+            return min(2.0 * y2, 0.5) if y2 < 0.75 else 0.5 + 2.0 * (y2 - 0.75)
+
+        cdf = ConditionalCdf2D(marginal=lambda y: y, conditional=conditional)
+        z1, z2 = conditional_transform_2d((0.3, 0.5), cdf)
+        assert z1 == pytest.approx(0.3, abs=1e-13)
+        assert z2 == 0.25
+
     def test_forward_map_inverts_the_transform(self):
         rng = np.random.default_rng(65)
         cdf = chelson_conditional()

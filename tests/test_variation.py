@@ -345,16 +345,16 @@ class TestFunctionToMeasure:
     def test_unit_jump_1d(self):
         f = GridFunction([[0.0, 0.5, 1.0]], [0.0, 1.0, 1.0], STEP)
         nu = function_to_measure(f)
-        assert [(a.location, a.weight) for a in nu.atoms] == [((0.5,), 1.0)]
+        assert (nu.locations.tolist(), nu.weights.tolist()) == ([[0.5]], [1.0])
 
     def test_constant_lands_at_the_origin(self):
         f = GridFunction([[0.0, 1.0]], [2.5, 2.5], STEP)
         nu = function_to_measure(f)
-        assert [(a.location, a.weight) for a in nu.atoms] == [((0.0,), 2.5)]
+        assert (nu.locations.tolist(), nu.weights.tolist()) == ([[0.0]], [2.5])
 
     def test_corner_indicator_is_a_point_mass(self):
         nu = function_to_measure(corner_indicator((0.5, 0.5)))
-        assert [(a.location, a.weight) for a in nu.atoms] == [((0.5, 0.5), 1.0)]
+        assert (nu.locations.tolist(), nu.weights.tolist()) == ([[0.5, 0.5]], [1.0])
 
     def test_multilinear_rejected(self):
         with pytest.raises(ValidationError):
@@ -398,13 +398,13 @@ class TestFunctionToMeasure:
 
 class TestMeasureToFunction:
     def test_dirac_gives_corner_indicator(self):
-        nu = DiscreteSignedMeasure(2, [((0.5, 0.5), 1.0)])
+        nu = DiscreteSignedMeasure(2, [(0.5, 0.5)], [1.0])
         f = measure_to_function(nu)
         expect = corner_indicator((0.5, 0.5))
         assert np.array_equal(f.values, expect.values)
 
     def test_empty_measure(self):
-        f = measure_to_function(DiscreteSignedMeasure(2, []))
+        f = measure_to_function(DiscreteSignedMeasure(2, [], []))
         assert np.array_equal(f.values, np.zeros((2, 2)))
 
     def test_round_trip(self):
