@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -125,6 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads every argv with, built once a process:
+    ``parse_args`` returns a fresh namespace and leaves the parser as it was."""
+    return build_parser()
 
 
 def _parse_pair(text: str, name: str) -> tuple[float, float]:
@@ -345,8 +353,7 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # a non-finite result is refused by _emit
             result = _RUNNERS[args.subcommand](args)

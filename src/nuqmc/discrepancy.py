@@ -92,6 +92,12 @@ CELL_BUDGET = 10**8
 #: row-by-row axis-0 prefix sum of the slab's histogram.
 _SLAB_CELLS = 2**16
 
+#: Trials of the randomized search drawn together, as one array call per
+#: kind of draw.  Fixed, so that a seed's first trials are the same corners
+#: whatever the trial count, and the search holds one block of corners
+#: however many trials it makes.
+_SEARCH_BLOCK = 256
+
 EXACT_GRID = "exact"
 RANDOM_SEARCH = "search"
 
@@ -481,7 +487,10 @@ def random_search_lower_bound(
     Maximizes the one-sided deviation over random corners, corners snapped
     to point/measure coordinates, and random per-axis limit flags.  Every
     evaluation is a limit of actual local discrepancies, so the result never
-    exceeds the exact star-discrepancy.  Deterministic for a fixed seed.
+    exceeds the exact star-discrepancy.  Deterministic for a fixed seed, and
+    the corners come in blocks of ``_SEARCH_BLOCK`` trials, so the first
+    trials of a seed are the same corners whatever the trial count: more
+    trials never lower the bound.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -501,29 +510,26 @@ def random_search_lower_bound(
         )
         for s in range(d)
     ]
+    sizes = np.array([p.size for p in pools])
+    flat_pools, offsets = np.concatenate(pools), np.cumsum(sizes) - sizes
 
-    # the draws are made one trial and one axis at a time, so a seed gives the
-    # same corners however many trials are evaluated together
     chunk = max(1, _SLAB_CELLS // ps.n)
     best, best_corner, best_left = -1.0, np.ones(d), np.zeros(d, dtype=bool)
-    for done in range(0, trials, chunk):
-        corners, left = [], []
-        for _ in range(min(chunk, trials - done)):
-            for s in range(d):
-                u = rng.random()
-                if u < 0.5:
-                    corners.append(pools[s][rng.integers(pools[s].size)])
-                elif u < 0.6:
-                    corners.append(1.0)
-                else:
-                    corners.append(rng.random())
-                left.append(rng.random() < 0.5)
-        corners = np.reshape(corners, (-1, d))
-        left = np.reshape(left, (-1, d))
-        dev = _deviations(ps, cdf_points, corners, left)
-        i = int(np.argmax(np.nan_to_num(dev, nan=-1.0)))  # as `>` below, NaN never wins
-        if dev[i] > best:  # the first trial to reach the maximum keeps it
-            best, best_corner, best_left = float(dev[i]), corners[i], left[i]
+    for done in range(0, trials, _SEARCH_BLOCK):
+        # a whole block is drawn even when fewer trials remain, so the first
+        # trials of a seed are the same corners whatever the trial count
+        u = rng.random((_SEARCH_BLOCK, d))
+        snapped = flat_pools[offsets + rng.integers(sizes, size=(_SEARCH_BLOCK, d))]
+        free = rng.random((_SEARCH_BLOCK, d))
+        left = rng.random((_SEARCH_BLOCK, d)) < 0.5
+        corners = np.where(u < 0.5, snapped, np.where(u < 0.6, 1.0, free))
+        used = min(_SEARCH_BLOCK, trials - done)
+        for lo in range(0, used, chunk):
+            hi = min(lo + chunk, used)
+            dev = _deviations(ps, cdf_points, corners[lo:hi], left[lo:hi])
+            i = int(np.argmax(np.nan_to_num(dev, nan=-1.0)))  # as `>` below, NaN never wins
+            if dev[i] > best:  # the first trial to reach the maximum keeps it
+                best, best_corner, best_left = float(dev[i]), corners[lo + i], left[lo + i]
 
     return DiscrepancyResult(
         value=best,

@@ -122,7 +122,7 @@ def points_from_dict(obj, where: str = "points"):
 
 
 def points_to_dict(ps: PointSet) -> dict:
-    return {"d": ps.dimension, "points": [list(map(float, p)) for p in ps.points]}
+    return {"d": ps.dimension, "points": ps.points.tolist()}
 
 
 def grid_function_from_dict(obj, where: str = "function") -> GridFunction:
@@ -137,8 +137,8 @@ def grid_function_from_dict(obj, where: str = "function") -> GridFunction:
 
 def grid_function_to_dict(f: GridFunction) -> dict:
     return {
-        "breakpoints": [list(map(float, b)) for b in f.breakpoints],
-        "values": [float(v) for v in f.values.reshape(-1)],
+        "breakpoints": [b.tolist() for b in f.breakpoints],
+        "values": f.values.reshape(-1).tolist(),
         "interp": f.interp,
     }
 

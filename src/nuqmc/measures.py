@@ -521,6 +521,10 @@ class DiscreteMeasure(_PointCdf):
     def empirical(cls, points: np.ndarray) -> "DiscreteMeasure":
         """Empirical measure of a point set (weight 1/N per point, duplicates merge)."""
         pts = _floats(points, "points")
+        if pts.size == 0:
+            raise ValidationError("point set must contain at least one point")
+        if pts.ndim != 2:
+            raise DimensionMismatchError(f"points must form an (N, d) array, got shape {pts.shape}")
         n = pts.shape[0]
         return cls(DiscreteSignedMeasure(pts.shape[1], pts, np.full(n, 1.0 / n)))
 

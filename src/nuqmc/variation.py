@@ -17,6 +17,7 @@ functions they are exact everywhere.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -79,6 +80,23 @@ class FaceSelector:
         object.__setattr__(self, "axes", axes)
 
 
+def _vertex_values(values, shape: tuple[int, ...]) -> np.ndarray:
+    """A fresh read-only copy of ``values`` as finite vertex values of a grid
+    of ``shape``; values of the right size but another shape are reshaped."""
+    vals = _floats(values, "vertex values")
+    if vals.size == math.prod(shape):
+        vals = vals.reshape(shape)
+    if vals.shape != shape:
+        raise ValidationError(
+            f"values shape {vals.shape} does not match grid shape {shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValidationError("vertex values must be finite")
+    vals = vals.copy()
+    vals.flags.writeable = False
+    return vals
+
+
 class GridFunction:
     """A function on ``[0,1]^d`` given by vertex values on a rectangular grid.
 
@@ -100,20 +118,9 @@ class GridFunction:
         bps = [_breakpoints(b, "breakpoints") for b in breakpoints]
         if not bps:
             raise ValidationError("dimension must be >= 1")
-        vals = _floats(values, "vertex values")
-        shape = tuple(b.size for b in bps)
-        if vals.size == int(np.prod(shape)):
-            vals = vals.reshape(shape)
-        if vals.shape != shape:
-            raise ValidationError(
-                f"values shape {vals.shape} does not match grid shape {shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("vertex values must be finite")
+        vals = _vertex_values(values, tuple(b.size for b in bps))
         if interp not in (STEP, MULTILINEAR):
             raise ValidationError(f"unknown interpretation {interp!r}")
-        vals = vals.copy()
-        vals.flags.writeable = False
         self.breakpoints = tuple(bps)
         self.values = vals
         self.interp = interp
@@ -133,7 +140,11 @@ class GridFunction:
         return float(self.values.flat[0])
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.breakpoints, values, self.interp)
+        """The same grid and interpretation with new vertex values; only the
+        values are checked, the breakpoints being validated and read-only."""
+        out = copy.copy(self)
+        out.values = _vertex_values(values, self.shape)
+        return out
 
     def vertex_index(self, point) -> tuple[int, ...]:
         """Grid index of a point that must lie exactly on the grid."""

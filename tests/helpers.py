@@ -36,6 +36,7 @@ from nuqmc import (
     UniformMeasure,
     one_sided_deviation,
 )
+from nuqmc.discrepancy import _SEARCH_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +273,10 @@ def reference_one_sided_deviation(a, ps: PointSet, m, flags) -> float:
 
 
 def reference_random_search(ps: PointSet, m, trials: int, seed: int):
-    """The randomized lower bound one trial at a time, with the library's
-    draws in the library's order; returns ``(value, witness, flags,
-    attained)``."""
+    """The randomized lower bound one trial at a time, on the library's
+    draws: whole blocks of ``_SEARCH_BLOCK`` trials, each drawn as the
+    selectors, the pool indices, the free coordinates and the limit flags
+    in that order.  Returns ``(value, witness, flags, attained)``."""
     d = ps.dimension
     rng = np.random.default_rng(seed)
     pools = [
@@ -283,27 +285,28 @@ def reference_random_search(ps: PointSet, m, trials: int, seed: int):
         ))
         for s in range(d)
     ]
+    sizes = [p.size for p in pools]
     best = -1.0
     best_corner = (1.0,) * d
     best_flags = ("at",) * d
-    corner = np.empty(d)
-    for _ in range(trials):
-        flags = []
-        for s in range(d):
-            u = rng.random()
-            if u < 0.5:
-                corner[s] = pools[s][rng.integers(pools[s].size)]
-            elif u < 0.6:
-                corner[s] = 1.0
-            else:
-                corner[s] = rng.random()
-            flags.append("left" if rng.random() < 0.5 else "at")
-        flags = tuple(flags)
-        dev = reference_one_sided_deviation(corner, ps, m, flags)
-        if dev > best:
-            best = dev
-            best_corner = tuple(float(c) for c in corner)
-            best_flags = flags
+    for done in range(0, trials, _SEARCH_BLOCK):
+        u = rng.random((_SEARCH_BLOCK, d))
+        index = rng.integers(sizes, size=(_SEARCH_BLOCK, d))
+        free = rng.random((_SEARCH_BLOCK, d))
+        left = rng.random((_SEARCH_BLOCK, d)) < 0.5
+        for t in range(min(_SEARCH_BLOCK, trials - done)):
+            corner = []
+            for s in range(d):
+                if u[t, s] < 0.5:
+                    corner.append(float(pools[s][index[t, s]]))
+                elif u[t, s] < 0.6:
+                    corner.append(1.0)
+                else:
+                    corner.append(float(free[t, s]))
+            flags = tuple("left" if f else "at" for f in left[t])
+            dev = reference_one_sided_deviation(corner, ps, m, flags)
+            if dev > best:
+                best, best_corner, best_flags = dev, tuple(corner), flags
     return best, best_corner, best_flags, all(f == "at" for f in best_flags)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nuqmc import chelson_conditional, forward_cdf_map, halton
+from nuqmc import chelson_conditional, cli, forward_cdf_map, halton
 from nuqmc.cli import main
 
 
@@ -400,6 +400,23 @@ class TestCounterexampleCommand:
 
 
 class TestReportPlumbing:
+    def test_the_cached_parser_keeps_no_state(self, capsys, monkeypatch, tmp_path,
+                                             points_file, uniform_file):
+        # main reads every argv with one parser a process; calls in a row with
+        # other subcommands and flags report what a fresh parser reports
+        ffile = write_json(tmp_path / "f.json", {"breakpoints": [[0, 0.5, 1]], "values": [0, 1, 3]})
+        disc = ["discrepancy", "--points", points_file, "--measure", uniform_file]
+        argvs = [disc + ["--search", "40", "--seed", "3"], ["generate", "--n", "5", "--d", "3"],
+                 disc + ["--format", "csv"], ["variation", "--function", ffile], disc,
+                 ["counterexample", "--box", "0.9,0.7"], disc + ["--budget", "7"]]
+        assert cli._parser() is cli._parser()
+        cached = [(vars(cli._parser().parse_args(a)), run_cli(capsys, *a)) for a in argvs]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [(vars(cli.build_parser().parse_args(a)), run_cli(capsys, *a)) for a in argvs]
+        assert cached == fresh
+        assert [code for _, (code, _, _) in cached] == [0, 0, 0, 0, 0, 0, 3]
+        assert json.loads(cached[4][1][1])["config"]["search"] is None
+
     def test_byte_identical_reports(self, capsys, points_file, uniform_file):
         argv = ["discrepancy", "--points", points_file, "--measure", uniform_file,
                 "--seed", "9"]

@@ -658,10 +658,43 @@ class TestRandomSearch:
                 m = random_discrete_probability(rng, d, max_atoms=12)
             else:
                 m = chelson_measure()
-            for seed in (0, 7, int(rng.integers(2**40))):
-                trials = int(rng.integers(1, 200))
+            # the last search runs past its first block of draws
+            for seed, extra in ((0, 0), (7, 0), (int(rng.integers(2**40)), engine._SEARCH_BLOCK)):
+                trials = extra + int(rng.integers(1, 200))
                 expect = reference_random_search(ps, m, trials, seed)
                 assert _summary(random_search_lower_bound(ps, m, trials, seed)) == expect
+
+    def test_more_trials_never_lower_the_bound(self):
+        # a seed's first trials are the same corners whatever the trial count
+        rng = np.random.default_rng(34)
+        block = engine._SEARCH_BLOCK
+        for d, measure in [(2, chelson_measure()), (3, UniformMeasure(3)),
+                           (4, random_discrete_probability(rng, 4, max_atoms=8))]:
+            ps = PointSet(d, rng.random((40, d)))
+            seed = int(rng.integers(2**40))
+            results = [random_search_lower_bound(ps, measure, trials, seed)
+                       for trials in (1, 50, block - 1, block, block + 1, 3 * block + 7)]
+            for fewer, more in zip(results, results[1:]):
+                assert more.value >= fewer.value
+                if more.value == fewer.value:  # the earlier trial keeps the maximum
+                    assert _summary(more) == _summary(fewer)
+
+    def test_memory_is_one_block_whatever_the_trial_count(self):
+        ps = PointSet(3, np.random.default_rng(35).random((8, 3)))
+        m = UniformMeasure(3)
+        # a block's float arrays: selectors, snapped and free coordinates, corners
+        block_bytes = 4 * engine._SEARCH_BLOCK * ps.dimension * 8
+        random_search_lower_bound(ps, m, 1, 1)  # first-call allocations outside the count
+        peaks = []
+        for trials in (10**3, 10**5):
+            tracemalloc.start()
+            try:
+                random_search_lower_bound(ps, m, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 10^5 trials of 3 float coordinates alone would take 2.4 MB
+        assert peaks[1] <= peaks[0] + block_bytes
 
     def test_one_sided_deviation_matches_the_per_axis_count(self):
         rng = np.random.default_rng(33)

@@ -825,6 +825,14 @@ class TestCoordinateIngest:
     """Every coordinate entering the package goes through one check, which
     NaN and the infinities fail as surely as values outside [0,1]."""
 
+    @pytest.mark.parametrize("points, error", [
+        ([0.1, 0.2], DimensionMismatchError),  # flat: no dimension to read
+        ([], ValidationError),
+    ])
+    def test_empirical_measure_needs_an_array_of_points(self, points, error):
+        with pytest.raises(error):
+            DiscreteMeasure.empirical(points)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     @pytest.mark.parametrize("entry", sorted(_INGEST))
     def test_coordinate_outside_the_unit_interval_is_rejected(self, entry, bad):

@@ -199,6 +199,25 @@ class TestPrefixVariation:
             assert grid[idx] == pytest.approx(total, abs=1e-10)
 
 
+class TestWithValues:
+    def test_matches_the_constructor_on_the_same_grid(self):
+        rng = np.random.default_rng(46)
+        for _ in range(20):
+            f = random_grid_function(rng, max_intervals=3)
+            values = rng.uniform(-2, 2, size=f.values.size)  # flat, as the constructor reads it
+            g, expect = f.with_values(values), GridFunction(f.breakpoints, values, f.interp)
+            assert g.breakpoints is f.breakpoints  # validated and read-only already
+            assert g.interp == expect.interp
+            assert np.array_equal(g.values, expect.values)
+            assert not g.values.flags.writeable and not np.shares_memory(g.values, values)
+
+    @pytest.mark.parametrize("values", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1.0]])
+    def test_values_are_still_checked(self, values):
+        f = GridFunction([[0.0, 0.5, 1.0]], [0.0, 1.0, 2.0])
+        with pytest.raises(ValidationError):
+            f.with_values(values)
+
+
 class TestLeonov:
     def test_completely_monotone_input(self):
         rng = np.random.default_rng(47)
