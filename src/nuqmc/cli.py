@@ -145,11 +145,6 @@ def _parse_pair(text: str, name: str) -> tuple[float, float]:
         raise ValidationError(f"{name}: {err}") from err
 
 
-def _check_exact_flags(args: argparse.Namespace) -> None:
-    if args.budget < 1:
-        raise ValidationError("--budget must be >= 1")
-
-
 def _flatten(prefix: str, obj, rows: list) -> None:
     if isinstance(obj, dict):
         for k in sorted(obj):
@@ -213,7 +208,6 @@ def _discrepancy_result_dict(res) -> dict:
 
 
 def _run_discrepancy(args) -> dict:
-    _check_exact_flags(args)
     ps = load_points(args.points)
     m = load_measure(args.measure)
     if args.search is not None:
@@ -269,7 +263,6 @@ def _run_transform(args) -> dict:
 
 
 def _run_integrate(args) -> dict:
-    _check_exact_flags(args)
     f = load_grid_function(args.function)
     m = load_measure(args.measure)
     ps = load_points(args.points)

@@ -76,6 +76,7 @@ from .measures import (
     _corner,
     _floats,
     _inside,
+    _int,
     _prefix_rows,
     _unit,
     _upper_axis,
@@ -106,8 +107,7 @@ class PointSet:
     """N points in ``[0,1]^d`` (the sample whose discrepancy is measured)."""
 
     def __init__(self, dimension: int, points) -> None:
-        if dimension < 1:
-            raise ValidationError("dimension must be >= 1")
+        dimension = _int(dimension, "dimension", 1)
         pts = _floats(points, "points")
         if pts.size == 0:
             raise ValidationError("point set must contain at least one point")
@@ -119,7 +119,7 @@ class PointSet:
             )
         pts = _unit(pts, "points").copy()
         pts.flags.writeable = False
-        self.dimension = int(dimension)
+        self.dimension = dimension
         self.points = pts
 
     @property
@@ -448,8 +448,10 @@ def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> Discrep
     Enumerates the critical grid, in any dimension; reports whether the
     supremum is attained and a witness box (with one-sided flags when it is
     not).  Raises :class:`BudgetExceededError` when the grid has more than
-    ``cell_budget`` cells; use :func:`random_search_lower_bound` then.
+    ``cell_budget`` cells, an integer >= 1; use
+    :func:`random_search_lower_bound` then.
     """
+    cell_budget = _int(cell_budget, "cell_budget", 1)
     if m.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
     d = ps.dimension
@@ -492,8 +494,7 @@ def random_search_lower_bound(
     trials of a seed are the same corners whatever the trial count: more
     trials never lower the bound.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    trials = _int(trials, "trials", 1)
     if m.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
     cdf_points = _measure_method(m, "_cdf_points")

@@ -29,10 +29,10 @@ CERTIFICATE_TOL = 1e-10
 class KHCertificate:
     """A variation-times-discrepancy error bound with the observed error.
 
+    The variation is exact, or a bound the caller vouched for; no
+    certificate is made without one of them.
     ``reference_integral`` (and with it ``observed_error`` and
-    ``satisfied``) is None when no exact reference is computable;
-    ``variation_certified`` is False when the variation is only a sampled
-    lower-bound proxy rather than an exact grid variation.
+    ``satisfied``) is None when no exact reference is computable.
     """
 
     estimate: float
@@ -42,7 +42,6 @@ class KHCertificate:
     discrepancy: float
     bound: float
     satisfied: bool | None
-    variation_certified: bool = True
 
 
 def _sample(f, points: np.ndarray) -> np.ndarray:
@@ -115,8 +114,7 @@ def kh_certificate(f: GridFunction, ps: PointSet, m,
     return _certificate(ps, m, cell_budget, estimate, reference, variation)
 
 
-def _certificate(ps, m, cell_budget, estimate, reference, variation,
-                 variation_certified=True) -> KHCertificate:
+def _certificate(ps, m, cell_budget, estimate, reference, variation) -> KHCertificate:
     """The certificate of ``estimate`` against ``reference`` (None when no
     exact reference is known): ``bound = variation * D*`` with the exact
     star-discrepancy of ``ps`` under ``m``, satisfied when the observed error
@@ -138,12 +136,26 @@ def _certificate(ps, m, cell_budget, estimate, reference, variation,
         discrepancy=disc,
         bound=bound,
         satisfied=None if observed is None else observed <= bound + CERTIFICATE_TOL,
-        variation_certified=variation_certified,
     )
 
 
-def _default_proxy_grid(dimension: int, resolution: int = 16) -> tuple[np.ndarray, ...]:
-    return tuple(np.linspace(0.0, 1.0, resolution + 1) for _ in range(dimension))
+def _step_ratio(f: GridFunction, g: GridFunction) -> GridFunction:
+    """``f/g`` for step functions ``f`` and ``g``, as a step function on the
+    union of their breakpoints: ``f`` and ``g`` are constant on each of its
+    cells, so its value at a cell's lower vertex is ``f/g`` on the whole
+    cell.  A pair on one grid is its own union."""
+    if f.dimension != g.dimension:
+        raise DimensionMismatchError("integrand and density dimensions differ")
+    grid = [np.union1d(a, b) for a, b in zip(f.breakpoints, g.breakpoints)]
+
+    def at_vertices(h: GridFunction) -> np.ndarray:
+        return h.values[np.ix_(*(np.searchsorted(b, u, side="right") - 1
+                                 for b, u in zip(h.breakpoints, grid)))]
+
+    density = at_vertices(g)
+    if np.any(density <= 0.0):
+        raise ValidationError("density must be positive")
+    return GridFunction(grid, at_vertices(f) / density, STEP)
 
 
 def importance_sampling_estimate(
@@ -153,65 +165,37 @@ def importance_sampling_estimate(
     m_g,
     variation: float | None = None,
     reference_integral: float | None = None,
-    proxy_grid=None,
     cell_budget: int = CELL_BUDGET,
 ) -> tuple[float, KHCertificate]:
     """Estimate ``integral f dx`` as the sample mean of ``f/g`` over a point
     set equidistributed for the measure with density ``g``.
 
-    When ``f`` and ``g`` are step grid functions on the same grid the ratio
-    is formed exactly: its variation, the reference integral of ``f``, and
-    the certificate are all exact.  Otherwise the certificate's variation
-    is either the caller-supplied bound or the grid variation of ``f/g``
-    sampled on ``proxy_grid`` -- a lower-bound proxy, flagged uncertified;
-    the reference integral must then be supplied by the caller for the
-    observed error to be reported.  ``cell_budget`` gates the exact D*.
+    When ``f`` and ``g`` are step grid functions the ratio is formed exactly
+    on the union of their breakpoints: its variation, the reference integral
+    of ``f``, and the certificate are all exact.  Any other pair is
+    certified with the caller's ``variation=`` bound, and refused with
+    :class:`UnsupportedIntegrandError` without one; its reference integral
+    must then be supplied by the caller for the observed error to be
+    reported.  A caller's ``variation=`` or ``reference_integral=`` replaces
+    the exact one of a step pair too.  ``cell_budget`` gates the exact D*.
     """
     if m_g.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
-
-    exact_pair = (
-        isinstance(f, GridFunction)
-        and isinstance(g, GridFunction)
-        and f.interp == STEP
-        and g.interp == STEP
-        and f.shape == g.shape
-        and all(np.array_equal(a, b) for a, b in zip(f.breakpoints, g.breakpoints))
-    )
-
-    if exact_pair:
-        if np.any(g.values <= 0.0):
-            raise ValidationError("density must be positive")
-        ratio = f.with_values(f.values / g.values)
+    if all(isinstance(h, GridFunction) and h.interp == STEP for h in (f, g)):
+        ratio = _step_ratio(f, g)
         estimate = qmc_estimate(ratio, ps)
         var = hk_variation(ratio, ANCHOR_ONE) if variation is None else float(variation)
-        certified = True  # exact grid variation, or a bound the caller vouches for
         if reference_integral is None:
             reference_integral = integral_under_measure(f, UniformMeasure(f.dimension))
+    elif variation is None:
+        raise UnsupportedIntegrandError(
+            "no exact variation of f/g unless f and g are both step grid functions; "
+            "pass a variation= bound"
+        )
     else:
         g_vals = _sample(g, ps.points)
         if np.any(g_vals <= 0.0):
             raise ValidationError("density must be positive at every sample point")
         estimate = float(np.mean(_sample(f, ps.points) / g_vals))
-        if variation is not None:
-            var = float(variation)
-            certified = True
-        else:
-            grid = proxy_grid if proxy_grid is not None else _default_proxy_grid(ps.dimension)
-            mesh = np.meshgrid(*grid, indexing="ij")
-            vertices = np.stack([c.reshape(-1) for c in mesh], axis=-1)
-            g_vals = _sample(g, vertices)
-            zero = np.flatnonzero(g_vals <= 0.0)
-            if zero.size:
-                vertex = tuple(float(x) for x in vertices[zero[0]])
-                raise ValidationError(
-                    f"density is {float(g_vals[zero[0]])} at proxy-grid vertex {vertex}; "
-                    "pass a proxy_grid= on which it is positive, or a variation= bound"
-                )
-            ratio_vals = _sample(f, vertices) / g_vals
-            sampled = GridFunction(grid, ratio_vals.reshape([len(b) for b in grid]), STEP)
-            var = hk_variation(sampled, ANCHOR_ONE)
-            certified = False
-
-    return estimate, _certificate(ps, m_g, cell_budget, estimate, reference_integral,
-                                  var, certified)
+        var = float(variation)
+    return estimate, _certificate(ps, m_g, cell_budget, estimate, reference_integral, var)

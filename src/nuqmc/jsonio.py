@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import AxisCdf, DiscreteMeasure, ProductMeasure, UniformMeasure, _floats
+from .measures import AxisCdf, DiscreteMeasure, ProductMeasure, UniformMeasure, _floats, _int
 from .discrepancy import PointSet
 from .transforms import chelson_measure
 from .variation import GridFunction, STEP
@@ -54,12 +54,7 @@ def _require(obj: dict, field: str, where: str):
 
 
 def _integer(obj: dict, field: str, where: str) -> int:
-    value = _require(obj, field, where)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}.{field}: expected an integer, got {value!r}")
-    return value
+    return _int(_require(obj, field, where), f"{where}.{field}")
 
 
 def _number(value, where: str) -> float:

@@ -59,7 +59,9 @@ float a sequential sum would give.
 
 Every number entering the package is read by ``_floats``, which turns ragged
 nesting into ``DimensionMismatchError`` and anything else that is not numbers
-into ``ValidationError``.  Every coordinate (points, atoms, breakpoints,
+into ``ValidationError``, and every whole number (a dimension, count, index,
+face axis or cell budget) by ``_int``, which takes an integer or an integral
+float, never a bool.  Every coordinate (points, atoms, breakpoints,
 corners, CDF arguments) then passes one ingest check: ``_unit``
 (``0 <= x <= 1``, which NaN and the infinities fail) or ``_breakpoints`` (a
 strictly increasing grid from 0.0 to 1.0).  Constructors store copies of the
@@ -75,6 +77,7 @@ synchronization.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -113,6 +116,19 @@ def _floats(values, name: str) -> np.ndarray:
         ragged = str(err).startswith("setting an array element with a sequence")
         error = DimensionMismatchError if ragged else ValidationError
         raise error(f"{name}: expected a list of numbers ({err})") from None
+
+
+def _int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as a Python int: an integer or an integral float, never a
+    bool, and at least ``minimum`` when one is given; anything else raises
+    ``ValidationError``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 def _unit(values, name: str) -> np.ndarray:
@@ -277,9 +293,7 @@ class DiscreteSignedMeasure(_PointCdf):
     """
 
     def __init__(self, dimension: int, locations, weights) -> None:
-        if dimension < 1:
-            raise ValidationError("dimension must be >= 1")
-        self.dimension = int(dimension)
+        self.dimension = _int(dimension, "dimension", 1)
         locations = _floats(locations, "atom locations")
         weights = _floats(weights, "atom weights")
         if locations.size == 0 and locations.ndim == 1:
@@ -483,8 +497,7 @@ class UniformMeasure(_PointCdf):
     dimension: int
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValidationError("dimension must be >= 1")
+        object.__setattr__(self, "dimension", _int(self.dimension, "dimension", 1))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return np.empty(0)
@@ -617,7 +630,8 @@ class AnalyticCdfMeasure(_PointCdf):
     callback must be supplied for one-sided evaluation.  It takes ``(k, d)``
     points and a ``(k, d)`` boolean array, True where the limit from the left
     is taken on that axis, and returns ``(k,)`` values; a row with no True
-    entry asks for ``F`` itself.  Both must compute each value from its own
+    entry asks for ``F`` itself; a callback that returns another number of
+    values raises ``ValidationError``.  Both must compute each value from its own
     point alone, and nondecreasing in every coordinate: the exact
     discrepancy engine reads a table on a few columns and relies on both
     (see :mod:`nuqmc.discrepancy`).  ``grid_hints``, one 1-d array of
@@ -634,15 +648,13 @@ class AnalyticCdfMeasure(_PointCdf):
         grid_hints: Sequence[Sequence[float]] | None = None,
         label: str = "analytic",
     ) -> None:
-        if dimension < 1:
-            raise ValidationError("dimension must be >= 1")
-        self.dimension = int(dimension)
+        self.dimension = _int(dimension, "dimension", 1)
         self._cdf = cdf
         self.continuous = bool(continuous)
         self._left_limit = left_limit
         self.label = label
         if grid_hints is None:
-            self._hints = tuple(np.empty(0) for _ in range(dimension))
+            self._hints = tuple(np.empty(0) for _ in range(self.dimension))
         else:
             self._hints = tuple(np.array(_unit(h, "grid hints")) for h in grid_hints)
             if len(self._hints) != self.dimension:
@@ -660,12 +672,12 @@ class AnalyticCdfMeasure(_PointCdf):
         call for the whole batch, to ``left_limit`` if any axis of any point
         takes a left limit."""
         if self.continuous or not left.any():
-            return self._cdf(points)
+            return _callback_values("cdf", self._cdf(points), len(points))
         if self._left_limit is None:
             raise UnsupportedMeasureError(
                 "analytic CDF declared discontinuous has no one-sided limit callback"
             )
-        return self._left_limit(points, left)
+        return _callback_values("left_limit", self._left_limit(points, left), len(points))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self._hints[axis]
@@ -690,13 +702,23 @@ class AnalyticCdfMeasure(_PointCdf):
             picks = [slice(start, stop)] + list(cols)
             points = corners([c[j] for c, j in zip(coords, picks)], float)
             if self.continuous:
-                values = self._cdf(points)
+                values = _callback_values("cdf", self._cdf(points), len(points))
             else:
                 values = self._cdf_points(points, corners([f[j] for f, j in zip(left, picks)], bool))
-            out[...] = np.reshape(values, out.shape)
+            out[...] = values.reshape(out.shape)
             return out
 
         return rows
+
+
+def _callback_values(name: str, values, k: int) -> np.ndarray:
+    """What the analytic callback ``name`` returned for ``k`` points, as a
+    ``(k,)`` float array; any other number of values raises
+    ``ValidationError`` naming the callback."""
+    values = _floats(values, f"values of the {name} callback")
+    if values.size != k:
+        raise ValidationError(f"the {name} callback returned {values.size} values for {k} points")
+    return values.reshape(k)
 
 
 def box_measure(m, lower, upper, lower_open=None, upper_open=None) -> float:

@@ -6,16 +6,15 @@ import numpy as np
 
 from .discrepancy import PointSet
 from .errors import ValidationError
+from .measures import _int
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def van_der_corput(n: int, base: int = 2) -> float:
     """Radical inverse of index ``n >= 1`` in the given base."""
-    if base < 2:
-        raise ValidationError("base must be >= 2")
-    if n < 1:
-        raise ValidationError("index must be >= 1")
+    base = _int(base, "base", 2)
+    n = _int(n, "index", 1)
     inv = 0.0
     denom = 1.0
     while n > 0:
@@ -30,10 +29,10 @@ def halton(n_points: int, dimension: int) -> PointSet:
 
     Index-stable: point ``n`` is the same regardless of ``n_points``.
     """
+    dimension = _int(dimension, "dimension")
     if not 1 <= dimension <= len(_PRIMES):
         raise ValidationError(f"dimension must be in 1..{len(_PRIMES)}")
-    if n_points < 1:
-        raise ValidationError("n_points must be >= 1")
+    n_points = _int(n_points, "n_points", 1)
     pts = np.empty((n_points, dimension))
     for s in range(dimension):
         pts[:, s] = _radical_inverses(n_points, _PRIMES[s])

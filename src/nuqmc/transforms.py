@@ -227,10 +227,13 @@ def chelson_identity_check(
     True for product measures with invertible axes; false in general -- the
     report also compares, at the probe corner ``a``, the box mass
     ``m([0, a])`` against the uniform mass of ``[0, G(a)]`` and the two
-    box-indicator counts, which is where the failure shows up.
+    box-indicator counts, which is where the failure shows up.  ``tol``
+    must be finite and ``>= 0``.
     """
     if ps.dimension != 2:
         raise DimensionMismatchError("the conditional transform is two-dimensional")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     images = PointSet(2, [conditional_transform_2d(x, cdf) for x in ps.points])
     left = star_discrepancy(images, m).value
     right = star_discrepancy(ps, UniformMeasure(2)).value

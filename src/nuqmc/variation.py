@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import DiscreteSignedMeasure, _breakpoints, _floats, _unit
+from .measures import DiscreteSignedMeasure, _breakpoints, _floats, _int, _unit
 
 #: Interpretation flags for :class:`GridFunction`.
 STEP = "step"
@@ -70,11 +70,9 @@ class FaceSelector:
     anchor: str = ANCHOR_ONE
 
     def __post_init__(self) -> None:
-        axes = tuple(sorted(set(int(a) for a in self.axes)))
+        axes = tuple(sorted(set(_int(a, "face axes", 0) for a in self.axes)))
         if not axes:
             raise ValidationError("face needs at least one free axis")
-        if axes[0] < 0:
-            raise ValidationError("face axes must be >= 0")
         if self.anchor not in (ANCHOR_ONE, ANCHOR_ZERO):
             raise ValidationError(f"unknown anchor {self.anchor!r}")
         object.__setattr__(self, "axes", axes)

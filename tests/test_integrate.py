@@ -1,11 +1,13 @@
 """QMC estimates, exact reference integrals, and error certificates."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from nuqmc import (
+    ANCHOR_ONE,
     AnalyticCdfMeasure,
     AxisCdf,
     BudgetExceededError,
@@ -21,6 +23,7 @@ from nuqmc import (
     box_indicator,
     box_measure,
     chelson_measure,
+    hk_variation,
     importance_sampling_estimate,
     integral_under_measure,
     kh_certificate,
@@ -29,6 +32,7 @@ from nuqmc import (
     qmc_estimate,
     star_discrepancy,
 )
+from nuqmc.integrate import CERTIFICATE_TOL
 from helpers import (
     random_discrete_probability,
     random_general_axis_cdf,
@@ -192,6 +196,28 @@ class TestCertificate:
 _NAN_CDF = AnalyticCdfMeasure(1, lambda a: np.where(np.all(a == 1.0, axis=1), 1.0, np.nan))
 
 
+def _product_density(rng, d):
+    """A random product step density ``g`` on 2-4 breakpoints an axis, and
+    the product measure ``m_g`` with density ``g``: its CDF is piecewise
+    linear, so a certificate under it is a theorem, not a coincidence."""
+    bps = [np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.1, 0.9, 2)]))
+           for _ in range(d)]
+    axes = []
+    g_vals = np.ones(tuple(b.size for b in bps))
+    for s, b in enumerate(bps):
+        dens = rng.uniform(0.2, 2.0, size=b.size - 1)
+        total = float(np.sum(dens * np.diff(b)))
+        dens = dens / total
+        cdf_vals = np.concatenate([[0.0], np.cumsum(dens * np.diff(b))])
+        cdf_vals[-1] = 1.0
+        axes.append(AxisCdf(b, cdf_vals))
+        per_vertex = np.concatenate([dens, [dens[-1]]])
+        shape = [1] * d
+        shape[s] = b.size
+        g_vals = g_vals * per_vertex.reshape(shape)
+    return GridFunction(bps, g_vals, STEP), ProductMeasure(axes)
+
+
 class TestImportanceSampling:
     def test_ideal_density_is_exact_for_any_points(self):
         rng = np.random.default_rng(77)
@@ -225,29 +251,12 @@ class TestImportanceSampling:
         rng = np.random.default_rng(79)
         for _ in range(25):
             d = int(rng.integers(1, 3))
-            bps = [np.unique(np.concatenate([[0.0, 1.0], rng.uniform(0.1, 0.9, 2)]))
-                   for _ in range(d)]
-            axes = []
-            g_vals = np.ones(tuple(b.size for b in bps))
-            for s, b in enumerate(bps):
-                dens = rng.uniform(0.2, 2.0, size=b.size - 1)
-                total = float(np.sum(dens * np.diff(b)))
-                dens = dens / total
-                cdf_vals = np.concatenate([[0.0], np.cumsum(dens * np.diff(b))])
-                cdf_vals[-1] = 1.0
-                axes.append(AxisCdf(b, cdf_vals))
-                per_vertex = np.concatenate([dens, [dens[-1]]])
-                shape = [1] * d
-                shape[s] = b.size
-                g_vals = g_vals * per_vertex.reshape(shape)
-            f = GridFunction(bps, rng.uniform(-1, 1, g_vals.shape), STEP)
-            g = GridFunction(bps, g_vals, STEP)
-            m_g = ProductMeasure(axes)
+            g, m_g = _product_density(rng, d)
+            f = GridFunction(g.breakpoints, rng.uniform(-1, 1, g.shape), STEP)
             ps = product_transform(random_point_set(rng, d, max_points=32), m_g)
             estimate, cert = importance_sampling_estimate(f, g, ps, m_g)
             manual = float(np.mean(f.evaluate(ps.points) / g.evaluate(ps.points)))
             assert estimate == pytest.approx(manual, abs=TOL)
-            assert cert.variation_certified
             assert cert.reference_integral == pytest.approx(
                 integral_under_measure(f, UniformMeasure(d)), abs=TOL
             )
@@ -268,27 +277,73 @@ class TestImportanceSampling:
         )
         assert estimate == pytest.approx(0.5, abs=TOL)
         assert cert.satisfied
-        assert cert.variation_certified
 
-    def test_callback_proxy_variation_is_flagged(self):
-        ps = PointSet(1, [[0.5]])
-        _, cert = importance_sampling_estimate(
-            lambda x: float(x[0]), lambda x: 1.0, ps, UniformMeasure(1)
-        )
-        assert not cert.variation_certified
-        assert cert.satisfied is None  # no reference integral supplied
+    def test_step_pair_on_other_grids_is_certified_exactly(self):
+        # g's product density and f live on different breakpoints; f/g is read
+        # at the vertices of their union, where both are constant on each cell
+        rng = np.random.default_rng(82)
+        for _ in range(25):
+            d = int(rng.integers(1, 3))
+            g, m_g = _product_density(rng, d)
+            f = random_grid_function(rng, d=d, max_intervals=3, interp=STEP)
+            ps = product_transform(random_point_set(rng, d, max_points=32), m_g)
+            estimate, cert = importance_sampling_estimate(f, g, ps, m_g)
+            assert estimate == float(np.mean(f.evaluate(ps.points) / g.evaluate(ps.points)))
+            union = [np.union1d(a, b) for a, b in zip(f.breakpoints, g.breakpoints)]
+            vertices = np.stack([c.reshape(-1) for c in np.meshgrid(*union, indexing="ij")],
+                                axis=-1)
+            ratio = GridFunction(union, f.evaluate(vertices) / g.evaluate(vertices), STEP)
+            assert cert.variation == hk_variation(ratio, ANCHOR_ONE)
+            assert cert.reference_integral == integral_under_measure(f, UniformMeasure(d))
+            assert cert.discrepancy == star_discrepancy(ps, m_g).value
+            assert cert.satisfied, (
+                f"importance-sampling bound violated: error={cert.observed_error} "
+                f"bound={cert.bound}"
+            )
 
-    @pytest.mark.parametrize("g_grid, g_interp", [
-        ([[0.0, 0.25, 1.0], [0.0, 0.5, 1.0]], STEP),  # other breakpoints
-        ([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], MULTILINEAR),  # same grid, not a step function
-    ], ids=["other-grid", "multilinear"])
-    def test_grid_functions_off_one_step_grid_are_sampled(self, g_grid, g_interp):
-        f = GridFunction([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], np.arange(1.0, 10.0), STEP)
-        g = GridFunction(g_grid, np.linspace(0.5, 1.5, 9), g_interp)
-        ps = PointSet(2, [[0.1, 0.2], [0.6, 0.3], [0.9, 0.8]])
-        estimate, cert = importance_sampling_estimate(f, g, ps, UniformMeasure(2))
-        assert estimate == float(np.mean(f.evaluate(ps.points) / g.evaluate(ps.points)))
-        assert not cert.variation_certified
+    def test_same_grid_pair_is_the_ratio_function_certificate(self):
+        # a pair on one grid is its own union: bit for bit the certificate of
+        # f/g formed vertex by vertex, with no field beyond these seven
+        rng = np.random.default_rng(83)
+        for _ in range(25):
+            d = int(rng.integers(1, 4))
+            f = random_grid_function(rng, d=d, max_intervals=3, interp=STEP)
+            g = f.with_values(rng.uniform(0.25, 4.0, f.shape))
+            ps = random_point_set(rng, d, max_points=16)
+            m_g = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            estimate, cert = importance_sampling_estimate(f, g, ps, m_g)
+            ratio = f.with_values(f.values / g.values)
+            variation = hk_variation(ratio, ANCHOR_ONE)
+            disc = star_discrepancy(ps, m_g).value
+            reference = integral_under_measure(f, UniformMeasure(d))
+            assert estimate == cert.estimate == qmc_estimate(ratio, ps)
+            assert dataclasses.asdict(cert) == {
+                "estimate": estimate, "reference_integral": reference,
+                "observed_error": abs(estimate - reference), "variation": variation,
+                "discrepancy": disc, "bound": variation * disc,
+                "satisfied": abs(estimate - reference) <= variation * disc + CERTIFICATE_TOL,
+            }
+
+    @pytest.mark.parametrize("f, g, point", [
+        (GridFunction([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], np.arange(1.0, 10.0), STEP),
+         GridFunction([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], np.linspace(0.5, 1.5, 9),
+                      MULTILINEAR), [0.1, 0.2]),
+        (lambda x: float(x[0]), lambda x: 2.0 * x[0], [0.5]),
+    ], ids=["multilinear", "callback"])
+    def test_pair_without_an_exact_variation_is_refused(self, f, g, point):
+        # no proxy: without variation= there is nothing to certify, and the
+        # density (0 on the face x = 0 for the callback) is never read
+        ps, m = PointSet(len(point), [point]), UniformMeasure(len(point))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedIntegrandError) as err:
+                importance_sampling_estimate(f, g, ps, m)
+        assert "variation=" in str(err.value)
+        estimate, cert = importance_sampling_estimate(f, g, ps, m, variation=1.0)
+        at = np.asarray(point)
+        direct = [h.evaluate(at) if isinstance(h, GridFunction) else h(at) for h in (f, g)]
+        assert estimate == float(direct[0] / direct[1])
+        assert cert.variation == 1.0
         assert cert.satisfied is None  # no reference integral supplied
 
     def test_cell_budget_gates_the_certificate_discrepancy(self):
@@ -303,22 +358,17 @@ class TestImportanceSampling:
         with pytest.raises(TypeError):
             kh_certificate(f, ps, UniformMeasure(2), cell_budjet=8)
 
-    def test_density_vanishing_on_the_proxy_grid_is_named(self):
-        # g(x) = 2x is 0 on the face x = 0 of the default proxy grid; the
-        # division used to warn and end in "vertex values must be finite"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValidationError) as err:
-                importance_sampling_estimate(lambda x: 1.0, lambda x: 2 * x[0],
-                                             PointSet(1, [[0.5]]), UniformMeasure(1))
-        message = str(err.value)
-        assert "proxy-grid vertex (0.0,)" in message
-        assert "proxy_grid=" in message and "variation=" in message
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             importance_sampling_estimate(lambda x: 1.0, lambda x: 1.0, PointSet(1, [[0.5]]),
                                          UniformMeasure(2), variation=1.0)
+
+    def test_step_pair_of_other_dimensions_is_refused(self):
+        # the union of their breakpoints would silently drop f's last axis
+        f = GridFunction([[0.0, 0.5, 1.0]] * 2, np.ones((3, 3)))
+        g = GridFunction([[0.0, 0.25, 1.0]], [1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatchError):
+            importance_sampling_estimate(f, g, PointSet(2, [[0.5, 0.5]]), UniformMeasure(2))
 
     def test_nonpositive_density_rejected(self):
         ps = PointSet(1, [[0.5]])
@@ -326,6 +376,11 @@ class TestImportanceSampling:
             importance_sampling_estimate(
                 lambda x: 1.0, lambda x: 0.0, ps, UniformMeasure(1), variation=1.0
             )
+        # a step density is read at every vertex of the union grid
+        f = GridFunction([[0.0, 0.5, 1.0]], [1.0, 2.0, 3.0])
+        g = GridFunction([[0.0, 0.25, 1.0]], [1.0, 0.0, 1.0])
+        with pytest.raises(ValidationError, match="density must be positive"):
+            importance_sampling_estimate(f, g, ps, UniformMeasure(1))
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"f": lambda x: float("inf")}, "estimate = inf"),

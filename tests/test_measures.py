@@ -14,6 +14,7 @@ from nuqmc import (
     DiscreteMeasure,
     DiscreteSignedMeasure,
     DimensionMismatchError,
+    FaceSelector,
     GridFunction,
     PointSet,
     ProductMeasure,
@@ -27,13 +28,18 @@ from nuqmc import (
     chelson_measure,
     conditional_transform_2d,
     corner_indicator,
+    chelson_identity_check,
     function_to_measure,
+    halton,
+    importance_sampling_estimate,
     jordan_decompose_measure,
     kh_certificate,
     one_sided_deviation,
     pseudo_inverse,
+    random_search_lower_bound,
     star_discrepancy,
     total_variation,
+    van_der_corput,
 )
 from nuqmc.jsonio import measure_from_dict
 from nuqmc.measures import _covering_index, _upper_axis
@@ -584,6 +590,54 @@ _MALFORMED = {
         DimensionMismatchError),
 }
 
+_PS = PointSet(2, [[0.25, 0.5], [0.75, 0.25]])
+_STEP = GridFunction([[0.0, 0.5, 1.0]] * 2, np.arange(1.0, 10.0))
+
+
+def _one_value_cdf(a):
+    """A Chelson CDF callback that returns one value for a whole batch."""
+    return chelson_cdf(a)[:1]
+
+
+#: whole numbers, cell budgets, callback results and tolerances that once
+#: ended in Python's or NumPy's error, or were silently truncated or ignored
+_MALFORMED.update({
+    "search-trials-float": (lambda: random_search_lower_bound(_PS, UniformMeasure(2), 2.5, 0),
+                            ValidationError),
+    "halton-n-float": (lambda: halton(2.5, 2), ValidationError),
+    "halton-n-bool": (lambda: halton(True, 2), ValidationError),
+    "van-der-corput-base-float": (lambda: van_der_corput(3, 2.5), ValidationError),
+    "AnalyticCdfMeasure-dimension-float": (lambda: AnalyticCdfMeasure(2.5, chelson_cdf),
+                                           ValidationError),
+    "UniformMeasure-dimension-float": (lambda: UniformMeasure(2.5), ValidationError),
+    "PointSet-dimension-bool": (lambda: PointSet(True, [[0.5]]), ValidationError),
+    "DiscreteSignedMeasure-dimension-float": (
+        lambda: DiscreteSignedMeasure(2.5, [(0.5, 0.5)], [1.0]), ValidationError),
+    "FaceSelector-axis-float": (lambda: FaceSelector((0.5,)), ValidationError),
+    "cell-budget-nan": (lambda: star_discrepancy(_PS, UniformMeasure(2), float("nan")),
+                        ValidationError),
+    "cell-budget-float": (lambda: star_discrepancy(_PS, UniformMeasure(2), 12.5),
+                          ValidationError),
+    "cell-budget-zero": (lambda: star_discrepancy(_PS, UniformMeasure(2), 0), ValidationError),
+    "certificate-budget-nan": (
+        lambda: kh_certificate(_STEP, _PS, UniformMeasure(2), cell_budget=float("nan")),
+        ValidationError),
+    "importance-budget-nan": (
+        lambda: importance_sampling_estimate(_STEP, _STEP, _PS, UniformMeasure(2),
+                                             cell_budget=float("nan")),
+        ValidationError),
+    "cdf-callback-size": (
+        lambda: star_discrepancy(_PS, AnalyticCdfMeasure(2, _one_value_cdf)), ValidationError),
+    "left-limit-callback-size": (
+        lambda: star_discrepancy(_PS, AnalyticCdfMeasure(
+            2, chelson_cdf, continuous=False, left_limit=lambda a, left: _one_value_cdf(a))),
+        ValidationError),
+    "identity-tol-nan": (
+        lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(),
+                                       tol=float("nan")),
+        ValidationError),
+})
+
 
 @pytest.mark.parametrize("entry", sorted(_MALFORMED))
 def test_malformed_input_raises_a_validation_error(entry):
@@ -591,6 +645,23 @@ def test_malformed_input_raises_a_validation_error(entry):
     with pytest.raises(ValidationError) as err:
         call()
     assert err.type is error
+
+
+@pytest.mark.parametrize("callback", ["cdf", "left_limit"])
+def test_callback_with_the_wrong_number_of_values_is_named(callback):
+    call, _ = _MALFORMED[callback.replace("_", "-") + "-callback-size"]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value).startswith(f"the {callback} callback returned 1 values for ")
+
+
+def test_whole_numbers_may_be_integral_floats():
+    # the rule of the JSON readers: an integer or an integral float, never a bool
+    assert halton(4.0, 2.0).points.tolist() == halton(4, 2).points.tolist()
+    assert UniformMeasure(2.0) == UniformMeasure(2) and type(UniformMeasure(2.0).dimension) is int
+    assert FaceSelector((1.0, 0)).axes == (0, 1)
+    assert star_discrepancy(_PS, UniformMeasure(2), float(10**6)) == star_discrepancy(
+        _PS, UniformMeasure(2))
 
 
 class TestAxisCdfFinite:

@@ -1,5 +1,7 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its CLI flag table
+lists the flags the parser declares."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -23,3 +25,20 @@ def test_python_block_runs_in_a_fresh_interpreter(source):
     done = subprocess.run([sys.executable, "-c", source], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_cli_flag_table_lists_the_parser_flags():
+    # one row per subcommand; every backticked `--flag` in it, against the
+    # options its subparser declares besides --help and the shared output flags
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", (ROOT / "README.md").read_text(),
+                      flags=re.MULTILINE)
+    table = {sub: {code.split()[0] for code in re.findall(r"`([^`]*)`", cell)
+                   if code.startswith("--")}
+             for sub, cell in rows}
+    from nuqmc.cli import build_parser
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    shared = {"-h", "--help", "--format", "--out"}
+    declared = {sub: {flag for action in p._actions for flag in action.option_strings} - shared
+                for sub, p in subparsers.choices.items()}
+    assert table == declared
