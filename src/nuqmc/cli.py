@@ -66,8 +66,18 @@ def _output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _exact_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget", type=int, default=CELL_BUDGET,
-                        help="cell budget for exact discrepancy grids")
+    parser.add_argument("--budget", type=int, default=None,
+                        help="cell budget for exact discrepancy grids (exact mode only)")
+
+
+def _exact_budget(args, exact: bool) -> None:
+    """Refuse ``--budget`` in a mode that never reads it, else resolve its
+    default, so the report's config reads as it did with a parser default."""
+    if args.budget is None:
+        args.budget = CELL_BUDGET
+    elif not exact:
+        raise ValidationError("--budget is read in exact mode only: "
+                              "discrepancy without --search, integrate --certify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,6 +218,7 @@ def _discrepancy_result_dict(res) -> dict:
 
 
 def _run_discrepancy(args) -> dict:
+    _exact_budget(args, args.search is None)
     ps = load_points(args.points)
     m = load_measure(args.measure)
     if args.search is not None:
@@ -263,6 +274,7 @@ def _run_transform(args) -> dict:
 
 
 def _run_integrate(args) -> dict:
+    _exact_budget(args, args.certify)
     f = load_grid_function(args.function)
     m = load_measure(args.measure)
     ps = load_points(args.points)

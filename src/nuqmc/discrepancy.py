@@ -177,15 +177,20 @@ def _measure_method(m, name: str):
     return method
 
 
-def _critical_grids(ps: PointSet, m) -> list[np.ndarray]:
-    grids = []
-    for s in range(ps.dimension):
-        grids.append(
-            np.unique(
-                np.concatenate(
-                    [[0.0, 1.0], ps.points[:, s], np.asarray(m.axis_coordinates(s), dtype=float)]
-                )
-            )
+def _critical_grids(ps: PointSet, m, cell_budget) -> list[np.ndarray]:
+    """The critical grids of ``ps`` under ``m`` (one an axis), or
+    :class:`BudgetExceededError` past ``cell_budget`` cells: exact mode's gate."""
+    cell_budget = _int(cell_budget, "cell_budget", 1)
+    if m.dimension != ps.dimension:
+        raise DimensionMismatchError("measure and point set dimensions differ")
+    grids = [np.unique(np.concatenate([[0.0, 1.0], ps.points[:, s],
+                                       np.asarray(m.axis_coordinates(s), dtype=float)]))
+             for s in range(ps.dimension)]
+    n_cells = math.prod(g.size for g in grids)  # exact: an int64 product wraps past 2^63
+    if n_cells > cell_budget:
+        raise BudgetExceededError(
+            f"critical grid has {n_cells} cells, budget is {cell_budget}; "
+            "use random_search_lower_bound"
         )
     return grids
 
@@ -451,18 +456,8 @@ def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> Discrep
     ``cell_budget`` cells, an integer >= 1; use
     :func:`random_search_lower_bound` then.
     """
-    cell_budget = _int(cell_budget, "cell_budget", 1)
-    if m.dimension != ps.dimension:
-        raise DimensionMismatchError("measure and point set dimensions differ")
     d = ps.dimension
-    grids = _critical_grids(ps, m)
-    n_cells = math.prod(g.size for g in grids)  # exact: an int64 product wraps past 2^63
-    if n_cells > cell_budget:
-        raise BudgetExceededError(
-            f"critical grid has {n_cells} cells, budget is {cell_budget}; "
-            "use random_search_lower_bound"
-        )
-
+    grids = _critical_grids(ps, m, cell_budget)
     value, index, attained = _slab_maxima(ps, m, grids)
     if attained:
         witness = tuple(float(g[j]) for g, j in zip(grids, index))

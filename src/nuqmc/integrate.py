@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import CELL_BUDGET, PointSet, star_discrepancy
+from .discrepancy import CELL_BUDGET, PointSet, _critical_grids, star_discrepancy
 from .errors import DimensionMismatchError, UnsupportedIntegrandError, ValidationError
 from .measures import DiscreteMeasure, UniformMeasure, _upper_axis
 from .variation import ANCHOR_ONE, STEP, GridFunction, hk_variation
@@ -177,10 +177,10 @@ def importance_sampling_estimate(
     :class:`UnsupportedIntegrandError` without one; its reference integral
     must then be supplied by the caller for the observed error to be
     reported.  A caller's ``variation=`` or ``reference_integral=`` replaces
-    the exact one of a step pair too.  ``cell_budget`` gates the exact D*.
+    the exact one of a step pair too.  ``cell_budget`` gates the exact D*,
+    before the union grid or anything else grid-sized is built.
     """
-    if m_g.dimension != ps.dimension:
-        raise DimensionMismatchError("measure and point set dimensions differ")
+    _critical_grids(ps, m_g, cell_budget)
     if all(isinstance(h, GridFunction) and h.interp == STEP for h in (f, g)):
         ratio = _step_ratio(f, g)
         estimate = qmc_estimate(ratio, ps)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -211,16 +210,11 @@ class JordanPair:
     f_minus: GridFunction
 
 
-def _faces(d: int):
-    """Every nonempty axis subset, by size and then lexicographically."""
-    for r in range(1, d + 1):
-        yield from combinations(range(d), r)
-
-
 def _differences(values: np.ndarray, pin: int | None = None) -> np.ndarray:
     """Mixed first differences along every axis, unpadded or padded with a zero
-    before (``pin`` 0) or after (-1) each axis.  As ``x - 0 = x`` and ``0 - x = -x``
-    exactly, a face is one block of it: bit for bit at 0, up to sign at -1."""
+    before (``pin`` 0) or after (-1) each axis: padded, the atoms of the measure
+    of a step function.  As ``x - 0 = x`` and ``0 - x = -x`` exactly, a face is
+    one block of it: bit for bit at 0, up to sign at -1."""
     pad = {} if pin is None else {"prepend" if pin == 0 else "append": 0.0}
     for s in range(values.ndim):
         values = np.diff(values, axis=s, **pad)
@@ -270,35 +264,30 @@ def vitali_variation(f: GridFunction, face: FaceSelector | None = None) -> float
 def hk_variation(f: GridFunction, anchor: str = ANCHOR_ONE) -> float:
     """Hardy-Krause variation of ``f`` anchored at 1 (or at 0).
 
-    Sums the Vitali variation of ``f`` restricted to every face adjacent to
-    the anchor corner, over all ``2^d - 1`` nonempty axis subsets.
+    The correspondence principle: ``_differences(f.values, pin)`` holds the
+    atoms of a signed measure ``nu`` with ``f(x) = nu([0, x])`` (at anchor 1,
+    ``±nu([x, 1])``) and ``|nu| = V_HK(f) + |f(anchor)|``.  One sum regroups
+    the per-face sums' terms: bit for bit whenever the sums are exact.
     """
     if anchor not in (ANCHOR_ONE, ANCHOR_ZERO):
         raise ValidationError(f"unknown anchor {anchor!r}")
     pin = -1 if anchor == ANCHOR_ONE else 0
-    diffs = _differences(f.values, pin)
-    total = 0.0
-    for axes in _faces(f.dimension):
-        total += float(np.abs(_face_block(diffs, axes, pin)).sum())
-    return total
+    atoms = np.abs(_differences(f.values, pin))
+    atoms[(pin,) * f.dimension] = 0.0
+    return float(atoms.sum())
 
 
 def hk0_prefix_grid(f: GridFunction) -> np.ndarray:
     """Anchored-at-0 variation of ``f`` on ``[0, v]`` for every grid vertex ``v``.
 
-    Returned as an array over the grid; the origin entry is 0.
+    The absolute atoms of :func:`hk_variation` at anchor 0, prefix-summed
+    along every axis; the origin entry is 0.
     """
-    d = f.dimension
-    # a cumsum along s over indices >= 1 stays inside the faces that hold s
     prefix = np.abs(_differences(f.values, 0))
-    for s in range(d):
-        block = prefix[(slice(None),) * s + (slice(1, None),)]
-        np.cumsum(block, axis=s, out=block)
-    out = np.zeros(f.shape)
-    for axes in _faces(d):
-        region = tuple(slice(1, None) if s in axes else slice(None) for s in range(d))
-        out[region] += _face_block(prefix, axes, 0)
-    return out
+    prefix[(0,) * f.dimension] = 0.0
+    for s in range(f.dimension):
+        np.cumsum(prefix, axis=s, out=prefix)
+    return prefix
 
 
 def hk0_prefix(f: GridFunction, x) -> float:

@@ -10,9 +10,11 @@ and as exact rationals) rather than through its closed-form CDF.  The face
 loops of the variation module, its two indicator builders and the
 segment-by-segment pseudo-inverse are kept here as written before they were
 folded into shared code paths, so the shared paths can be compared with them
-bit for bit; so are the per-point one-sided CDFs of the measures, the
-per-corner box masses and the per-trial randomized discrepancy search, which
-now evaluate whole batches.
+bit for bit; where a shared path regroups a float sum, both are checked
+against the exact rational sum within a stated rounding bound instead.  So
+are the per-point one-sided CDFs of the measures, the per-corner box masses
+and the per-trial randomized discrepancy search, which now evaluate whole
+batches.
 """
 
 from __future__ import annotations
@@ -508,6 +510,87 @@ def reference_pseudo_inverse(ax: AxisCdf, y: float) -> float:
         if vl[j] < y <= va[j]:
             return float(bp[j])
     return 1.0
+
+
+# ---------------------------------------------------------------------------
+# exact rational oracle for the variation sums, and its rounding bound
+# ---------------------------------------------------------------------------
+#
+# Every float is a rational, so the mixed differences of the vertex values,
+# their absolute sums and prefix sums are exact as Fractions.  In floats, with
+# u = 2^-53 and Higham's gamma_n = n u / (1 - n u) (Accuracy and Stability of
+# Numerical Algorithms, Lemmas 3.1 and 3.3):
+#
+# - each of the d ``np.diff`` levels rounds once, so a computed difference is
+#   sum_c +-v_c (1 + t_c) over its corners c with |t_c| <= gamma_d; it is off
+#   by at most gamma_d * A, A being the sum of |v_c| over its corners;
+# - n such terms summed in any binary tree (NumPy's pairwise sum, a running
+#   sum face by face, or d cumsums) pass through at most n - 1 additions, so
+#   the sum of the computed terms is off by at most gamma_{n-1} times their
+#   absolute sum, itself at most (exact + gamma_d * sum A);
+# - with gamma_j + gamma_k + gamma_j gamma_k <= gamma_{j+k} these give
+#
+#       |computed - exact| <= gamma_{n+d-1} * (exact + sum of A over the n terms).
+#
+# The bound holds for every grouping of the terms, so the library's one sum
+# and the face loops above must both meet it.  n counts the array entries a
+# sum may read (the zeroed anchor entry too, which only loosens it).
+
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def gamma(n: int) -> Fraction:
+    """Higham's ``gamma_n = n u / (1 - n u)``, exactly."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _exact_atoms(values: np.ndarray, pin: int) -> tuple[np.ndarray, np.ndarray]:
+    """Object arrays of Fractions: the mixed differences of ``values`` padded
+    with a zero before every axis (``pin`` 0) or after it (-1), as
+    ``nuqmc.variation._differences`` pads them, and beside each the sum of
+    ``|v|`` over its corners."""
+    atoms = np.array([Fraction(x) for x in values.flat], dtype=object).reshape(values.shape)
+    corners = np.abs(atoms)
+    for s in range(atoms.ndim):
+        pairs = []
+        for x in (atoms, corners):
+            zero = np.full_like(x.take([0], axis=s), Fraction(0))
+            x = np.concatenate([zero, x] if pin == 0 else [x, zero], axis=s)
+            n = x.shape[s]
+            pairs.append((x.take(range(1, n), axis=s), x.take(range(n - 1), axis=s)))
+        (hi, lo), (abs_hi, abs_lo) = pairs
+        atoms, corners = hi - lo, abs_hi + abs_lo
+    return atoms, corners
+
+
+def exact_hk_variation(f: GridFunction, pin: int) -> tuple[Fraction, Fraction]:
+    """``(exact, bound)``: the Hardy-Krause variation with the pinned axes at
+    ``pin`` as a Fraction, and the rounding bound on any float sum of it."""
+    atoms, corners = _exact_atoms(f.values, pin)
+    atoms[(pin,) * f.dimension] = Fraction(0)
+    exact = sum(np.abs(atoms).flat, Fraction(0))
+    return exact, gamma(atoms.size + f.dimension - 1) * (exact + sum(corners.flat, Fraction(0)))
+
+
+def exact_hk0_prefix_grid(f: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """``(exact, bound)`` object arrays over the grid: the anchored-at-0
+    variation on ``[0, v]`` at every vertex ``v``, and its rounding bound,
+    ``n`` being the ``prod(v_s + 1)`` entries at or below ``v``."""
+    atoms, corners = _exact_atoms(f.values, 0)
+    atoms[(0,) * f.dimension] = Fraction(0)
+    exact, scale = np.abs(atoms), corners
+    for s in range(f.dimension):
+        exact, scale = np.cumsum(exact, axis=s), np.cumsum(scale, axis=s)
+    n = np.prod(np.indices(f.shape) + 1, axis=0)
+    bound = np.array([gamma(int(k) + f.dimension - 1) for k in n.flat],
+                     dtype=object).reshape(f.shape) * (exact + scale)
+    return exact, bound
+
+
+def within_rounding(computed, exact, bound) -> bool:
+    """True iff every ``|computed - exact| <= bound``, compared as Fractions."""
+    return all(abs(Fraction(float(c)) - e) <= b
+               for c, e, b in zip(np.ravel(computed), np.ravel(exact), np.ravel(bound)))
 
 
 # ---------------------------------------------------------------------------

@@ -487,14 +487,26 @@ class TestReportPlumbing:
     ["discrepancy", "--points", "p.json", "--measure", "m.json", "--max-exact-dim", "4"],
     ["integrate", "--f", "f.json", "--measure", "m.json", "--points", "p.json",
      "--max-exact-dim", "4"],
+    # declared, but read in exact mode only: refused before any file is read
+    ["integrate", "--f", "f.json", "--measure", "m.json", "--points", "p.json",
+     "--budget", "0"],
+    ["discrepancy", "--points", "p.json", "--measure", "m.json", "--search", "5",
+     "--budget", "0"],
 ], ids=["generate-seed", "variation-budget", "decompose-max-exact-dim", "transform-tolerance",
         "integrate-seed", "counterexample-budget", "discrepancy-tolerance",
-        "discrepancy-max-exact-dim", "integrate-max-exact-dim"])
+        "discrepancy-max-exact-dim", "integrate-max-exact-dim",
+        "integrate-uncertified-budget", "discrepancy-search-budget"])
 def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an undeclared flag is an argparse usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    if argv[0] in ("integrate", "discrepancy") and "--budget" in argv:
+        assert err.startswith("error: --budget is read in exact mode only")
+    else:
+        assert "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------

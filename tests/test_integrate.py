@@ -1,6 +1,7 @@
 """QMC estimates, exact reference integrals, and error certificates."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -357,6 +358,21 @@ class TestImportanceSampling:
                                          UniformMeasure(2), cell_budget=8)
         with pytest.raises(TypeError):
             kh_certificate(f, ps, UniformMeasure(2), cell_budjet=8)
+
+    def test_cell_budget_is_checked_before_the_union_grid(self):
+        # a 2001 x 2001 union grid (about 150 MiB with its variation) for a
+        # 4 x 4 critical grid: the budget refuses it before it is built
+        f = GridFunction([np.linspace(0.0, 1.0, 2001), [0.0, 1.0]], np.ones((2001, 2)))
+        g = GridFunction([[0.0, 1.0], np.linspace(0.0, 1.0, 2001)], np.ones((2, 2001)))
+        ps = PointSet(2, [[0.25, 0.5], [0.75, 0.125]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="16 cells"):
+                importance_sampling_estimate(f, g, ps, UniformMeasure(2), cell_budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -36,6 +36,8 @@ from nuqmc import (
 )
 from helpers import (
     completely_monotone_function,
+    exact_hk0_prefix_grid,
+    exact_hk_variation,
     hk_by_enumeration,
     measures_match,
     random_grid_function,
@@ -49,6 +51,7 @@ from helpers import (
     reference_is_completely_monotone,
     reference_measure_values,
     vitali_by_enumeration,
+    within_rounding,
 )
 
 TOL = 1e-12
@@ -415,6 +418,32 @@ class TestFunctionToMeasure:
                     assert got == pytest.approx(float(gf.values[idx]), abs=1e-10)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+class TestCorrespondenceIdentity:
+    """``V_HK(f) = |nu_f|([0,1]^d) - |f(anchor)|`` with ``f(x) = nu_f([0, x])``,
+    as an equality: whole-number values make every sum exact in floats."""
+
+    @staticmethod
+    def cases(d):
+        rng = np.random.default_rng(700 + d)
+        for _ in range(10):
+            f = random_grid_function(rng, d=d, max_intervals=3)
+            yield f.with_values(rng.integers(-9, 10, size=f.shape).astype(float))
+
+    def test_anchor_zero(self, d):
+        for f in self.cases(d):
+            hk0 = hk_variation(f, ANCHOR_ZERO)
+            assert hk0 + abs(f.value_at_origin()) == total_variation(function_to_measure(f))
+            assert hk0_prefix_grid(f)[(-1,) * d] == hk0
+
+    def test_anchor_one_through_mirror(self, d):
+        for f in self.cases(d):
+            g = mirror(f)
+            hk1 = hk_variation(f, ANCHOR_ONE)
+            assert hk1 + abs(f.values[(-1,) * d]) == total_variation(function_to_measure(g))
+            assert hk0_prefix_grid(g)[(-1,) * d] == hk1
+
+
 class TestMeasureToFunction:
     def test_dirac_gives_corner_indicator(self):
         nu = DiscreteSignedMeasure(2, [(0.5, 0.5)], [1.0])
@@ -519,6 +548,11 @@ def bit_equal(a, b) -> bool:
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
+def integer_valued(f: GridFunction) -> bool:
+    """Whole-number vertex values, whose variation sums are exact in floats."""
+    return bool(np.all(f.values == np.round(f.values)))
+
+
 def kernel_cases(d: int):
     """Step and multilinear functions of dimension ``d``: random values,
     rounded values (ties, exact and negative zeros), and completely
@@ -563,14 +597,25 @@ class TestSharedFaceKernel:
                                      reference_cell_sum(f.values, axes, pin))
 
     def test_hk_variation_at_both_anchors(self, d):
+        # one sum of the atoms regroups the face loops' terms: bit for bit
+        # where the sums are exact, else both within rounding of the exact sum
         for f in kernel_cases(d):
-            assert bit_equal(hk_variation(f, ANCHOR_ONE), reference_hk_variation(f, -1))
-            assert bit_equal(hk_variation(f, ANCHOR_ZERO), reference_hk_variation(f, 0))
+            for anchor, pin in ((ANCHOR_ONE, -1), (ANCHOR_ZERO, 0)):
+                got, face_loops = hk_variation(f, anchor), reference_hk_variation(f, pin)
+                exact, bound = exact_hk_variation(f, pin)
+                assert within_rounding(got, exact, bound)
+                assert within_rounding(face_loops, exact, bound)
+                if integer_valued(f):
+                    assert bit_equal(got, face_loops)
 
     def test_prefix_grid_and_decompositions(self, d):
         for f in kernel_cases(d):
-            prefix = reference_hk0_prefix_grid(f)
-            assert bit_equal(hk0_prefix_grid(f), prefix)
+            prefix, face_loops = hk0_prefix_grid(f), reference_hk0_prefix_grid(f)
+            exact, bound = exact_hk0_prefix_grid(f)
+            assert within_rounding(prefix, exact, bound)
+            assert within_rounding(face_loops, exact, bound)
+            if integer_valued(f):
+                assert bit_equal(prefix, face_loops)
             f1, f2 = leonov_decompose(f)
             assert bit_equal(f1.values, prefix)
             assert bit_equal(f2.values, prefix - f.values)
