@@ -70,14 +70,18 @@ def _exact_flags(parser: argparse.ArgumentParser) -> None:
                         help="cell budget for exact discrepancy grids (exact mode only)")
 
 
-def _exact_budget(args, exact: bool) -> None:
-    """Refuse ``--budget`` in a mode that never reads it, else resolve its
+def _mode_flag(args, flag: str, default, read: bool, where: str) -> None:
+    """Refuse ``--flag`` in a mode that never reads it, else resolve its
     default, so the report's config reads as it did with a parser default."""
-    if args.budget is None:
-        args.budget = CELL_BUDGET
-    elif not exact:
-        raise ValidationError("--budget is read in exact mode only: "
-                              "discrepancy without --search, integrate --certify")
+    if getattr(args, flag) is None:
+        setattr(args, flag, default)
+    elif not read:
+        raise ValidationError(f"--{flag} is read {where}")
+
+
+def _exact_budget(args, exact: bool) -> None:
+    _mode_flag(args, "budget", CELL_BUDGET, exact, "in exact mode only: "
+               "discrepancy without --search, integrate --certify")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True)
     p.add_argument("--search", type=int, default=None, metavar="TRIALS",
                    help="randomized lower bound instead of the exact grid")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="search seed (with --search only)")
     _exact_flags(p)
     _output_flags(p)
 
@@ -119,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     _output_flags(p)
 
     p = sub.add_parser("generate", help="low-discrepancy point sets")
-    p.add_argument("--kind", choices=("halton",), default="halton")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     _output_flags(p)
@@ -219,6 +222,7 @@ def _discrepancy_result_dict(res) -> dict:
 
 def _run_discrepancy(args) -> dict:
     _exact_budget(args, args.search is None)
+    _mode_flag(args, "seed", 0, args.search is not None, "with --search only")
     ps = load_points(args.points)
     m = load_measure(args.measure)
     if args.search is not None:

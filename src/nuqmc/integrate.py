@@ -19,7 +19,7 @@ import numpy as np
 from .discrepancy import CELL_BUDGET, PointSet, _critical_grids, star_discrepancy
 from .errors import DimensionMismatchError, UnsupportedIntegrandError, ValidationError
 from .measures import DiscreteMeasure, UniformMeasure, _upper_axis
-from .variation import ANCHOR_ONE, STEP, GridFunction, hk_variation
+from .variation import ANCHOR_ONE, STEP, GridFunction, _differences, hk_variation
 
 #: Certificate slack absorbing floating point accumulation.
 CERTIFICATE_TOL = 1e-10
@@ -72,9 +72,7 @@ def _generalized_cell_masses(m, breakpoints) -> np.ndarray:
     coords, left = zip(*(_upper_axis(np.asarray(b, dtype=float)) for b in breakpoints))
     table = table_of(coords, left)(0, coords[0].size, np.empty([c.size for c in coords]),
                                    [np.arange(c.size) for c in coords[1:]])
-    for s in range(len(coords)):
-        table = np.diff(table, axis=s)
-    return table
+    return _differences(table)
 
 
 def integral_under_measure(f: GridFunction, m) -> float:

@@ -211,10 +211,11 @@ class JordanPair:
 
 
 def _differences(values: np.ndarray, pin: int | None = None) -> np.ndarray:
-    """Mixed first differences along every axis, unpadded or padded with a zero
-    before (``pin`` 0) or after (-1) each axis: padded, the atoms of the measure
-    of a step function.  As ``x - 0 = x`` and ``0 - x = -x`` exactly, a face is
-    one block of it: bit for bit at 0, up to sign at -1."""
+    """Mixed first differences along every axis, unpadded (the quasi-volumes
+    of adjacent cells) or padded with a zero before (``pin`` 0) or after (-1)
+    each axis: padded, the atoms of the measure of a step function.  As
+    ``x - 0 = x`` and ``0 - x = -x`` exactly, a face is one block of it: bit
+    for bit at 0, up to sign at -1."""
     pad = {} if pin is None else {"prepend" if pin == 0 else "append": 0.0}
     for s in range(values.ndim):
         values = np.diff(values, axis=s, **pad)
@@ -230,7 +231,8 @@ def _face_block(diffs: np.ndarray, axes: tuple[int, ...], pin: int) -> np.ndarra
 
 
 def quasi_volume(f: GridFunction, box: Box) -> float:
-    """Alternating corner sum of ``f`` over a grid-aligned box.
+    """Alternating corner sum of ``f`` over a grid-aligned box: the mixed
+    difference of its ``2^d`` corner block.
 
     The corner at ``upper`` enters with positive sign; axes of zero extent
     contribute zero.  Corners must lie on grid vertices (callers snap).
@@ -239,10 +241,7 @@ def quasi_volume(f: GridFunction, box: Box) -> float:
         raise DimensionMismatchError("box and function dimensions differ")
     lo = f.vertex_index(box.lower)
     hi = f.vertex_index(box.upper)
-    v = f.values
-    for s in range(f.dimension):
-        v = np.take(v, [hi[s]], axis=s) - np.take(v, [lo[s]], axis=s)
-    return float(v.reshape(()))
+    return float(_differences(f.values[np.ix_(*zip(lo, hi))]).reshape(()))
 
 
 def vitali_variation(f: GridFunction, face: FaceSelector | None = None) -> float:
@@ -329,24 +328,18 @@ def jordan_decompose_function(f: GridFunction) -> JordanPair:
 
 
 def is_completely_monotone(f: GridFunction, tol: float = MONOTONE_TOL) -> bool:
-    """True iff every quasi-volume of every dimension is ``>= -tol``.
-
-    Checks all nonempty axis subsets with the remaining coordinates pinned at
-    every grid position; adjacent-cell boxes suffice since larger boxes are
-    sums of adjacent ones.  One ``np.diff`` a face, walked depth first: about
-    ``2^d`` grid passes, ``d`` arrays alive.  ``tol`` must be finite and ``>= 0``.
+    """True iff every atom of ``nu`` with ``f(x) = nu([0, x])`` but the
+    origin's ``f(0)`` is ``>= -tol``: every quasi-volume of every face is a
+    sum of atoms.  In floats an atom is bit for bit the quasi-volume of one
+    adjacent cell of a face pinned at 0, so this reads a subset of the values
+    a walk over every face at every pinned position reads.  ``tol`` must be
+    finite and ``>= 0``.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
-
-    def monotone(v: np.ndarray, first: int) -> bool:
-        for s in range(first, v.ndim):
-            w = np.diff(v, axis=s)
-            if float(w.min()) < -tol or not monotone(w, s + 1):
-                return False
-        return True
-
-    return monotone(f.values, 0)
+    atoms = _differences(f.values, 0)
+    atoms[(0,) * f.dimension] = 0.0
+    return bool(atoms.min() >= -tol)
 
 
 def mirror(f: GridFunction) -> GridFunction:

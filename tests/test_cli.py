@@ -276,11 +276,11 @@ class TestTransformAndGenerate:
     def test_generate_then_transform(self, capsys, tmp_path):
         out_pts = tmp_path / "halton.json"
         code, out, _ = run_cli(
-            capsys, "generate", "--kind", "halton", "--n", "8", "--d", "2",
-            "--out", str(out_pts),
+            capsys, "generate", "--n", "8", "--d", "2", "--out", str(out_pts),
         )
         assert code == 0
         assert json.loads(out)["result"]["written"] == str(out_pts)
+        assert set(json.loads(out)["config"]) == {"subcommand", "n", "d", "format", "out"}
         payload = json.loads(out_pts.read_text())
         assert payload["d"] == 2 and len(payload["points"]) == 8
 
@@ -418,11 +418,11 @@ class TestReportPlumbing:
         assert json.loads(cached[4][1][1])["config"]["search"] is None
 
     def test_byte_identical_reports(self, capsys, points_file, uniform_file):
-        argv = ["discrepancy", "--points", points_file, "--measure", uniform_file,
-                "--seed", "9"]
-        _, out1, _ = run_cli(capsys, *argv)
-        _, out2, _ = run_cli(capsys, *argv)
-        assert out1 == out2
+        disc = ["discrepancy", "--points", points_file, "--measure", uniform_file]
+        for argv in (disc, disc + ["--search", "50", "--seed", "9"]):
+            _, out1, _ = run_cli(capsys, *argv)
+            _, out2, _ = run_cli(capsys, *argv)
+            assert out1 == out2
 
     def test_csv_format(self, capsys, points_file, uniform_file):
         code, out, _ = run_cli(
@@ -492,10 +492,14 @@ class TestReportPlumbing:
      "--budget", "0"],
     ["discrepancy", "--points", "p.json", "--measure", "m.json", "--search", "5",
      "--budget", "0"],
+    ["discrepancy", "--points", "p.json", "--measure", "m.json", "--seed", "0"],
+    # retired: its one choice selected nothing
+    ["generate", "--kind", "halton", "--n", "4", "--d", "2"],
 ], ids=["generate-seed", "variation-budget", "decompose-max-exact-dim", "transform-tolerance",
         "integrate-seed", "counterexample-budget", "discrepancy-tolerance",
         "discrepancy-max-exact-dim", "integrate-max-exact-dim",
-        "integrate-uncertified-budget", "discrepancy-search-budget"])
+        "integrate-uncertified-budget", "discrepancy-search-budget",
+        "discrepancy-exact-seed", "generate-kind"])
 def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
     try:
         code = main(argv)
@@ -505,6 +509,8 @@ def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
     assert code == 2
     if argv[0] in ("integrate", "discrepancy") and "--budget" in argv:
         assert err.startswith("error: --budget is read in exact mode only")
+    elif argv[0] == "discrepancy" and "--seed" in argv:
+        assert err.startswith("error: --seed is read with --search only")
     else:
         assert "unrecognized arguments" in err
 
@@ -688,6 +694,8 @@ class TestCliFuzz:
                 report = Path(argv[argv.index("--out") + 1]).read_text()
         assert code in (0, 2, 3), (argv, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
+        if "--seed" in argv and "--search" not in argv:
+            assert code == 2, argv  # an exact run never reads the seed
         if code:
             assert stderr.getvalue(), argv
         elif "csv" not in argv:

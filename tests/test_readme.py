@@ -1,9 +1,10 @@
-"""The README's Python examples run as written, and its CLI flag table
-lists the flags the parser declares."""
+"""The README's Python examples run as written, its command lines parse,
+and its CLI flag table lists the flags the parser declares."""
 
 import argparse
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                    flags=re.DOTALL | re.MULTILINE)
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
+COMMANDS = [line for block in re.findall(r"^```bash\n(.*?)^```", README,
+                                         flags=re.DOTALL | re.MULTILINE)
+            for line in block.splitlines() if line.startswith("nuqmc ")]
 
 
 def test_the_readme_has_python_examples():
@@ -27,11 +31,25 @@ def test_python_block_runs_in_a_fresh_interpreter(source):
     assert done.returncode == 0, done.stderr
 
 
+def test_the_readme_has_command_lines():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_command_line_parses(line):
+    # parsed only, nothing is run: a retired or misspelt flag is a usage error
+    from nuqmc.cli import build_parser
+    argv = shlex.split(line, comments=True)[1:]
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command line does not parse: {line}")
+
+
 def test_the_cli_flag_table_lists_the_parser_flags():
     # one row per subcommand; every backticked `--flag` in it, against the
     # options its subparser declares besides --help and the shared output flags
-    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", (ROOT / "README.md").read_text(),
-                      flags=re.MULTILINE)
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", README, flags=re.MULTILINE)
     table = {sub: {code.split()[0] for code in re.findall(r"`([^`]*)`", cell)
                    if code.startswith("--")}
              for sub, cell in rows}

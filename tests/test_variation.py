@@ -38,6 +38,7 @@ from helpers import (
     completely_monotone_function,
     exact_hk0_prefix_grid,
     exact_hk_variation,
+    exact_monotone_verdict,
     hk_by_enumeration,
     measures_match,
     random_grid_function,
@@ -633,6 +634,30 @@ class TestSharedFaceKernel:
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
+    def test_complete_monotonicity_reads_the_atoms(self, d):
+        # the atoms are a subset of the face walk's floats: its verdict on
+        # whole numbers, never False where it says True, and in floats the
+        # exact atoms' verdict wherever rounding cannot flip it
+        rng = np.random.default_rng(700 + d)
+        cases = list(kernel_cases(d))
+        for _ in range(50):
+            f = random_grid_function(rng, d=d, max_intervals=3)
+            pair = jordan_decompose_function(f)
+            cases += [f, f.with_values(np.round(f.values)), pair.f_plus, pair.f_minus]
+        decided = set()
+        for f in cases:
+            for tol in (0.0, 1e-12):
+                got = is_completely_monotone(f, tol)
+                walk = reference_is_completely_monotone(f, tol)
+                if integer_valued(f):
+                    assert got is walk
+                assert got or not walk
+                exact = exact_monotone_verdict(f, tol)
+                if exact is not None:
+                    assert got is exact
+                    decided.add(exact)
+        assert decided == {True, False}
+
     def test_measure_round_trip(self, d):
         for f in kernel_cases(d):
             if f.interp != STEP:
@@ -662,9 +687,9 @@ class TestSharedFaceKernel:
 
 
 class TestFaceLoopCost:
-    """The face sums cut every face out of one pinned-difference array, so
-    they difference the grid once per axis, not once per face (63 faces at
-    d = 6); the monotonicity walk differences once per face."""
+    """The face sums and the monotonicity check read every face out of one
+    pinned-difference array, so they difference the grid once per axis, not
+    once per face (63 faces at d = 6)."""
 
     @pytest.fixture
     def diff_calls(self, monkeypatch):
@@ -693,8 +718,8 @@ class TestFaceLoopCost:
             run()
             assert diff_calls == list(range(6))
 
-    def test_monotonicity_differences_once_per_face(self, diff_calls):
+    def test_monotonicity_differences_once_per_axis(self, diff_calls):
         f_plus = jordan_decompose_function(self.length_two_axes_d6()).f_plus
         diff_calls.clear()
         assert is_completely_monotone(f_plus)
-        assert len(diff_calls) == 2 ** 6 - 1
+        assert diff_calls == list(range(6))
