@@ -3,7 +3,7 @@ product, discrete, and analytic-CDF measures.
 
 The supremum runs over closed anchored boxes ``[0, a]``.  The counting
 function is constant on the half-open cells of the critical grid (point
-coordinates, atom coordinates, CDF breakpoints, and {0, 1}) while the
+coordinates, a discrete measure's atom coordinates, and {0, 1}) while the
 measure's CDF is componentwise monotone there, so the supremum over each
 cell is reached either at the cell's lower corner (an attained value) or at
 its upper corner approached from below (a one-sided limit, which need not be
@@ -18,8 +18,8 @@ prefix counts of one slab's last row into the next, and evaluates each slab
 on its critical boxes only.  In row ``i`` a count can change along an axis
 ``s >= 1`` only at a column that holds a point of rows ``<= i``, so a slab
 reads just the *active* columns of every such axis: column 0, the last
-column, each measure coordinate's column and each column holding a point of
-the rows read so far.  A compressed column stands for the run of dense
+column, each atom's column and each column holding a point of the rows read
+so far.  A compressed column stands for the run of dense
 columns up to the next active one, where the count is constant; the
 lower-corner CDF is read at the run's first column and the one-sided
 upper-corner CDF at its last, so both maxima over the run are read exactly.
@@ -158,7 +158,7 @@ def one_sided_deviation(a, ps: PointSet, m, limit_flags=None) -> float:
     corner, left = _corner(a, limit_flags, ps.dimension)
     if m.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
-    return float(_deviations(ps, _measure_method(m, "_cdf_points"), corner, left)[0])
+    return float(_deviations(ps, m._cdf_points, corner, left)[0])
 
 
 def _deviations(ps: PointSet, cdf_points, corners: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -167,14 +167,6 @@ def _deviations(ps: PointSet, cdf_points, corners: np.ndarray, left: np.ndarray)
     ``_cdf_points``."""
     counts = np.count_nonzero(_inside(ps.points, corners, left), axis=1)
     return np.abs(counts / ps.n - cdf_points(corners, left))
-
-
-def _measure_method(m, name: str):
-    """The private array method ``name`` every supported measure class has."""
-    method = getattr(m, name, None)
-    if method is None:
-        raise ValidationError(f"unsupported measure type {type(m).__name__}")
-    return method
 
 
 def _critical_grids(ps: PointSet, m, cell_budget) -> list[np.ndarray]:
@@ -206,8 +198,8 @@ def _slab_maxima(ps: PointSet, m, grids):
     slab reads.  In row ``i`` the count changes along an axis ``s >= 1`` only
     at a column holding a point of rows ``<= i``, so a slab reads just its
     *active* columns on every such axis: column 0, the last column, each
-    measure coordinate's column, and each column holding a point of the rows
-    up to the slab's last.  A compressed column stands for the run of dense
+    atom's column, and each column holding a point of the rows up to the
+    slab's last.  A compressed column stands for the run of dense
     columns up to the next active one, on which every count is constant; it
     reads the lower-corner table at the run's first column and the
     upper-corner table at its last.  The computed CDF is nondecreasing along
@@ -245,16 +237,15 @@ def _slab_maxima(ps: PointSet, m, grids):
     d = ps.dimension
     sizes = [g.size for g in grids]
     n_rows, row_cells = sizes[0], math.prod(sizes[1:])
-    table_of = _measure_method(m, "_cdf_table")
     # two float64 slab buffers for the whole walk: the counts, as shares
     # count/N, and the CDF tables (the histogram's int64 scratch before
     # that); a dense row, for the re-read, fits in each.  The carried row
     # lives in a third, int64 buffer of one dense row.
     counts, table, carried = _slab_buffers(min(math.prod(sizes), max(_SLAB_CELLS, row_cells)),
                                            row_cells)
-    f_lo = table_of(grids, [np.zeros(g.size, dtype=bool) for g in grids])
+    f_lo = m._cdf_table(grids, [np.zeros(g.size, dtype=bool) for g in grids])
     uppers = [_upper_axis(g[1:]) for g in grids]
-    f_hi = table_of([c for c, _ in uppers], [f for _, f in uppers])
+    f_hi = m._cdf_table([c for c, _ in uppers], [f for _, f in uppers])
 
     # grid cell of every point, the points ordered by axis-0 row
     cells = [np.searchsorted(g, ps.points[:, s], side="right") - 1 for s, g in enumerate(grids)]
@@ -454,7 +445,8 @@ def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> Discrep
     supremum is attained and a witness box (with one-sided flags when it is
     not).  Raises :class:`BudgetExceededError` when the grid has more than
     ``cell_budget`` cells, an integer >= 1; use
-    :func:`random_search_lower_bound` then.
+    :func:`random_search_lower_bound` then.  A signed measure has no CDF
+    table: :class:`~nuqmc.errors.UnsupportedMeasureError`.
     """
     d = ps.dimension
     grids = _critical_grids(ps, m, cell_budget)
@@ -492,7 +484,6 @@ def random_search_lower_bound(
     trials = _int(trials, "trials", 1)
     if m.dimension != ps.dimension:
         raise DimensionMismatchError("measure and point set dimensions differ")
-    cdf_points = _measure_method(m, "_cdf_points")
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as err:
@@ -522,7 +513,7 @@ def random_search_lower_bound(
         used = min(_SEARCH_BLOCK, trials - done)
         for lo in range(0, used, chunk):
             hi = min(lo + chunk, used)
-            dev = _deviations(ps, cdf_points, corners[lo:hi], left[lo:hi])
+            dev = _deviations(ps, m._cdf_points, corners[lo:hi], left[lo:hi])
             i = int(np.argmax(np.nan_to_num(dev, nan=-1.0)))  # as `>` below, NaN never wins
             if dev[i] > best:  # the first trial to reach the maximum keeps it
                 best, best_corner, best_left = float(dev[i]), corners[lo + i], left[lo + i]

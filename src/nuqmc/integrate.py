@@ -18,7 +18,7 @@ import numpy as np
 
 from .discrepancy import CELL_BUDGET, PointSet, _critical_grids, star_discrepancy
 from .errors import DimensionMismatchError, UnsupportedIntegrandError, ValidationError
-from .measures import DiscreteMeasure, UniformMeasure, _upper_axis
+from .measures import DiscreteMeasure, UniformMeasure, _floats, _upper_axis
 from .variation import ANCHOR_ONE, STEP, GridFunction, _differences, hk_variation
 
 #: Certificate slack absorbing floating point accumulation.
@@ -64,14 +64,9 @@ def _generalized_cell_masses(m, breakpoints) -> np.ndarray:
     degenerate slab ``{1}``; every mass is a mixed difference of one-sided
     CDF evaluations, so atoms on cell boundaries land exactly once.
     """
-    table_of = getattr(m, "_cdf_table", None)
-    if table_of is None:
-        raise UnsupportedIntegrandError(
-            f"no exact cell masses for measure type {type(m).__name__}"
-        )
     coords, left = zip(*(_upper_axis(np.asarray(b, dtype=float)) for b in breakpoints))
-    table = table_of(coords, left)(0, coords[0].size, np.empty([c.size for c in coords]),
-                                   [np.arange(c.size) for c in coords[1:]])
+    table = m._cdf_table(coords, left)(0, coords[0].size, np.empty([c.size for c in coords]),
+                                       [np.arange(c.size) for c in coords[1:]])
     return _differences(table)
 
 
@@ -80,8 +75,9 @@ def integral_under_measure(f: GridFunction, m) -> float:
 
     Supported pairs: any grid function against a discrete measure (a finite
     weighted sum), or a step grid function against a uniform, product, or
-    analytic-CDF measure (cell value times cell mass).  Anything else raises
-    :class:`UnsupportedIntegrandError`.
+    analytic-CDF measure (cell value times cell mass).  A signed measure has
+    no CDF table and raises :class:`UnsupportedMeasureError`; any other
+    pair raises :class:`UnsupportedIntegrandError`.
     """
     if m.dimension != f.dimension:
         raise DimensionMismatchError("measure and integrand dimensions differ")
@@ -175,14 +171,22 @@ def importance_sampling_estimate(
     :class:`UnsupportedIntegrandError` without one; its reference integral
     must then be supplied by the caller for the observed error to be
     reported.  A caller's ``variation=`` or ``reference_integral=`` replaces
-    the exact one of a step pair too.  ``cell_budget`` gates the exact D*,
-    before the union grid or anything else grid-sized is built.
+    the exact one of a step pair too; each is one number, the variation
+    ``>= 0``.  ``cell_budget`` gates the exact D*, before the union grid or
+    anything else grid-sized is built.
     """
+    if variation is not None:
+        variation = _number(variation, "variation")
+        if variation < 0.0:
+            raise ValidationError(f"variation must be >= 0, got {variation}")
+    if reference_integral is not None:
+        reference_integral = _number(reference_integral, "reference_integral")
     _critical_grids(ps, m_g, cell_budget)
     if all(isinstance(h, GridFunction) and h.interp == STEP for h in (f, g)):
         ratio = _step_ratio(f, g)
         estimate = qmc_estimate(ratio, ps)
-        var = hk_variation(ratio, ANCHOR_ONE) if variation is None else float(variation)
+        if variation is None:
+            variation = hk_variation(ratio, ANCHOR_ONE)
         if reference_integral is None:
             reference_integral = integral_under_measure(f, UniformMeasure(f.dimension))
     elif variation is None:
@@ -195,5 +199,12 @@ def importance_sampling_estimate(
         if np.any(g_vals <= 0.0):
             raise ValidationError("density must be positive at every sample point")
         estimate = float(np.mean(_sample(f, ps.points) / g_vals))
-        var = float(variation)
-    return estimate, _certificate(ps, m_g, cell_budget, estimate, reference_integral, var)
+    return estimate, _certificate(ps, m_g, cell_budget, estimate, reference_integral, variation)
+
+
+def _number(value, name: str) -> float:
+    """``value`` as one float, read by ``_floats``, or ValidationError."""
+    value = _floats(value, name)
+    if value.ndim:
+        raise ValidationError(f"{name}: expected one number, got shape {value.shape}")
+    return float(value)

@@ -37,7 +37,9 @@ read, never once per cell.  Uniform and product tables are read with NumPy's
 ufunc buffer cut to one row where that is faster, restored before the read
 returns or raises (see ``_product_table``); a discrete table's axis-0 prefix
 sums add long rows one at a time, by the rule the exact engine's counts
-share (``_prefix_rows``).
+share (``_prefix_rows``).  A :class:`DiscreteSignedMeasure` has no table.
+Only the discrete measures add ``axis_coordinates`` to the exact grids:
+their atoms' columns, so that the engine's selections keep every one.
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -212,7 +214,14 @@ def _inside(locations: np.ndarray, corners: np.ndarray, left: np.ndarray) -> np.
 
 
 class _PointCdf:
-    """The public point evaluations of a measure with ``_cdf_points``."""
+    """The public point evaluations of a measure with ``_cdf_points``, and
+    the defaults of one with no exact-grid coordinates and no CDF table."""
+
+    def axis_coordinates(self, axis: int) -> np.ndarray:
+        return np.empty(0)
+
+    def _cdf_table(self, coords, left):
+        raise UnsupportedMeasureError(f"no CDF table for {type(self).__name__}")
 
     def cdf(self, a) -> float:
         """``F(a) = mass([0, a])``."""
@@ -499,9 +508,6 @@ class UniformMeasure(_PointCdf):
     def __post_init__(self) -> None:
         object.__setattr__(self, "dimension", _int(self.dimension, "dimension", 1))
 
-    def axis_coordinates(self, axis: int) -> np.ndarray:
-        return np.empty(0)
-
     def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
         """CDF at scattered points (see the module docstring); continuous,
         so the left limits are the values."""
@@ -604,9 +610,6 @@ class ProductMeasure(_PointCdf):
         self.axes = axes
         self.dimension = len(axes)
 
-    def axis_coordinates(self, axis: int) -> np.ndarray:
-        return self.axes[axis].breakpoints
-
     def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
         """CDF at scattered points (see the module docstring): the product of
         the axis factors, multiplied in axis order."""
@@ -634,9 +637,9 @@ class AnalyticCdfMeasure(_PointCdf):
     values raises ``ValidationError``.  Both must compute each value from its own
     point alone, and nondecreasing in every coordinate: the exact
     discrepancy engine reads a table on a few columns and relies on both
-    (see :mod:`nuqmc.discrepancy`).  ``grid_hints``, one 1-d array of
-    coordinates per axis, may list those worth injecting into exact
-    discrepancy grids (kinks, say); correctness does not depend on them.
+    (see :mod:`nuqmc.discrepancy`).  Monotonicity is also why the exact
+    grids need none of the CDF's own coordinates (kinks, atoms): the
+    supremum over a cell of the points' grid is read at its corners.
     """
 
     def __init__(
@@ -645,7 +648,6 @@ class AnalyticCdfMeasure(_PointCdf):
         cdf: Callable[[np.ndarray], np.ndarray],
         continuous: bool = True,
         left_limit: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-        grid_hints: Sequence[Sequence[float]] | None = None,
         label: str = "analytic",
     ) -> None:
         self.dimension = _int(dimension, "dimension", 1)
@@ -653,16 +655,6 @@ class AnalyticCdfMeasure(_PointCdf):
         self.continuous = bool(continuous)
         self._left_limit = left_limit
         self.label = label
-        if grid_hints is None:
-            self._hints = tuple(np.empty(0) for _ in range(self.dimension))
-        else:
-            self._hints = tuple(np.array(_unit(h, "grid hints")) for h in grid_hints)
-            if len(self._hints) != self.dimension:
-                raise DimensionMismatchError(
-                    f"grid hints hold {len(self._hints)} arrays, expected {self.dimension}"
-                )
-            if any(h.ndim != 1 for h in self._hints):
-                raise ValidationError("grid hints must be 1-d arrays, one per axis")
         norm = self.cdf(np.ones(self.dimension))
         if abs(norm - 1.0) > TOLERANCE:
             raise ValidationError(f"F(1,...,1) must equal 1, got {norm}")
@@ -678,9 +670,6 @@ class AnalyticCdfMeasure(_PointCdf):
                 "analytic CDF declared discontinuous has no one-sided limit callback"
             )
         return _callback_values("left_limit", self._left_limit(points, left), len(points))
-
-    def axis_coordinates(self, axis: int) -> np.ndarray:
-        return self._hints[axis]
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring): one

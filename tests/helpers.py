@@ -172,17 +172,21 @@ def _dense_cdf_arrays(m, grids):
     raise TypeError(f"no dense CDF arrays for {type(m).__name__}")
 
 
-def dense_star_discrepancy(ps: PointSet, m):
+def dense_star_discrepancy(ps: PointSet, m, extra=None):
     """Exact star-discrepancy by whole-grid reduction: vertex counts and CDF
     arrays over the entire critical grid, then one argmax of each deviation.
+    ``extra``, one array per axis, adds grid lines the value must not need
+    (a measure's breakpoints or atoms, say).
 
     Returns ``(value, witness, flags, attained)`` with the same tie rule as
     the library (first occurrence in C order; the attained term wins ties).
     """
     d = ps.dimension
+    extra = [np.empty(0)] * d if extra is None else extra
     grids = [
         np.unique(np.concatenate([[0.0, 1.0], ps.points[:, s],
-                                  np.asarray(m.axis_coordinates(s), dtype=float)]))
+                                  np.asarray(m.axis_coordinates(s), dtype=float),
+                                  np.asarray(extra[s], dtype=float)]))
         for s in range(d)
     ]
     counts = np.zeros(tuple(g.size for g in grids), dtype=np.int64)
@@ -202,6 +206,31 @@ def dense_star_discrepancy(ps: PointSet, m):
     witness = tuple(1.0 if last[s] else float(grids[s][hi_idx[s] + 1]) for s in range(d))
     flags = tuple("at" if last[s] else "left" for s in range(d))
     return float(dev_hi[hi_idx]), witness, flags, False
+
+
+def measure_coordinates(m) -> list[np.ndarray]:
+    """Per axis, where ``m``'s CDF breaks: a product's axis breakpoints, a
+    discrete measure's atom columns, nothing for the others.  Corners there
+    are the ones worth testing; the exact grids need only the atoms."""
+    if isinstance(m, ProductMeasure):
+        return [ax.breakpoints for ax in m.axes]
+    return [np.asarray(m.axis_coordinates(s), dtype=float) for s in range(m.dimension)]
+
+
+def atom_mixture(c, w_atom=0.5):
+    """Half uniform, half an atom at ``c`` (weights ``1 - w_atom`` and
+    ``w_atom``), in d = 2: an analytic measure with a ``left_limit``
+    callback."""
+    c = np.asarray(c, dtype=float)
+
+    def cdf(a):
+        return (1.0 - w_atom) * np.prod(a, axis=1) + np.where(np.all(c <= a, axis=1), w_atom, 0.0)
+
+    def left_limit(a, left):
+        inside = np.all(np.where(left, c < a, c <= a), axis=1)
+        return (1.0 - w_atom) * np.prod(a, axis=1) + np.where(inside, w_atom, 0.0)
+
+    return AnalyticCdfMeasure(2, cdf, continuous=False, left_limit=left_limit)
 
 
 def reference_cdf_one_sided(m, a, flags) -> float:

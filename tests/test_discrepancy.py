@@ -15,22 +15,28 @@ from nuqmc import (
     DiscreteSignedMeasure,
     PointSet,
     ProductMeasure,
+    GridFunction,
     UniformMeasure,
+    UnsupportedMeasureError,
     ValidationError,
     chelson_cdf,
     chelson_measure,
     halton,
+    integral_under_measure,
     one_sided_deviation,
     random_search_lower_bound,
     star_discrepancy,
 )
 from helpers import (
+    atom_mixture,
     brute_force_star_discrepancy,
     dense_star_discrepancy,
     dense_uniform_star_discrepancy,
+    measure_coordinates,
     random_discrete_probability,
     random_general_axis_cdf,
     random_point_set,
+    random_signed_measure,
     reference_one_sided_deviation,
     reference_random_search,
 )
@@ -161,9 +167,9 @@ class TestStarDiscrepancyExact:
                 m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(3)])
             cands = [
                 np.unique(np.concatenate([
-                    np.linspace(0, 1, 7), ps.points[:, s], m.axis_coordinates(s),
+                    np.linspace(0, 1, 7), ps.points[:, s], c,
                 ]))
-                for s in range(3)
+                for s, c in enumerate(measure_coordinates(m))
             ]
             brute = brute_force_star_discrepancy(ps, m, cands)
             exact = star_discrepancy(ps, m).value
@@ -199,26 +205,10 @@ class TestStarDiscrepancyExact:
     def test_analytic_cdf_with_an_atom(self):
         # closed-form mixture of the uniform measure and a point mass; the
         # declared-discontinuous path must use the left-limit callback
-        def mixture(c, w_atom):
-            c = np.asarray(c, float)
-            w_uni = 1.0 - w_atom
-
-            def cdf(a):
-                return w_uni * np.prod(a, axis=1) + np.where(np.all(c <= a, axis=1), w_atom, 0.0)
-
-            def left(a, flags):
-                ok = np.all(np.where(flags, c < a, c <= a), axis=1)
-                return w_uni * np.prod(a, axis=1) + np.where(ok, w_atom, 0.0)
-
-            return AnalyticCdfMeasure(
-                2, cdf, continuous=False, left_limit=left,
-                grid_hints=[[c[0]], [c[1]]],
-            )
-
         rng = np.random.default_rng(16)
         for _ in range(10):
             c = rng.uniform(0.1, 0.9, 2)
-            m = mixture(c, float(rng.uniform(0.1, 0.9)))
+            m = atom_mixture(c, float(rng.uniform(0.1, 0.9)))
             ps = random_point_set(rng, 2, max_points=6)
             cands = [
                 np.unique(np.concatenate([np.linspace(0, 1, 41), ps.points[:, s], [c[s]]]))
@@ -549,6 +539,66 @@ class TestSlabEngine:
         assert len(batches) <= 4
         assert all(len(shape) == 2 and shape[1] == 2 for shape in batches)
         assert res.value == star_discrepancy(ps, chelson_measure()).value
+
+
+class TestGridWithoutMeasureCoordinates:
+    """The exact grid holds no breakpoint of a product's axes and no atom of
+    an analytic CDF: a nondecreasing CDF takes its supremum over a cell of
+    the points' grid at the cell's corners.  So the value is, bit for bit,
+    the dense maximum on the grid with those coordinates added, and the
+    witness, which may move along a plateau of the CDF, realises it."""
+
+    @staticmethod
+    def _check(ps, m, extra):
+        res = star_discrepancy(ps, m)
+        assert res.value == dense_star_discrepancy(ps, m, extra)[0]
+        assert one_sided_deviation(res.witness_box.upper, ps, m, res.witness_flags) == res.value
+
+    @staticmethod
+    def _points(rng, n, marks):
+        """``n`` random points, about a third of their coordinates moved
+        onto the per-axis ``marks``."""
+        pts = rng.random((n, len(marks)))
+        snapped = np.stack([rng.choice(np.asarray(c), n) for c in marks], axis=1)
+        return PointSet(len(marks), np.where(rng.random(pts.shape) < 0.3, snapped, pts))
+
+    @pytest.mark.parametrize("slab_cells", [None, 1])
+    def test_jump_plateau_run(self, slab_cells, monkeypatch):
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        ps, m = _slab_case("jump-plateau-run")
+        self._check(ps, m, measure_coordinates(m))
+
+    @pytest.mark.parametrize("slab_cells", [None, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_jump_plateau_products(self, d, slab_cells, monkeypatch):
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        rng = np.random.default_rng([d, 80])
+        for _ in range(40):
+            m = ProductMeasure([random_general_axis_cdf(rng) for _ in range(d)])
+            marks = measure_coordinates(m)
+            self._check(self._points(rng, int(rng.integers(1, 12)), marks), m, marks)
+
+    @pytest.mark.parametrize("slab_cells", [None, 1])
+    def test_analytic_atom_mixture(self, slab_cells, monkeypatch):
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        rng = np.random.default_rng(81)
+        for _ in range(40):
+            c = rng.uniform(0.1, 0.9, 2)
+            m = atom_mixture(c, float(rng.uniform(0.1, 0.9)))
+            marks = [[c[0]], [c[1]]]
+            self._check(self._points(rng, int(rng.integers(1, 12)), marks), m, marks)
+
+    def test_signed_measure_has_no_table(self):
+        # it once raised ValidationError here and UnsupportedIntegrandError
+        # in the integral
+        nu = random_signed_measure(np.random.default_rng(82), 2, max_atoms=5)
+        with pytest.raises(UnsupportedMeasureError):
+            star_discrepancy(PointSet(2, [[0.5, 0.5]]), nu)
+        with pytest.raises(UnsupportedMeasureError):
+            integral_under_measure(GridFunction([[0.0, 0.5, 1.0]] * 2, np.ones((3, 3))), nu)
 
 
 #: The sizes 2^m - 1, 2^m, 2^m + 1 of the unit sweep, per dimension: the

@@ -413,3 +413,31 @@ class TestImportanceSampling:
             importance_sampling_estimate(args.pop("f"), lambda x: 1.0, PointSet(1, [[0.25], [0.75]]),
                                          args.pop("m_g"), **args)
         assert str(err.value) == f"certificate is not finite: {message}"
+
+    @pytest.mark.parametrize("step", [False, True], ids=["callback", "step-pair"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"variation": -1.0}, "variation must be >= 0"),
+        ({"variation": "abc"}, "variation: expected a list of numbers"),
+        ({"variation": [1.0, 2.0]}, "variation: expected one number"),
+        ({"reference_integral": "x"}, "reference_integral: expected a list of numbers"),
+        ({"reference_integral": [0.5]}, "reference_integral: expected one number"),
+    ], ids=["negative", "text", "two-numbers", "reference-text", "reference-list"])
+    def test_callers_bound_is_one_number(self, kwargs, message, step):
+        # a negative variation once gave bound = -0.17 and satisfied=False, the
+        # certificate's evidence of a bug; text ended in Python's ValueError
+        # or TypeError
+        f, g = ((GridFunction([[0.0, 0.5, 1.0]], [1.0, 2.0, 3.0]),
+                 GridFunction([[0.0, 1.0]], [1.0, 1.0])) if step
+                else (lambda x: float(x[0]), lambda x: 1.0))
+        args = {"variation": 1.0, "reference_integral": 1.5, **kwargs}
+        with pytest.raises(ValidationError, match=message):
+            importance_sampling_estimate(f, g, PointSet(1, [[0.25], [0.75]]), UniformMeasure(1),
+                                         **args)
+
+    def test_callers_bound_from_numpy(self):
+        estimate, cert = importance_sampling_estimate(
+            lambda x: float(x[0]), lambda x: 1.0, PointSet(1, [[0.25], [0.75]]),
+            UniformMeasure(1), variation=np.float64(2.0), reference_integral=np.array(0.5))
+        assert (cert.variation, cert.reference_integral) == (2.0, 0.5)
+        assert type(cert.variation) is float and type(cert.reference_integral) is float
+        assert cert.bound == 2.0 * cert.discrepancy and cert.satisfied

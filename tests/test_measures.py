@@ -44,7 +44,9 @@ from nuqmc import (
 from nuqmc.jsonio import measure_from_dict
 from nuqmc.measures import _covering_index, _upper_axis
 from helpers import (
+    atom_mixture,
     chelson_box_mass,
+    measure_coordinates,
     random_discrete_probability,
     random_general_axis_cdf,
     random_signed_measure,
@@ -262,9 +264,9 @@ class TestBoxMeasure:
             elif kind == "chelson":
                 m = chelson_measure()
             else:
-                m = _atom_mixture((0.5, 0.25))
-            coords = [np.concatenate([m.axis_coordinates(s), rng.random(4), [0.0, 1.0]])
-                      for s in range(d)]
+                m = atom_mixture((0.5, 0.25))
+            marks = [[0.5], [0.25]] if kind == "atom" else measure_coordinates(m)
+            coords = [np.concatenate([marks[s], rng.random(4), [0.0, 1.0]]) for s in range(d)]
             for _ in range(40):
                 a, b = (np.array([rng.choice(c) for c in coords]) for _ in range(2))
                 lo = np.minimum(a, b)
@@ -310,44 +312,6 @@ class TestBoxMeasure:
     def test_openness_flags_that_are_not_booleans_are_refused(self, flags):
         with pytest.raises(ValidationError):
             box_measure(UniformMeasure(2), (0.1, 0.1), (0.5, 0.5), lower_open=flags)
-
-
-def _atom_mixture(c, w_atom=0.5):
-    """Half uniform, half an atom at ``c``, in d = 2: an analytic measure
-    with a ``left_limit`` callback."""
-    c = np.asarray(c, dtype=float)
-
-    def cdf(a):
-        return (1.0 - w_atom) * np.prod(a, axis=1) + np.where(np.all(c <= a, axis=1), w_atom, 0.0)
-
-    def left_limit(a, left):
-        inside = np.all(np.where(left, c < a, c <= a), axis=1)
-        return (1.0 - w_atom) * np.prod(a, axis=1) + np.where(inside, w_atom, 0.0)
-
-    return AnalyticCdfMeasure(2, cdf, continuous=False, left_limit=left_limit,
-                              grid_hints=[[c[0]], [c[1]]])
-
-
-class TestGridHints:
-    """``grid_hints`` is one 1-d array per axis, checked at construction."""
-
-    @pytest.mark.parametrize("hints", [[[0.5]], [[0.5], [0.5], [0.5]]],
-                             ids=["one-array", "three-arrays"])
-    def test_wrong_number_of_arrays(self, hints):
-        # one array once ended in an IndexError inside star_discrepancy; a
-        # third was ignored
-        with pytest.raises(DimensionMismatchError, match="grid hints"):
-            AnalyticCdfMeasure(2, chelson_cdf, grid_hints=hints)
-
-    @pytest.mark.parametrize("hints", [[[[0.5]], [0.5]], [0.5, 0.5]], ids=["nested", "flat"])
-    def test_arrays_that_are_not_1d(self, hints):
-        # a nested list once ended in NumPy's ValueError from np.concatenate
-        with pytest.raises(ValidationError, match="grid hints"):
-            AnalyticCdfMeasure(2, chelson_cdf, grid_hints=hints)
-
-    def test_one_row_per_axis_of_an_array(self):
-        m = AnalyticCdfMeasure(2, chelson_cdf, grid_hints=np.array([[0.5], [0.25]]))
-        assert [list(m.axis_coordinates(s)) for s in range(2)] == [[0.5], [0.25]]
 
 
 class TestAxisCdf:
@@ -579,8 +543,6 @@ _MALFORMED = {
     "PointSet": (lambda: PointSet(2, [[0.1, 0.2], [0.3]]), DimensionMismatchError),
     "cdf": (lambda: UniformMeasure(2).cdf([[0.1], [0.2, 0.3]]), DimensionMismatchError),
     "GridFunction": (lambda: GridFunction([[0, 1]], [[0, 1], [2]]), DimensionMismatchError),
-    "grid-hints": (lambda: AnalyticCdfMeasure(2, chelson_cdf, grid_hints=[[0.5, [0.25]], []]),
-                   DimensionMismatchError),
     "Box": (lambda: Box((0.0, [0.1]), (1.0, 1.0)), DimensionMismatchError),
     "PointSet-text": (lambda: PointSet(1, ["a"]), ValidationError),
     "PointSet-arrays": (lambda: PointSet(2, [np.zeros((2, 2)), np.zeros((2, 3))]),
@@ -700,8 +662,8 @@ class TestPointCdf:
             else:
                 m = chelson_measure()
             # corners on the atoms and breakpoints, their neighbours, and 0 and 1
-            coords = [np.concatenate([m.axis_coordinates(s), rng.random(5), [0.0, 1.0]])
-                      for s in range(d)]
+            coords = [np.concatenate([c, rng.random(5), [0.0, 1.0]])
+                      for c in measure_coordinates(m)]
             points = np.stack([rng.choice(c, 60) for c in coords], axis=1)
             points = np.where(rng.random(points.shape) < 0.2,
                               np.nextafter(points, rng.choice([0.0, 1.0], points.shape)), points)
@@ -745,8 +707,8 @@ class TestCdfTableColumns:
                 m = random_discrete_probability(rng, d, max_atoms=30)
             else:
                 m = chelson_measure()
-            grids = [np.union1d(np.append(rng.random(6), [0.0, 1.0]), m.axis_coordinates(s))
-                     for s in range(d)]
+            grids = [np.union1d(np.append(rng.random(6), [0.0, 1.0]), c)
+                     for c in measure_coordinates(m)]
             # the lower corners, and the upper corners approached from below
             for coords, left in [(grids, [np.zeros(g.size, dtype=bool) for g in grids]),
                                  zip(*(_upper_axis(g[1:]) for g in grids))]:
@@ -879,7 +841,6 @@ _INGEST = {
     "AxisCdf.pseudo_inverse": lambda x: AxisCdf.identity().pseudo_inverse(x),
     "pseudo_inverse-axis": lambda x: pseudo_inverse(AxisCdf.identity(), x),
     "pseudo_inverse-callback": lambda x: pseudo_inverse(lambda t: t, x),
-    "AnalyticCdfMeasure-hints": lambda x: AnalyticCdfMeasure(2, chelson_cdf, grid_hints=[[x], []]),
     "GridFunction": lambda x: GridFunction([[0.0, x, 1.0]], [0.0, 1.0, 2.0]),
     "GridFunction.evaluate": lambda x: GridFunction(
         [[0.0, 0.5, 1.0]], [0.0, 1.0, 5.0]).evaluate([[x]]),
@@ -910,7 +871,7 @@ class TestCoordinateIngest:
         with pytest.raises(ValidationError):
             _INGEST[entry](bad)
 
-    @pytest.mark.parametrize("case", ["points", "atoms", "axis", "grid-function", "grid-hints"])
+    @pytest.mark.parametrize("case", ["points", "atoms", "axis", "grid-function"])
     def test_constructors_copy_the_callers_arrays(self, case):
         b = np.array([0.0, 0.5, 1.0])
         v = np.array([0.0, 0.25, 1.0])
@@ -923,12 +884,9 @@ class TestCoordinateIngest:
         elif case == "axis":
             a = AxisCdf(b, v, v)
             given, kept = [b, v], [a.breakpoints, a.values, a.values_left]
-        elif case == "grid-function":
+        else:
             f = GridFunction([b], v)
             given, kept = [b, v], [f.breakpoints[0], f.values]
-        else:
-            m = AnalyticCdfMeasure(1, lambda a: a[:, 0], grid_hints=[b])
-            given, kept = [b], [m.axis_coordinates(0)]
         before = [k.copy() for k in kept]
         for g in given:
             g[1] = 0.75  # the caller's array stays the caller's to write

@@ -1,7 +1,9 @@
 """The README's Python examples run as written, its command lines parse,
-and its CLI flag table lists the flags the parser declares."""
+its CLI flag table lists the flags the parser declares, and every keyword
+it passes to a public name is a parameter of that name."""
 
 import argparse
+import inspect
 import os
 import re
 import shlex
@@ -14,6 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
+FENCED = re.findall(r"^```\w*\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
+INLINE = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", README,
+                                           flags=re.DOTALL | re.MULTILINE))
 COMMANDS = [line for block in re.findall(r"^```bash\n(.*?)^```", README,
                                          flags=re.DOTALL | re.MULTILINE)
             for line in block.splitlines() if line.startswith("nuqmc ")]
@@ -60,3 +65,38 @@ def test_the_cli_flag_table_lists_the_parser_flags():
     declared = {sub: {flag for action in p._actions for flag in action.option_strings} - shared
                 for sub, p in subparsers.choices.items()}
     assert table == declared
+
+
+def _keyword_calls(source, names):
+    """``(name, keyword)`` for every call ``name(..., keyword=...)`` in
+    ``source`` whose name is in ``names``: keywords at the call's own
+    bracket depth, not those of calls nested in its arguments."""
+    calls = []
+    for match in re.finditer(r"(?<![\w.])(\w+)\(", source):
+        if match.group(1) not in names:
+            continue
+        depth, start, args = 1, match.end(), []
+        for i in range(match.end(), len(source)):
+            if source[i] in "([{":
+                depth += 1
+            elif source[i] in ")]}":
+                depth -= 1
+            if depth == 0 or (depth == 1 and source[i] == ","):
+                args.append(source[start:i])
+                start = i + 1
+            if depth == 0:
+                break
+        calls += [(match.group(1), kw.group(1)) for arg in args
+                  if (kw := re.match(r"\s*(\w+)\s*=(?!=)", arg))]
+    return calls
+
+
+def test_readme_keywords_are_parameters():
+    # `AnalyticCdfMeasure(..., grid_hints=None)` outlived its parameter
+    import nuqmc
+    calls = {call for source in FENCED + INLINE
+             for call in _keyword_calls(source, set(nuqmc.__all__))}
+    assert calls
+    unknown = sorted((name, kw) for name, kw in calls
+                     if kw not in inspect.signature(getattr(nuqmc, name)).parameters)
+    assert not unknown
