@@ -514,7 +514,7 @@ def random_search_lower_bound(
         for lo in range(0, used, chunk):
             hi = min(lo + chunk, used)
             dev = _deviations(ps, m._cdf_points, corners[lo:hi], left[lo:hi])
-            i = int(np.argmax(np.nan_to_num(dev, nan=-1.0)))  # as `>` below, NaN never wins
+            i = int(np.argmax(dev))
             if dev[i] > best:  # the first trial to reach the maximum keeps it
                 best, best_corner, best_left = float(dev[i]), corners[lo + i], left[lo + i]
 

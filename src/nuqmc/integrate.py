@@ -18,7 +18,7 @@ import numpy as np
 
 from .discrepancy import CELL_BUDGET, PointSet, _critical_grids, star_discrepancy
 from .errors import DimensionMismatchError, UnsupportedIntegrandError, ValidationError
-from .measures import DiscreteMeasure, UniformMeasure, _floats, _upper_axis
+from .measures import DiscreteMeasure, UniformMeasure, _float, _upper_axis
 from .variation import ANCHOR_ONE, STEP, GridFunction, _differences, hk_variation
 
 #: Certificate slack absorbing floating point accumulation.
@@ -82,8 +82,7 @@ def integral_under_measure(f: GridFunction, m) -> float:
     if m.dimension != f.dimension:
         raise DimensionMismatchError("measure and integrand dimensions differ")
     if isinstance(m, DiscreteMeasure):
-        values = f.evaluate(m.support.locations)
-        return float(np.sum(m.support.weights * values))
+        return float(np.sum(m.weights * f.evaluate(m.locations)))
     if f.interp != STEP:
         raise UnsupportedIntegrandError(
             "exact integration against a continuous measure needs a step function"
@@ -176,11 +175,11 @@ def importance_sampling_estimate(
     anything else grid-sized is built.
     """
     if variation is not None:
-        variation = _number(variation, "variation")
+        variation = _float(variation, "variation")
         if variation < 0.0:
             raise ValidationError(f"variation must be >= 0, got {variation}")
     if reference_integral is not None:
-        reference_integral = _number(reference_integral, "reference_integral")
+        reference_integral = _float(reference_integral, "reference_integral")
     _critical_grids(ps, m_g, cell_budget)
     if all(isinstance(h, GridFunction) and h.interp == STEP for h in (f, g)):
         ratio = _step_ratio(f, g)
@@ -201,10 +200,3 @@ def importance_sampling_estimate(
         estimate = float(np.mean(_sample(f, ps.points) / g_vals))
     return estimate, _certificate(ps, m_g, cell_budget, estimate, reference_integral, variation)
 
-
-def _number(value, name: str) -> float:
-    """``value`` as one float, read by ``_floats``, or ValidationError."""
-    value = _floats(value, name)
-    if value.ndim:
-        raise ValidationError(f"{name}: expected one number, got shape {value.shape}")
-    return float(value)

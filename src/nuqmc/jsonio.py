@@ -29,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import AxisCdf, DiscreteMeasure, ProductMeasure, UniformMeasure, _floats, _int
+from .measures import (
+    AxisCdf, DiscreteMeasure, ProductMeasure, UniformMeasure, _float, _floats, _int,
+)
 from .discrepancy import PointSet
 from .transforms import chelson_measure
 from .variation import GridFunction, STEP
@@ -57,12 +59,6 @@ def _integer(obj: dict, field: str, where: str) -> int:
     return _int(_require(obj, field, where), f"{where}.{field}")
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
 def _numbers(value, where: str) -> np.ndarray:
     """A (possibly nested) list of numbers as a float array."""
     if not isinstance(value, list):
@@ -82,7 +78,7 @@ def measure_from_dict(obj, where: str = "measure"):
         for i, atom in enumerate(atoms):
             at = f"{where}.atoms[{i}]"
             locs.append(_numbers(_require(atom, "x", at), f"{at}.x"))
-            ws.append(_number(_require(atom, "w", at), f"{at}.w"))
+            ws.append(_float(_require(atom, "w", at), f"{at}.w"))
         d = locs[0].size
         for i, loc in enumerate(locs):
             if loc.size != d:

@@ -1,45 +1,45 @@
 """Normalized and signed Borel measures on the unit cube ``[0,1]^d``.
 
 A measure is represented by its anchored distribution function
-``F(a) = mass([0, a])`` over closed anchored boxes.  Four concrete
-representations are provided:
+``F(a) = mass([0, a])`` over closed anchored boxes.  Three representations
+are provided:
 
-* :class:`UniformMeasure` -- Lebesgue measure on the cube,
-* :class:`DiscreteMeasure` -- a probability measure on finitely many atoms,
 * :class:`ProductMeasure` -- a product of one-dimensional CDFs
-  (:class:`AxisCdf`), each allowed to carry jumps (atoms) and plateaus,
+  (:class:`AxisCdf`), each allowed to carry jumps (atoms) and plateaus;
+  :class:`UniformMeasure` is the product of ``d`` identity axes,
+* :class:`DiscreteSignedMeasure` -- finitely many weighted atoms;
+  :class:`DiscreteMeasure` is one with positive weights adding up to 1,
 * :class:`AnalyticCdfMeasure` -- a closed-form CDF callback, evaluated on
   whole ``(k, d)`` batches of points.
 
-Every one of them also has a private ``_cdf_table(coords, left)``: the CDF
+Every probability measure has a private ``_cdf_table(coords, left)``: the CDF
 on the product grid ``coords[0] x ... x coords[d-1]`` (nondecreasing
 coordinate arrays), taking the left limit on axis ``s`` wherever the boolean
-array ``left[s]`` is True.  It returns ``rows(start, stop, out, cols)``,
-which writes the table's axis-0 indices ``start:stop`` into the C-contiguous
-float array ``out`` and returns it, so that a caller can stream a large table
-in slabs through one buffer.  ``cols`` selects columns on the other axes: one
+array ``left[s]`` is True.  It returns ``rows(start, stop, out, cols)``, which
+writes the table's axis-0 indices ``start:stop`` into the C-contiguous float
+array ``out`` and returns it, so that a caller can stream a large table in
+slabs through one buffer.  ``cols`` selects columns on the other axes: one
 increasing index array per axis ``1..d-1`` (``np.arange`` for every column),
 and ``out`` has the shape ``(stop - start, len(cols[0]), ...)``.  Every entry
 read through a selection is the same float as the full table's entry at those
-indices:
-uniform and product tables gather their per-axis factors (evaluated once per
-``_cdf_table`` call), an analytic table builds its corners from the selected
-coordinates, and a discrete table moves each atom to the first selected
-column at or after its own.  A discrete selection must not leave two atom
-columns in one gap ``(s_{k-1}, s_k]`` between consecutive selected columns
-(so it is enough to select every atom's column): its prefix sums would then
-add those atoms in another order than the full table does.  The reader
-checks this and raises ``ValueError`` on such a selection.  The exact
-discrepancy engine reads only the columns where a count can change; the
+indices: product tables gather their per-axis factors (evaluated once per
+``_cdf_table`` call, see ``_factor``), an analytic table builds its corners
+from the selected coordinates, and a discrete table moves each atom to the
+first selected column at or after its own.  A discrete selection must not
+leave two atom columns in one gap ``(s_{k-1}, s_k]`` between consecutive
+selected columns (so it is enough to select every atom's column): its prefix
+sums would then add those atoms in another order than the full table does.
+The reader checks this and raises ``ValueError`` on such a selection.  The
+exact discrepancy engine reads only the columns where a count can change; the
 exact cell masses of :mod:`nuqmc.integrate` read whole tables.  Every table
 read works on whole arrays: an analytic measure calls its callback once per
-read, never once per cell.  Uniform and product tables are read with NumPy's
-ufunc buffer cut to one row where that is faster, restored before the read
-returns or raises (see ``_product_table``); a discrete table's axis-0 prefix
-sums add long rows one at a time, by the rule the exact engine's counts
-share (``_prefix_rows``).  A :class:`DiscreteSignedMeasure` has no table.
-Only the discrete measures add ``axis_coordinates`` to the exact grids:
-their atoms' columns, so that the engine's selections keep every one.
+read, never once per cell.  Product tables are read with NumPy's ufunc buffer
+cut to one row where that is faster, restored before the read returns or
+raises (see ``_product_table``); a discrete table's axis-0 prefix sums add
+long rows one at a time, by the rule the exact engine's counts share
+(``_prefix_rows``).  Of the signed measures only a DiscreteMeasure has a
+table.  Only the discrete measures add ``axis_coordinates`` to the exact
+grids: their atoms' columns, so that the engine's selections keep every one.
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -61,13 +61,13 @@ float a sequential sum would give.
 
 Every number entering the package is read by ``_floats``, which turns ragged
 nesting into ``DimensionMismatchError`` and anything else that is not numbers
-into ``ValidationError``, and every whole number (a dimension, count, index,
-face axis or cell budget) by ``_int``, which takes an integer or an integral
-float, never a bool.  Every coordinate (points, atoms, breakpoints,
-corners, CDF arguments) then passes one ingest check: ``_unit``
-(``0 <= x <= 1``, which NaN and the infinities fail) or ``_breakpoints`` (a
-strictly increasing grid from 0.0 to 1.0).  Constructors store copies of the
-arrays they are given.
+into ``ValidationError``; a single number by ``_float``, never a bool or text;
+a whole number (a dimension, count, index, face axis or cell budget) by
+``_int``, an integer or an integral float, never a bool.  Every coordinate
+(points, atoms, breakpoints, corners, CDF arguments) then passes one ingest
+check: ``_unit`` (``0 <= x <= 1``, which NaN and the infinities fail) or
+``_breakpoints`` (a strictly increasing grid from 0.0 to 1.0).  Constructors
+store copies of the arrays they are given.
 
 All numeric comparisons in this package use a documented floating point
 tolerance of ``1e-12`` (non-dyadic rational fixtures make bit-exact
@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -131,6 +130,16 @@ def _int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def _float(value, name: str) -> float:
+    """``value`` as a Python float: one number or a 0-d array of one, never a
+    bool or text; anything else raises ``ValidationError``."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name}: expected one number, got {value!r}")
+    return float(value)
 
 
 def _unit(values, name: str) -> np.ndarray:
@@ -343,7 +352,7 @@ class DiscreteSignedMeasure(_PointCdf):
 
     def __repr__(self) -> str:
         return (
-            f"DiscreteSignedMeasure(d={self.dimension}, atoms={len(self)}, "
+            f"{type(self).__name__}(d={self.dimension}, atoms={len(self)}, "
             f"mass={self.mass:.6g})"
         )
 
@@ -359,8 +368,6 @@ class DiscreteSignedMeasure(_PointCdf):
         return np.array([self.weights[row].sum() for row in inside], dtype=float)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
-        if not len(self):
-            return np.empty(0)
         return np.unique(self.locations[:, axis])
 
 
@@ -432,9 +439,10 @@ class AxisCdf:
         self.values = va
         self.values_left = vl
 
-    @classmethod
-    def identity(cls) -> "AxisCdf":
-        return cls([0.0, 1.0], [0.0, 1.0])
+    @staticmethod
+    def identity() -> "AxisCdf":
+        """``G(x) = x``: one shared axis (see ``_factor``)."""
+        return _IDENTITY
 
     @property
     def is_continuous(self) -> bool:
@@ -499,36 +507,22 @@ class AxisCdf:
         return out
 
 
-@dataclass(frozen=True)
-class UniformMeasure(_PointCdf):
-    """Lebesgue measure on ``[0,1]^d``."""
-
-    dimension: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dimension", _int(self.dimension, "dimension", 1))
-
-    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
-        """CDF at scattered points (see the module docstring); continuous,
-        so the left limits are the values."""
-        return np.prod(points, axis=1)
-
-    def _cdf_table(self, coords, left):
-        """CDF table on a product grid (see the module docstring)."""
-        return _product_table([np.asarray(c, dtype=float) for c in coords])
+_IDENTITY = AxisCdf([0.0, 1.0], [0.0, 1.0])
 
 
-class DiscreteMeasure(_PointCdf):
-    """A probability measure on finitely many atoms (all weights positive,
-    total mass 1 within tolerance)."""
+class DiscreteMeasure(DiscreteSignedMeasure):
+    """A probability measure on finitely many atoms: a discrete signed
+    measure whose weights are all positive, with total mass 1 within
+    tolerance."""
 
     def __init__(self, atoms: DiscreteSignedMeasure) -> None:
         if np.any(atoms.weights <= 0):
             raise ValidationError("discrete probability measure needs positive weights")
         if abs(atoms.mass - 1.0) > TOLERANCE:
             raise ValidationError(f"total mass must be 1, got {atoms.mass}")
-        self.support = atoms
         self.dimension = atoms.dimension
+        self.locations = atoms.locations
+        self.weights = atoms.weights
 
     @classmethod
     def from_points(cls, dimension: int, locations, weights) -> "DiscreteMeasure":
@@ -544,15 +538,7 @@ class DiscreteMeasure(_PointCdf):
             raise ValidationError("point set must contain at least one point")
         if pts.ndim != 2:
             raise DimensionMismatchError(f"points must form an (N, d) array, got shape {pts.shape}")
-        n = pts.shape[0]
-        return cls(DiscreteSignedMeasure(pts.shape[1], pts, np.full(n, 1.0 / n)))
-
-    def axis_coordinates(self, axis: int) -> np.ndarray:
-        return self.support.axis_coordinates(axis)
-
-    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
-        """CDF at scattered points (see the module docstring)."""
-        return self.support._cdf_points(points, left)
+        return cls.from_points(pts.shape[1], pts, np.full(len(pts), 1.0 / len(pts)))
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring).
@@ -560,14 +546,14 @@ class DiscreteMeasure(_PointCdf):
         Each atom lands in the first table cell that covers it; the rows read
         are prefix sums along axis 0, then axis 1, and so on.  Atoms covered
         only by earlier rows are summed into the first row read, in the
-        support's axis-0 order, which reproduces the axis-0 prefix sum of
-        the whole table bit for bit.  Under a column selection an atom moves
+        atoms' axis-0 order, which reproduces the axis-0 prefix sum of the
+        whole table bit for bit.  Under a column selection an atom moves
         to the first selected column at or after its cell, and atoms past
         the last selected column drop out; a selection that leaves two atom
         columns in one gap raises ``ValueError``.
         """
         shape = tuple(len(c) for c in coords)
-        locations, weights = self.support.locations, self.support.weights
+        locations, weights = self.locations, self.weights
         cells = [
             _covering_index(np.asarray(c, dtype=float), np.asarray(f, dtype=bool), locations[:, s])
             for s, (c, f) in enumerate(zip(coords, left))
@@ -591,7 +577,7 @@ class DiscreteMeasure(_PointCdf):
                 [np.maximum(cells[0][keep] - start, 0)] + [j[keep] for j in at], out.shape
             )
             out.fill(0.0)
-            np.add.at(out.reshape(-1), flat, weights[keep])  # in support order
+            np.add.at(out.reshape(-1), flat, weights[keep])  # in atom order
             _prefix_rows(out)
             for s in range(1, out.ndim):
                 np.cumsum(out, axis=s, out=out)
@@ -600,27 +586,45 @@ class DiscreteMeasure(_PointCdf):
         return rows
 
 
+def _factor(ax: AxisCdf, x, left) -> np.ndarray:
+    """``G(x)`` of the axis ``ax``, ``G(x-)`` where ``left`` is True; for the
+    identity axis ``x`` itself, the floats its ramp gives (``0 + x/1 * 1``)."""
+    if ax is _IDENTITY:
+        return np.asarray(x, dtype=float)
+    return ax._one_sided_at(x, left)
+
+
 class ProductMeasure(_PointCdf):
     """Product of one-dimensional CDFs: ``F(a) = prod_s G_s(a_s)``."""
 
     def __init__(self, axes: Sequence[AxisCdf]) -> None:
         axes = tuple(axes)
-        if not axes:
-            raise ValidationError("product measure needs at least one axis")
+        if not axes or not all(isinstance(ax, AxisCdf) for ax in axes):
+            raise ValidationError("product measure needs at least one axis, each an AxisCdf")
         self.axes = axes
         self.dimension = len(axes)
 
     def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
         """CDF at scattered points (see the module docstring): the product of
         the axis factors, multiplied in axis order."""
-        factors = [ax._one_sided_at(x, f) for ax, x, f in zip(self.axes, points.T, left.T)]
+        factors = [_factor(ax, x, f) for ax, x, f in zip(self.axes, points.T, left.T)]
         return np.prod(np.stack(factors, axis=1), axis=1)
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring)."""
-        return _product_table([
-            ax._one_sided_at(c, f) for ax, c, f in zip(self.axes, coords, left)
-        ])
+        return _product_table([_factor(ax, c, f) for ax, c, f in zip(self.axes, coords, left)])
+
+
+class UniformMeasure(ProductMeasure):
+    """Lebesgue measure on ``[0,1]^d``: the product of ``d`` identity axes."""
+
+    def __init__(self, dimension: int) -> None:
+        self.dimension = _int(dimension, "dimension", 1)
+
+    @property
+    def axes(self) -> tuple[AxisCdf, ...]:
+        """Built when read: the measure stores no axis, whatever its dimension."""
+        return (_IDENTITY,) * self.dimension
 
 
 class AnalyticCdfMeasure(_PointCdf):
@@ -634,10 +638,10 @@ class AnalyticCdfMeasure(_PointCdf):
     points and a ``(k, d)`` boolean array, True where the limit from the left
     is taken on that axis, and returns ``(k,)`` values; a row with no True
     entry asks for ``F`` itself; a callback that returns another number of
-    values raises ``ValidationError``.  Both must compute each value from its own
-    point alone, and nondecreasing in every coordinate: the exact
-    discrepancy engine reads a table on a few columns and relies on both
-    (see :mod:`nuqmc.discrepancy`).  Monotonicity is also why the exact
+    values, or one that is not finite, raises ``ValidationError``.  Both
+    must compute each value from its own point alone, and nondecreasing in
+    every coordinate: the exact discrepancy engine reads a table on a few
+    columns and relies on both (see :mod:`nuqmc.discrepancy`).  Monotonicity is also why the exact
     grids need none of the CDF's own coordinates (kinks, atoms): the
     supremum over a cell of the points' grid is read at its corners.
     """
@@ -702,11 +706,13 @@ class AnalyticCdfMeasure(_PointCdf):
 
 def _callback_values(name: str, values, k: int) -> np.ndarray:
     """What the analytic callback ``name`` returned for ``k`` points, as a
-    ``(k,)`` float array; any other number of values raises
-    ``ValidationError`` naming the callback."""
+    ``(k,)`` float array; any other number of values, or one that is not
+    finite, raises ``ValidationError`` naming the callback."""
     values = _floats(values, f"values of the {name} callback")
     if values.size != k:
         raise ValidationError(f"the {name} callback returned {values.size} values for {k} points")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"the {name} callback returned a value that is not finite")
     return values.reshape(k)
 
 

@@ -26,6 +26,7 @@ from .measures import (
     AxisCdf,
     ProductMeasure,
     UniformMeasure,
+    _float,
     _unit,
     _unit_point,
 )
@@ -75,7 +76,8 @@ def pseudo_inverse(g, y: float) -> float:
 
 
 def product_transform(ps: PointSet, m: ProductMeasure) -> PointSet:
-    """Map every point coordinatewise through the axis pseudo-inverses.
+    """Map every point coordinatewise through the axis pseudo-inverses
+    (under a :class:`UniformMeasure` the identity map).
 
     The image's discrepancy with respect to ``m`` is at most the uniform
     discrepancy of ``ps``, with equality when every axis CDF is invertible.
@@ -228,10 +230,11 @@ def chelson_identity_check(
     report also compares, at the probe corner ``a``, the box mass
     ``m([0, a])`` against the uniform mass of ``[0, G(a)]`` and the two
     box-indicator counts, which is where the failure shows up.  ``tol``
-    must be finite and ``>= 0``.
+    must be one finite number ``>= 0``.
     """
     if ps.dimension != 2:
         raise DimensionMismatchError("the conditional transform is two-dimensional")
+    tol = _float(tol, "tol")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     images = PointSet(2, [conditional_transform_2d(x, cdf) for x in ps.points])

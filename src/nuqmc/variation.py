@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import DiscreteSignedMeasure, _breakpoints, _floats, _int, _unit
+from .measures import DiscreteSignedMeasure, _breakpoints, _float, _floats, _int, _unit
 
 #: Interpretation flags for :class:`GridFunction`.
 STEP = "step"
@@ -333,8 +333,9 @@ def is_completely_monotone(f: GridFunction, tol: float = MONOTONE_TOL) -> bool:
     sum of atoms.  In floats an atom is bit for bit the quasi-volume of one
     adjacent cell of a face pinned at 0, so this reads a subset of the values
     a walk over every face at every pinned position reads.  ``tol`` must be
-    finite and ``>= 0``.
+    one finite number ``>= 0``.
     """
+    tol = _float(tol, "tol")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     atoms = _differences(f.values, 0)

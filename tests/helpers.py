@@ -155,8 +155,8 @@ def _dense_cdf_arrays(m, grids):
         return lo, hi
     if isinstance(m, DiscreteMeasure):
         lo = np.zeros(shape)
-        idx = tuple(np.searchsorted(g, m.support.locations[:, s]) for s, g in enumerate(grids))
-        np.add.at(lo, idx, m.support.weights)
+        idx = tuple(np.searchsorted(g, m.locations[:, s]) for s, g in enumerate(grids))
+        np.add.at(lo, idx, m.weights)
         for s in range(d):
             np.cumsum(lo, axis=s, out=lo)
         return lo, lo  # atoms lie on the grid: the limit at the next vertex
@@ -244,8 +244,6 @@ def reference_cdf_one_sided(m, a, flags) -> float:
             ax.left_value(x) if f == "left" else ax.value(x)
             for ax, x, f in zip(m.axes, a, flags)
         ]))
-    if isinstance(m, DiscreteMeasure):
-        m = m.support
     if isinstance(m, DiscreteSignedMeasure):
         if not len(m):
             return 0.0

@@ -157,6 +157,21 @@ class TestDiscrepancyCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["discrepancy"], ["discrepancy", "--search", "10"], ["transform"],
+        ["integrate", "--certify", "--f", "{function}"],
+    ], ids=["exact", "search", "transform", "certify"])
+    @pytest.mark.parametrize("d", [1e300, 1e8], ids=["1e300", "1e8"])
+    def test_huge_uniform_dimension_exit_code(self, capsys, tmp_path, points_file, argv, d):
+        # the uniform measure stores no axis per dimension: the dimension
+        # check refuses it, with no OverflowError and nothing large allocated
+        ffile = write_json(tmp_path / "f.json", {"breakpoints": [[0, 1]] * 2, "values": [0] * 4})
+        mfile = write_json(tmp_path / "m.json", {"type": "uniform", "d": d})
+        argv = [a.format(function=ffile) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--points", points_file, "--measure", mfile)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "dimensions differ" in err
+
     def test_missing_field_exit_code(self, capsys, tmp_path, points_file):
         mfile = write_json(tmp_path / "m.json", {"type": "discrete"})
         code, _, err = run_cli(
@@ -304,13 +319,26 @@ class TestTransformAndGenerate:
         assert len(image["points"]) == 8
         assert all(0.0 <= c <= 1.0 for p in image["points"] for c in p)
 
-    def test_transform_requires_product_measure(self, capsys, tmp_path, points_file, uniform_file):
+    def test_transform_requires_product_measure(self, capsys, tmp_path, points_file):
+        mfile = write_json(tmp_path / "discrete.json",
+                           {"type": "discrete", "atoms": [{"x": [0.5, 0.5], "w": 1.0}]})
         code, _, err = run_cli(
-            capsys, "transform", "--points", points_file, "--measure", uniform_file,
+            capsys, "transform", "--points", points_file, "--measure", mfile,
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 2
         assert "product" in err
+
+    def test_transform_under_the_uniform_measure_is_the_identity(
+            self, capsys, tmp_path, points_file, uniform_file):
+        # a uniform measure is the product of identity axes
+        out_image = tmp_path / "image.json"
+        code, _, _ = run_cli(
+            capsys, "transform", "--points", points_file, "--measure", uniform_file,
+            "--out", str(out_image),
+        )
+        assert code == 0
+        assert json.loads(out_image.read_text()) == json.loads(Path(points_file).read_text())
 
 
 class TestIntegrateCommand:

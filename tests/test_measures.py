@@ -1,6 +1,7 @@
 """Measure representations: CDF evaluation, Jordan decomposition, total
 variation, and box masses via inclusion-exclusion."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -32,6 +33,7 @@ from nuqmc import (
     function_to_measure,
     halton,
     importance_sampling_estimate,
+    is_completely_monotone,
     jordan_decompose_measure,
     kh_certificate,
     one_sided_deviation,
@@ -526,14 +528,16 @@ class TestOneConstructor:
             built.clear()
             results = list(jordan_decompose_measure(nu))
         elif entry == "DiscreteMeasure.from_points":
-            results = [DiscreteMeasure.from_points(2, locs, [0.5, 0.5]).support]
+            results = [DiscreteMeasure.from_points(2, locs, [0.5, 0.5])]
         elif entry == "DiscreteMeasure.empirical":
-            results = [DiscreteMeasure.empirical(locs).support]
+            results = [DiscreteMeasure.empirical(locs)]
         else:
             atoms = [{"x": x, "w": 0.5} for x in locs.tolist()]
-            results = [measure_from_dict({"type": "discrete", "atoms": atoms}).support]
+            results = [measure_from_dict({"type": "discrete", "atoms": atoms})]
         assert len(built) == len(results)
-        assert all(any(r is b for b in built) for r in results)
+        # a probability measure keeps the arrays of the signed measure it was built from
+        assert all(any(r.locations is b.locations and r.weights is b.weights for b in built)
+                   for r in results)
         assert all(len(r) for r in results)
 
 
@@ -559,6 +563,11 @@ _STEP = GridFunction([[0.0, 0.5, 1.0]] * 2, np.arange(1.0, 10.0))
 def _one_value_cdf(a):
     """A Chelson CDF callback that returns one value for a whole batch."""
     return chelson_cdf(a)[:1]
+
+
+def _nan_below_top(a):
+    """A CDF callback that is 1 at the top corner and NaN everywhere else."""
+    return np.where(np.all(a == 1.0, axis=1), 1.0, np.nan)
 
 
 #: whole numbers, cell budgets, callback results and tolerances that once
@@ -598,6 +607,24 @@ _MALFORMED.update({
         lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(),
                                        tol=float("nan")),
         ValidationError),
+    "identity-tol-text": (
+        lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(), tol="abc"),
+        ValidationError),
+    "identity-tol-none": (
+        lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(), tol=None),
+        ValidationError),
+    "monotone-tol-text": (lambda: is_completely_monotone(_STEP, tol="abc"), ValidationError),
+    "monotone-tol-none": (lambda: is_completely_monotone(_STEP, tol=None), ValidationError),
+    "ProductMeasure-axis-text": (lambda: ProductMeasure(["a"]), ValidationError),
+    "cdf-callback-nan": (
+        lambda: star_discrepancy(_PS, AnalyticCdfMeasure(2, _nan_below_top)), ValidationError),
+    "cdf-callback-nan-at-top": (
+        lambda: AnalyticCdfMeasure(1, lambda a: np.full(len(a), np.nan)), ValidationError),
+    "left-limit-callback-inf": (
+        lambda: star_discrepancy(_PS, AnalyticCdfMeasure(
+            2, chelson_cdf, continuous=False,
+            left_limit=lambda a, left: np.where(left.any(axis=1), np.inf, chelson_cdf(a)))),
+        ValidationError),
 })
 
 
@@ -617,10 +644,23 @@ def test_callback_with_the_wrong_number_of_values_is_named(callback):
     assert str(err.value).startswith(f"the {callback} callback returned 1 values for ")
 
 
+@pytest.mark.parametrize("entry, callback", [
+    ("cdf-callback-nan", "cdf"), ("cdf-callback-nan-at-top", "cdf"),
+    ("left-limit-callback-inf", "left_limit"),
+])
+def test_callback_value_that_is_not_finite_is_named(entry, callback):
+    # a NaN once passed the F(1,...,1) check (abs(nan - 1) > tol is False)
+    # and made star_discrepancy report value=nan
+    call, _ = _MALFORMED[entry]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == f"the {callback} callback returned a value that is not finite"
+
+
 def test_whole_numbers_may_be_integral_floats():
     # the rule of the JSON readers: an integer or an integral float, never a bool
     assert halton(4.0, 2.0).points.tolist() == halton(4, 2).points.tolist()
-    assert UniformMeasure(2.0) == UniformMeasure(2) and type(UniformMeasure(2.0).dimension) is int
+    assert UniformMeasure(2.0).dimension == 2 and type(UniformMeasure(2.0).dimension) is int
     assert FaceSelector((1.0, 0)).axes == (0, 1)
     assert star_discrepancy(_PS, UniformMeasure(2), float(10**6)) == star_discrepancy(
         _PS, UniformMeasure(2))
@@ -718,7 +758,7 @@ class TestCdfTableColumns:
                             [np.arange(c.size) for c in coords[1:]])
                 must = [np.empty(0, dtype=np.intp) for _ in range(d)]
                 if kind == "discrete":  # every atom column selected: no gap holds two
-                    must = [_covering_index(c, f, m.support.locations[:, s])
+                    must = [_covering_index(c, f, m.locations[:, s])
                             for s, (c, f) in enumerate(zip(coords, left))]
                 for _ in range(10):
                     start = int(rng.integers(coords[0].size))
@@ -763,10 +803,10 @@ class TestCdfTableColumns:
         coords = [np.union1d(rng.random(n - 2), [0.0, 1.0]) for n in shape]
         left = [np.zeros(c.size, dtype=bool) for c in coords]
         expect = np.zeros(shape)
-        at = [_covering_index(c, f, m.support.locations[:, s])
+        at = [_covering_index(c, f, m.locations[:, s])
               for s, (c, f) in enumerate(zip(coords, left))]
         inside = np.all([j < n for j, n in zip(at, shape)], axis=0)
-        np.add.at(expect, tuple(j[inside] for j in at), m.support.weights[inside])
+        np.add.at(expect, tuple(j[inside] for j in at), m.weights[inside])
         for s in range(d):
             expect = np.cumsum(expect, axis=s)
         rows = m._cdf_table(coords, left)
@@ -880,7 +920,7 @@ class TestCoordinateIngest:
         elif case == "atoms":
             w = np.array([0.25, 0.25, 0.5])
             m = DiscreteMeasure.from_points(1, b.reshape(-1, 1), w)
-            given, kept = [b, w], [m.support.locations, m.support.weights]
+            given, kept = [b, w], [m.locations, m.weights]
         elif case == "axis":
             a = AxisCdf(b, v, v)
             given, kept = [b, v], [a.breakpoints, a.values, a.values_left]
@@ -892,3 +932,83 @@ class TestCoordinateIngest:
             g[1] = 0.75  # the caller's array stays the caller's to write
         for k, old in zip(kept, before):
             assert np.array_equal(k, old)
+
+
+class TestUniformIsAProductOfIdentityAxes:
+    """``UniformMeasure`` is a ``ProductMeasure`` of ``d`` references to the
+    one identity axis, whose factor is read as the coordinate itself."""
+
+    @staticmethod
+    def _fresh(d):
+        # new axes are not the shared identity axis, so they read their ramps
+        return ProductMeasure([AxisCdf([0.0, 1.0], [0.0, 1.0]) for _ in range(d)])
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_same_results_as_a_product_of_fresh_identity_axes(self, d):
+        rng = np.random.default_rng([d, 19])
+        uniform, fresh = UniformMeasure(d), self._fresh(d)
+        for _ in range(12):
+            n = int(rng.integers(1, (48, 32, 16, 8)[d - 1] + 1))
+            pts = rng.random((n, d))
+            pts[rng.random((n, d)) < 0.1] = 1.0  # some coordinates on the closed end
+            ps = PointSet(d, pts)
+            assert star_discrepancy(ps, uniform) == star_discrepancy(ps, fresh)
+            seed = int(rng.integers(2**31))
+            assert random_search_lower_bound(ps, uniform, 300, seed) == \
+                random_search_lower_bound(ps, fresh, 300, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_cdf_is_the_product_of_the_coordinates(self, d):
+        rng = np.random.default_rng([d, 20])
+        points = rng.random((64, d))
+        points[:8] = rng.choice([0.0, 1.0], (8, d))
+        left = rng.random((64, d)) < 0.5
+        expect = np.prod(points, axis=1)
+        assert np.array_equal(UniformMeasure(d)._cdf_points(points, left), expect)
+        assert np.array_equal(self._fresh(d)._cdf_points(points, left), expect)
+        coords = [np.union1d(rng.random(5), [0.0, 1.0]) for _ in range(d)]
+        flags = [rng.random(c.size) < 0.5 for c in coords]
+        shape = [c.size for c in coords]
+        cols = [np.arange(n) for n in shape[1:]]
+        tables = [m._cdf_table(coords, flags)(0, shape[0], np.empty(shape), cols)
+                  for m in (UniformMeasure(d), self._fresh(d))]
+        assert np.array_equal(tables[0], reduce(np.multiply.outer, coords))
+        assert np.array_equal(tables[1], tables[0])
+
+    def test_axes_are_one_shared_identity_axis_made_when_read(self):
+        m = UniformMeasure(3)
+        assert isinstance(m, ProductMeasure) and AxisCdf.identity() is AxisCdf.identity()
+        assert m.axes == (AxisCdf.identity(),) * 3 and m.axis_coordinates(0).size == 0
+        assert m != UniformMeasure(3)  # equality is identity
+
+    def test_any_dimension_stores_no_axes(self):
+        tracemalloc.start()
+        try:
+            m = UniformMeasure(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.dimension == 10**8 and peak < 2**20
+        assert UniformMeasure(1e300).dimension == int(1e300)
+
+
+class TestDiscreteMeasureIsASignedMeasure:
+    def test_keeps_the_atoms_arrays(self):
+        atoms = DiscreteSignedMeasure(2, [(0.75, 0.25), (0.25, 0.5)], [0.5, 0.5])
+        m = DiscreteMeasure(atoms)
+        assert isinstance(m, DiscreteSignedMeasure)
+        assert m.locations is atoms.locations and m.weights is atoms.weights
+        assert repr(m) == "DiscreteMeasure(d=2, atoms=2, mass=1)"
+        assert repr(atoms) == "DiscreteSignedMeasure(d=2, atoms=2, mass=1)"
+
+    def test_total_variation_and_jordan_parts(self):
+        m = DiscreteMeasure.from_points(1, [[0.25], [0.75]], [0.25, 0.75])
+        assert total_variation(m) == 1.0
+        positive, negative = jordan_decompose_measure(m)
+        assert np.array_equal(positive.locations, m.locations)
+        assert np.array_equal(positive.weights, m.weights) and len(negative) == 0
+
+    @pytest.mark.parametrize("weights", [[1.5, -0.5], [0.25, 0.25]], ids=["negative", "mass"])
+    def test_refuses_what_is_not_a_probability(self, weights):
+        with pytest.raises(ValidationError):
+            DiscreteMeasure(DiscreteSignedMeasure(1, [[0.25], [0.75]], weights))
