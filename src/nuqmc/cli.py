@@ -34,7 +34,7 @@ from .jsonio import (
     load_points,
     points_to_dict,
 )
-from .measures import total_variation
+from .measures import _allocation, total_variation
 from .sequences import halton
 from .transforms import (
     chelson_conditional,
@@ -297,7 +297,10 @@ def _run_integrate(args) -> dict:
 
 
 def _run_generate(args) -> dict:
-    ps = halton(args.n, args.d)
+    try:
+        ps = halton(args.n, args.d)
+    except ValidationError as err:  # named by the flags, not by halton's parameters
+        raise ValidationError(f"--n {args.n} --d {args.d}: {err}") from None
     return {"points": points_to_dict(ps)}
 
 
@@ -316,10 +319,13 @@ def _run_counterexample(args) -> dict:
 
     if args.boundary_csv:
         # boundary of the image of [0, probe]: the curve y1 -> G(y1, probe_2)
+        with _allocation(8 * args.boundary_samples, ValidationError(
+                "--boundary-samples: the samples do not fit in memory")):
+            ys = np.linspace(0.0, probe[0], args.boundary_samples)
         with open(args.boundary_csv, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["y1", "image_x", "image_y"])
-            for y1 in np.linspace(0.0, probe[0], args.boundary_samples):
+            for y1 in ys:
                 gx, gy = forward_cdf_map((y1, probe[1]), cdf)
                 writer.writerow([repr(float(y1)), repr(gx), repr(gy)])
 

@@ -8,27 +8,21 @@ measure's CDF is componentwise monotone there, so the supremum over each
 cell is reached either at the cell's lower corner (an attained value) or at
 its upper corner approached from below (a one-sided limit, which need not be
 attained -- e.g. a single point forces an unattained supremum under any
-continuous CDF).  Exact mode enumerates all cells, in any dimension; cost
-is the product of the per-axis grid sizes ``m_s``, so a cell budget, checked
-before any allocation, gates it; beyond that only the randomized
-lower-bound search is offered.
+continuous CDF).  A discrete measure's atoms lie on the grid lines, so on a
+cell ``[l, u)`` both its CDF and the count at ``u-`` are their values at
+``l``: its supremum is the largest ``|count/N - F|`` at the lower corners,
+read from one table and always attained.  Exact mode enumerates all cells,
+in any dimension; cost is the product of the per-axis grid sizes ``m_s``,
+so a cell budget, checked before any allocation, gates it; beyond that only
+the randomized lower-bound search is offered.
 
 Exact mode streams the grid in slabs of whole axis-0 rows, carrying the
 prefix counts of one slab's last row into the next, and evaluates each slab
-on its critical boxes only.  In row ``i`` a count can change along an axis
-``s >= 1`` only at a column that holds a point of rows ``<= i``, so a slab
-reads just the *active* columns of every such axis: column 0, the last
-column, each atom's column and each column holding a point of the rows read
-so far.  A compressed column stands for the run of dense
-columns up to the next active one, where the count is constant; the
-lower-corner CDF is read at the run's first column and the one-sided
-upper-corner CDF at its last, so both maxima over the run are read exactly.
-The attained term's first compressed maximum is its dense first occurrence;
-the one-sided term's lies in the row of its first compressed maximum, which
-is read densely once to name the witness (see ``_slab_maxima``).  Values,
-witnesses and flags are bit for bit those of the whole-grid reduction.  When
-each row holds one point, the active columns of row ``i`` on each axis are
-about ``i`` of ``N``, so a walk reads about ``1/d`` of the dense grid.
+on its critical boxes only, the *active* columns where a count can change;
+``_slab_maxima`` says how a slab counts and reads them.  Values, witnesses
+and flags are bit for bit those of the whole-grid reduction.  When each row
+holds one point, the active columns of row ``i`` on each axis are about
+``i`` of ``N``, so a walk reads about ``1/d`` of the dense grid.
 
 This rests on one premise: the computed CDF table is nondecreasing along
 each axis of the grid.  It holds exactly for uniform, product and discrete
@@ -39,20 +33,10 @@ part of the callback contract.
 Slabs hold about 2^16 compressed cells, at least one row.  Peak memory is
 two float64 slab buffers of at most ``max(2^16, m_1 ... m_{d-1})`` cells,
 the int64 carried row and, in d = 2, a float64 step row of two grid rows,
-so the cell budget bounds time, and memory only
-through the row length (300 points in d=4 on one axis-0 coordinate: rows of
-302^3 cells, about 630 MiB); slab buffers larger than one array can
-address, or than memory holds, end in
-:class:`~nuqmc.errors.BudgetExceededError`, not a traceback.
-The points are sorted by axis-0 row, so a slab builds its counts row by
-row: a row without a point is a copy of the row before, and the point a row
-holds at compressed cells ``(j_1, ..., j_{d-1})`` adds 1 on the orthant
-``[j_1:, ..., j_{d-1}:]``.  In d = 2 that is one add of the row before and
-a window of a step row, one NumPy call a row.  When ``N = 2^m`` the rows
-count in units of ``2^-m``, so they hold the shares ``count/N`` exactly
-(``k/N = k * 2^-m``) and need no divide pass.  Slabs of short rows, or with
-a row holding several points, histogram their points and sum along every
-axis instead.
+so the cell budget bounds time, and memory only through the row length (300
+points in d=4 on one axis-0 coordinate: rows of 302^3 cells, about 630
+MiB); slab buffers larger than one array can address, or than memory
+holds, end in :class:`~nuqmc.errors.BudgetExceededError`, not a traceback.
 The measure supplies its CDF tables slab by slab, on the active columns,
 through one ``_cdf_table`` method per measure class.
 
@@ -65,6 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -78,6 +63,7 @@ from .measures import (
     AT_POINT,
     LEFT_LIMIT,
     _ROW_LOOP_CELLS,
+    _allocation,
     _corner,
     _PointCdf,
     _floats,
@@ -104,6 +90,10 @@ _SLAB_CELLS = 2**16
 #: whatever the trial count, and the search holds one block of corners
 #: however many trials it makes.
 _SEARCH_BLOCK = 256
+
+#: ``max`` of ``(value, index, attained)`` candidates by this key keeps the
+#: largest value, an attained one winning a tie, and the first of equals.
+_RANK = itemgetter(0, 2)
 
 EXACT_GRID = "exact"
 RANDOM_SEARCH = "search"
@@ -143,6 +133,7 @@ class DiscrepancyResult:
     ``witness_box`` is the anchored box realizing ``value``; when
     ``attained`` is False the witness is a one-sided limit and
     ``witness_flags`` records which axes approach the corner from below.
+    An exact result under a discrete measure is always attained.
     """
 
     value: float
@@ -210,8 +201,11 @@ def _slab_maxima(ps: PointSet, m, grids):
     """The supremum over the critical grid: the larger of the largest
     ``count/N - F`` at the cells' lower corners (attained) and the largest
     ``F(upper-) - count/N`` (one-sided), the attained term winning a tie.
-    Returns ``(value, grid index, attained)``, the index being the first
-    occurrence in C order.
+    When the measure's mass lies on the grid lines (``m._mass_on_grid``),
+    ``F(upper-) - count(upper-)/N`` is ``F - count/N`` at the lower corner,
+    so only the lower corners' table is read and the supremum is the
+    largest ``|count/N - F|`` there, attained.  Returns ``(value, grid
+    index, attained)``, the index being the first occurrence in C order.
 
     The grid is walked in slabs of whole axis-0 rows, sized by the cells a
     slab reads.  In row ``i`` the count changes along an axis ``s >= 1`` only
@@ -226,7 +220,8 @@ def _slab_maxima(ps: PointSet, m, grids):
 
     * moving a cell down to the start of its run keeps its count and cannot
       raise ``F``: the attained term's first compressed maximum is its dense
-      first occurrence;
+      first occurrence, and so is ``|count/N - F|``'s when ``F`` is constant
+      on the run too (each atom's column is active);
     * moving a cell up to the end of its run keeps its count and cannot
       lower ``F(upper-)``: the one-sided term's dense first occurrence lies
       in the row of its first compressed maximum, but maybe not at a run's
@@ -266,8 +261,7 @@ def _slab_maxima(ps: PointSet, m, grids):
     counts, table, carried = _slab_buffers(min(math.prod(sizes), max(_SLAB_CELLS, row_cells)),
                                            row_cells)
     f_lo = m._cdf_table(grids, [np.zeros(g.size, dtype=bool) for g in grids])
-    uppers = [_upper_axis(g[1:]) for g in grids]
-    f_hi = m._cdf_table([c for c, _ in uppers], [f for _, f in uppers])
+    f_hi = None if m._mass_on_grid else m._cdf_table(*zip(*(_upper_axis(g[1:]) for g in grids)))
 
     # grid cell of every point
     cells = [np.searchsorted(g, ps.points[:, s], side="right") - 1 for s, g in enumerate(grids)]
@@ -289,8 +283,8 @@ def _slab_maxima(ps: PointSet, m, grids):
         counts of row ``start - 1``, which it leaves holding those of row
         ``stop - 1``.  ``slab_cells`` are the slab cells of the slab's
         points, in row order where ``orthant`` counts from their orthants.
-        Returns the largest attained and one-sided deviations, each with
-        the slab index of its first occurrence."""
+        Returns each term's largest deviation as ``(value, slab index of its
+        first occurrence, attained)``."""
         shape = (stop - start,) + carry.shape
         n_cells = math.prod(shape)
         if orthant:
@@ -306,11 +300,15 @@ def _slab_maxima(ps: PointSet, m, grids):
             share = shares(c, counts[:n_cells].reshape(shape))
         t = table[:n_cells].reshape(shape)
         dev = np.subtract(share, f_lo(start, stop, t, active), out=t)
+        if f_hi is None:  # F(u-) = F(l) and A(u-) = A(l) on a cell [l, u)
+            np.abs(dev, out=dev)
         i = int(np.argmax(dev))  # largest at a lower corner (attained)
-        lo = dev.flat[i], np.unravel_index(i, shape)
-        dev = np.subtract(f_hi(start, stop, t, hi_cols), share, out=t)
-        i = int(np.argmax(dev))  # approached at an upper corner (one-sided)
-        return lo, (dev.flat[i], np.unravel_index(i, shape))
+        found = [(dev.flat[i], np.unravel_index(i, shape), True)]
+        if f_hi is not None:
+            dev = np.subtract(f_hi(start, stop, t, hi_cols), share, out=t)
+            i = int(np.argmax(dev))  # approached at an upper corner (one-sided)
+            found.append((dev.flat[i], np.unravel_index(i, shape), False))
+        return found
 
     if math.prod(sizes) <= _SLAB_CELLS:
         # one slab holds every row and point: its columns are all active,
@@ -322,11 +320,8 @@ def _slab_maxima(ps: PointSet, m, grids):
             orthant = not np.any(cells[0][1:] == cells[0][:-1])
         carry = carried.reshape(sizes[1:])
         carry.fill(0)  # the counts of row -1
-        (lo_value, lo_index), (hi_value, hi_index) = read(0, n_rows, carry, every, every, cells,
-                                                           orthant)
-        if lo_value >= hi_value:
-            return float(lo_value), tuple(int(j) for j in lo_index), True
-        return float(hi_value), tuple(int(j) for j in hi_index), False
+        value, index, attained = max(read(0, n_rows, carry, every, every, cells, orthant), key=_RANK)
+        return float(value), tuple(int(j) for j in index), attained
 
     # the points ordered by axis-0 row; per row r: the points of rows < r,
     # and, read only where rows reach _ROW_LOOP_CELLS, the rows < r that
@@ -351,7 +346,7 @@ def _slab_maxima(ps: PointSet, m, grids):
     carry = carried[:1].reshape((1,) * (d - 1))
     carry.fill(0)  # the counts of row -1
 
-    lo_candidates, hi_candidates = [], []
+    candidates = []
     start = 0
     while start < n_rows:
         # as many rows as fill _SLAB_CELLS compressed cells, at least one
@@ -384,22 +379,15 @@ def _slab_maxima(ps: PointSet, m, grids):
         slab_cells = [cells[0][first:last] - start]
         slab_cells += [np.searchsorted(a, c[first:last]) for a, c in zip(active, cells[1:])]
         orthant = carry.size >= _ROW_LOOP_CELLS and crowded[stop] == crowded[start]
-        (lo_value, (r, *j)), (hi_value, (hr, *hj)) = read(start, stop, carry, active, hi_cols,
-                                                           slab_cells, orthant)
-        lo_candidates.append((lo_value, (start + r, *(a[k] for a, k in zip(active, j)))))
-        # a compressed slab names its row only
-        hi_candidates.append((hi_value, (start + hr, tuple(hj) if dense else None)))
+        for value, (r, *j), attained in read(start, stop, carry, active, hi_cols, slab_cells,
+                                             orthant):
+            # a compressed slab names the row only of a one-sided maximum
+            at = tuple(a[k] for a, k in zip(active, j)) if attained or dense else None
+            candidates.append((value, (start + r, at), attained))
         start = stop
 
-    def first_max(candidates):
-        value, index = candidates[int(np.argmax([v for v, _ in candidates]))]
-        return float(value), index
-
-    lo_value, lo_index = first_max(lo_candidates)
-    hi_value, (row, hi_index) = first_max(hi_candidates)
-    if lo_value >= hi_value:
-        return lo_value, tuple(int(j) for j in lo_index), True
-    if hi_index is None:  # a row of a compressed slab: read it densely
+    value, (row, at), attained = max(candidates, key=_RANK)
+    if at is None:  # a row of a compressed slab: read it densely
         shape = (1,) + tuple(sizes[1:])
         upto = before[row + 1]  # the points of rows <= row
         c = _histogram_counts(table[:row_cells].view(np.int64).reshape(shape),
@@ -408,8 +396,8 @@ def _slab_maxima(ps: PointSet, m, grids):
         share = shares(c, counts[:row_cells].reshape(shape))
         t = table[:row_cells].reshape(shape)
         dev = np.subtract(f_hi(row, row + 1, t, every), share, out=share)
-        hi_index = np.unravel_index(int(np.argmax(dev)), sizes[1:])
-    return hi_value, tuple(int(j) for j in (row, *hi_index)), False
+        at = np.unravel_index(int(np.argmax(dev)), sizes[1:])
+    return float(value), tuple(int(j) for j in (row, *at)), attained
 
 
 def _carried_columns(opens: np.ndarray, active: np.ndarray, start: int) -> np.ndarray:
@@ -428,16 +416,10 @@ def _slab_buffers(cells: int, row_cells: int):
     """Two float64 buffers of ``cells`` cells and an int64 buffer of
     ``row_cells`` cells (one grid row), or :class:`BudgetExceededError` when
     they cannot be allocated."""
-    err = BudgetExceededError(
-        f"critical grid rows have {row_cells} cells; two slab buffers of "
-        f"{cells} cells and a carried row do not fit in memory"
-    )
-    if cells > np.iinfo(np.intp).max // 8:  # more bytes than one array can address
-        raise err
-    try:
+    with _allocation(8 * cells, BudgetExceededError(
+            f"critical grid rows have {row_cells} cells; two slab buffers of "
+            f"{cells} cells and a carried row do not fit in memory")):
         return np.empty(cells), np.empty(cells), np.empty(row_cells, dtype=np.int64)
-    except MemoryError:
-        raise err from None
 
 
 def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float,

@@ -25,11 +25,10 @@ read through a selection is the same float as the full table's entry at those
 indices: product tables gather their per-axis factors (evaluated once per
 ``_cdf_table`` call, see ``_factor``), an analytic table builds its corners
 from the selected coordinates, and a discrete table moves each atom to the
-first selected column at or after its own.  A discrete selection must not
-leave two atom columns in one gap ``(s_{k-1}, s_k]`` between consecutive
-selected columns (so it is enough to select every atom's column): its prefix
-sums would then add those atoms in another order than the full table does.
-The reader checks this and raises ``ValueError`` on such a selection.  The
+first selected column at or after its own.  A discrete selection that
+leaves two atom columns in one gap ``(s_{k-1}, s_k]`` between consecutive
+selected columns (selecting every atom's column leaves none) raises
+``ValueError``: its prefix sums would add those atoms in another order.  The
 exact discrepancy engine reads only the columns where a count can change; the
 exact cell masses of :mod:`nuqmc.integrate` read whole tables.  Every table
 read works on whole arrays: an analytic measure calls its callback once per
@@ -40,6 +39,9 @@ long rows one at a time, by the rule the exact engine's counts share
 (``_prefix_rows``).  Of the signed measures only a DiscreteMeasure has a
 table.  Only the discrete measures add ``axis_coordinates`` to the exact
 grids: their atoms' columns, so that the engine's selections keep every one.
+A DiscreteMeasure's mass thus lies on the grid lines (``_mass_on_grid``,
+False elsewhere): its table reads closed corners only, a left limit raising
+``ValueError``.
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -80,6 +82,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -130,6 +133,19 @@ def _int(value, name: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+@contextmanager
+def _allocation(n_bytes: int, err: Exception):
+    """Raises ``err`` when the arrays of ``n_bytes`` bytes that the body
+    allocates do not fit: more bytes than one array can address, checked
+    before the body runs, or than memory holds."""
+    if n_bytes > np.iinfo(np.intp).max:
+        raise err
+    try:
+        yield
+    except MemoryError:
+        raise err from None
 
 
 def _float(value, name: str) -> float:
@@ -226,6 +242,8 @@ class _PointCdf:
     """The public point evaluations of a measure with ``_cdf_points``, and
     the defaults of one with no exact-grid coordinates and no CDF table."""
 
+    _mass_on_grid = False
+
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return np.empty(0)
 
@@ -288,16 +306,6 @@ def _product_table(factors: Sequence[np.ndarray]):
             np.setbufsize(size)
 
     return rows
-
-
-def _covering_index(coords: np.ndarray, left: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """First index ``j`` with ``x < coords[j]``, or ``x <= coords[j]`` where
-    ``left[j]`` is False; ``coords.size`` when there is none.  ``coords`` is
-    nondecreasing, and among equal coordinates the left limits come first."""
-    lo = np.searchsorted(coords, xs, side="left")
-    hi = np.searchsorted(coords, xs, side="right")
-    n_left = np.concatenate([[0], np.cumsum(left)])
-    return lo + n_left[hi] - n_left[lo]
 
 
 class DiscreteSignedMeasure(_PointCdf):
@@ -515,6 +523,8 @@ class DiscreteMeasure(DiscreteSignedMeasure):
     measure whose weights are all positive, with total mass 1 within
     tolerance."""
 
+    _mass_on_grid = True
+
     def __init__(self, atoms: DiscreteSignedMeasure) -> None:
         if np.any(atoms.weights <= 0):
             raise ValidationError("discrete probability measure needs positive weights")
@@ -543,21 +553,21 @@ class DiscreteMeasure(DiscreteSignedMeasure):
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring).
 
-        Each atom lands in the first table cell that covers it; the rows read
-        are prefix sums along axis 0, then axis 1, and so on.  Atoms covered
-        only by earlier rows are summed into the first row read, in the
-        atoms' axis-0 order, which reproduces the axis-0 prefix sum of the
-        whole table bit for bit.  Under a column selection an atom moves
+        Each atom lands in the first table cell at or after it (a left
+        limit raises ``ValueError``); the rows read are prefix sums along
+        axis 0, then axis 1, and so on.  Atoms covered only by earlier rows
+        are summed into the first row read, in the atoms' axis-0 order,
+        which reproduces the axis-0 prefix sum of the whole table bit for
+        bit.  Under a column selection an atom moves
         to the first selected column at or after its cell, and atoms past
         the last selected column drop out; a selection that leaves two atom
         columns in one gap raises ``ValueError``.
         """
+        if any(np.any(f) for f in left):
+            raise ValueError("a discrete table reads closed corners only")
         shape = tuple(len(c) for c in coords)
         locations, weights = self.locations, self.weights
-        cells = [
-            _covering_index(np.asarray(c, dtype=float), np.asarray(f, dtype=bool), locations[:, s])
-            for s, (c, f) in enumerate(zip(coords, left))
-        ]
+        cells = [np.searchsorted(c, locations[:, s], side="left") for s, c in enumerate(coords)]
         covered = np.all([j < n for j, n in zip(cells, shape)], axis=0)
         cells = [j[covered] for j in cells]
         weights = weights[covered]

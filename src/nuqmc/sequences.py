@@ -6,7 +6,7 @@ import numpy as np
 
 from .discrepancy import PointSet
 from .errors import ValidationError
-from .measures import _int
+from .measures import _allocation, _int
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -33,9 +33,11 @@ def halton(n_points: int, dimension: int) -> PointSet:
     if not 1 <= dimension <= len(_PRIMES):
         raise ValidationError(f"dimension must be in 1..{len(_PRIMES)}")
     n_points = _int(n_points, "n_points", 1)
-    pts = np.empty((n_points, dimension))
-    for s in range(dimension):
-        pts[:, s] = _radical_inverses(n_points, _PRIMES[s])
+    too_many = ValidationError(f"{n_points} x {dimension} coordinates do not fit in memory")
+    with _allocation(8 * n_points * dimension, too_many):
+        pts = np.empty((n_points, dimension))
+        for s in range(dimension):
+            pts[:, s] = _radical_inverses(n_points, _PRIMES[s])
     return PointSet(dimension, pts)
 
 

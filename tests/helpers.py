@@ -140,7 +140,8 @@ def brute_force_star_discrepancy(ps: PointSet, m, per_axis) -> float:
 def _dense_cdf_arrays(m, grids):
     """CDF at every cell's lower corner, and the one-sided limit at its
     upper corner (left limits except on the degenerate final interval),
-    as whole-grid arrays."""
+    as whole-grid arrays; None for the limit of a measure whose mass lies
+    on the grid, where it is the lower corner's value."""
     d = len(grids)
     shape = tuple(g.size for g in grids)
     uppers = [np.concatenate([g[1:], [1.0]]) for g in grids]
@@ -159,7 +160,7 @@ def _dense_cdf_arrays(m, grids):
         np.add.at(lo, idx, m.weights)
         for s in range(d):
             np.cumsum(lo, axis=s, out=lo)
-        return lo, lo  # atoms lie on the grid: the limit at the next vertex
+        return lo, None  # atoms lie on the grid: F(u-) = F(l) on a cell [l, u)
     if isinstance(m, AnalyticCdfMeasure):
         # one batched read per array over all its corners, in C order: the
         # callback contract makes each value independent of the batch
@@ -180,6 +181,9 @@ def dense_star_discrepancy(ps: PointSet, m, extra=None):
 
     Returns ``(value, witness, flags, attained)`` with the same tie rule as
     the library (first occurrence in C order; the attained term wins ties).
+    A discrete measure's atoms lie on the grid, so on a cell ``[l, u)`` both
+    the count and ``F`` at ``u-`` are their values at ``l``: its supremum is
+    the first maximum of ``|count/N - F|`` at the lower corners, attained.
     """
     d = ps.dimension
     extra = [np.empty(0)] * d if extra is None else extra
@@ -196,10 +200,12 @@ def dense_star_discrepancy(ps: PointSet, m, extra=None):
         np.cumsum(counts, axis=s, out=counts)
     frac = counts / ps.n
     f_lo, f_hi = _dense_cdf_arrays(m, grids)
-    dev_lo, dev_hi = frac - f_lo, f_hi - frac
+    dev_lo = np.abs(frac - f_lo) if f_hi is None else frac - f_lo
     lo_idx = np.unravel_index(int(np.argmax(dev_lo)), dev_lo.shape)
-    hi_idx = np.unravel_index(int(np.argmax(dev_hi)), dev_hi.shape)
-    if dev_lo[lo_idx] >= dev_hi[hi_idx]:
+    if f_hi is not None:
+        dev_hi = f_hi - frac
+        hi_idx = np.unravel_index(int(np.argmax(dev_hi)), dev_hi.shape)
+    if f_hi is None or dev_lo[lo_idx] >= dev_hi[hi_idx]:
         witness = tuple(float(grids[s][lo_idx[s]]) for s in range(d))
         return float(dev_lo[lo_idx]), witness, ("at",) * d, True
     last = [hi_idx[s] == grids[s].size - 1 for s in range(d)]

@@ -414,6 +414,24 @@ class TestCounterexampleCommand:
         assert out == ""
         assert err.startswith("error:") and "--tolerance" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", str(10**16), "--d", "2"],
+        ["generate", "--n", "99999999999999999999", "--d", "2"],
+        *(["counterexample", "--boundary-samples", str(n)]
+          for n in (10**16, 2**62, 10**20)),
+    ])
+    def test_oversized_count_is_refused(self, capsys, tmp_path, argv):
+        # an allocation this size fails before it touches memory, or is
+        # refused before it is tried: more bytes than one array can address
+        csv_path = tmp_path / "boundary.csv"
+        if argv[0] == "counterexample":
+            argv = argv + ["--boundary-csv", str(csv_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and argv[1] in err and "fit in memory" in err
+        assert not csv_path.exists()
+
     def test_negative_boundary_samples(self, capsys, tmp_path):
         csv_path = tmp_path / "boundary.csv"
         code, out, err = run_cli(
@@ -690,6 +708,13 @@ class TestCliFuzz:
     @example((["discrepancy", "--points", "points", "--measure", "measure",
                "--search", "5", "--seed", "-1"], {"points": _POINTS, "measure": _UNIFORM}))
     @example((["generate", "--n", "4", "--d", "2", "--out", "missing/out.json"], {}))
+    # counts past memory, once a traceback
+    @example((["generate", "--n", str(10**16), "--d", "2"], {}))
+    @example((["generate", "--n", str(10**20), "--d", "2"], {}))
+    @example((["counterexample", "--boundary-csv", "boundary.csv",
+               "--boundary-samples", str(10**16)], {}))
+    @example((["counterexample", "--boundary-csv", "boundary.csv",
+               "--boundary-samples", str(2**62)], {}))
     # found by this test: a whole-number float dimension of 2^60 with no points
     @example((["discrepancy", "--points", "points", "--measure", "measure"],
               {"points": {"d": float(2**60), "points": []}, "measure": _UNIFORM}))

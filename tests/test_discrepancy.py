@@ -1,6 +1,7 @@
 """Exact star-discrepancy engine and the randomized lower-bound search."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from helpers import (
     brute_force_star_discrepancy,
     dense_star_discrepancy,
     dense_uniform_star_discrepancy,
+    gamma,
     measure_coordinates,
     random_discrete_probability,
     random_general_axis_cdf,
@@ -41,6 +43,7 @@ from helpers import (
     random_strict_axis_cdf,
     reference_one_sided_deviation,
     reference_random_search,
+    within_rounding,
 )
 
 TOL = 1e-12
@@ -121,15 +124,48 @@ class TestStarDiscrepancyExact:
         assert res.value <= TOL
 
     def test_value_in_unit_interval_and_duplication_invariance(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
+        for seed, discrete in [(6, False), (7, True)]:
+            rng = np.random.default_rng(seed)
+            for _ in range(100 if discrete else 20):
+                d = int(rng.integers(1, 4))
+                ps = random_point_set(rng, d, max_points=39 if discrete else 10)
+                m = random_discrete_probability(rng, d, 39) if discrete else UniformMeasure(d)
+                res = star_discrepancy(ps, m)
+                assert 0.0 <= res.value <= 1.0
+                doubled = PointSet(d, np.vstack([ps.points, ps.points]))
+                res2 = star_discrepancy(doubled, m)
+                assert res2.value == pytest.approx(res.value, abs=TOL)
+                if discrete:
+                    # counts and F are read at closed corners only: doubling
+                    # or permuting the points, or permuting the atoms,
+                    # changes no bit
+                    order = rng.permutation(len(m))
+                    moved = DiscreteMeasure.from_points(d, m.locations[order], m.weights[order])
+                    shuffled = PointSet(d, rng.permutation(ps.points))
+                    for other in [res2, star_discrepancy(shuffled, m), star_discrepancy(ps, moved)]:
+                        assert _summary(other) == _summary(res)
+
+    def test_discrete_supremum_is_attained_and_exact(self):
+        # the atoms lie on the grid, so the supremum is a closed-box maximum:
+        # attained, and |#{x <= w}/N - F(w)| at the witness, which the exact
+        # rational sum bounds within the rounding of the float sums
+        rng = np.random.default_rng(5)
+        for _ in range(300):
             d = int(rng.integers(1, 4))
-            ps = random_point_set(rng, d, max_points=10)
-            res = star_discrepancy(ps, UniformMeasure(d))
-            assert 0.0 <= res.value <= 1.0
-            doubled = PointSet(d, np.vstack([ps.points, ps.points]))
-            res2 = star_discrepancy(doubled, UniformMeasure(d))
-            assert res2.value == pytest.approx(res.value, abs=TOL)
+            ps = PointSet(d, rng.random((int(rng.integers(1, 40)), d)))
+            k = int(rng.integers(1, 40))
+            m = DiscreteMeasure.from_points(d, rng.random((k, d)), np.full(k, 1.0 / k))
+            res = star_discrepancy(ps, m)
+            w = np.array(res.witness_box.upper)
+            assert res.attained and res.witness_flags == ("at",) * d
+            share = Fraction(int(np.all(ps.points <= w, axis=1).sum()), ps.n)
+            mass = sum((Fraction(x) for x in m.weights[np.all(m.locations <= w, axis=1)]),
+                       Fraction(0))
+            bound = gamma(k + 2) * (share + mass)
+            assert within_rounding([res.value], [abs(share - mass)], [bound])
+            # _cdf_points sums the atoms in another order than the table
+            local = one_sided_deviation(w, ps, m, res.witness_flags)
+            assert within_rounding([local], [abs(share - mass)], [bound])
 
     def test_uniform_equals_identity_product(self):
         rng = np.random.default_rng(7)

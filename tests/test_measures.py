@@ -44,7 +44,7 @@ from nuqmc import (
     van_der_corput,
 )
 from nuqmc.jsonio import measure_from_dict
-from nuqmc.measures import _covering_index, _upper_axis
+from nuqmc.measures import _upper_axis
 from helpers import (
     atom_mixture,
     chelson_box_mass,
@@ -749,17 +749,19 @@ class TestCdfTableColumns:
                 m = chelson_measure()
             grids = [np.union1d(np.append(rng.random(6), [0.0, 1.0]), c)
                      for c in measure_coordinates(m)]
-            # the lower corners, and the upper corners approached from below
-            for coords, left in [(grids, [np.zeros(g.size, dtype=bool) for g in grids]),
-                                 zip(*(_upper_axis(g[1:]) for g in grids))]:
+            # the lower corners, and but for a discrete table, which reads
+            # closed corners only, the upper corners approached from below
+            tables = [(grids, [np.zeros(g.size, dtype=bool) for g in grids])]
+            if kind != "discrete":
+                tables.append(zip(*(_upper_axis(g[1:]) for g in grids)))
+            for coords, left in tables:
                 coords, left = list(coords), list(left)
                 rows = m._cdf_table(coords, left)
                 full = rows(0, coords[0].size, np.empty([c.size for c in coords]),
                             [np.arange(c.size) for c in coords[1:]])
                 must = [np.empty(0, dtype=np.intp) for _ in range(d)]
                 if kind == "discrete":  # every atom column selected: no gap holds two
-                    must = [_covering_index(c, f, m.locations[:, s])
-                            for s, (c, f) in enumerate(zip(coords, left))]
+                    must = [np.searchsorted(c, m.locations[:, s]) for s, c in enumerate(coords)]
                 for _ in range(10):
                     start = int(rng.integers(coords[0].size))
                     stop = int(rng.integers(start, coords[0].size)) + 1
@@ -803,8 +805,7 @@ class TestCdfTableColumns:
         coords = [np.union1d(rng.random(n - 2), [0.0, 1.0]) for n in shape]
         left = [np.zeros(c.size, dtype=bool) for c in coords]
         expect = np.zeros(shape)
-        at = [_covering_index(c, f, m.locations[:, s])
-              for s, (c, f) in enumerate(zip(coords, left))]
+        at = [np.searchsorted(c, m.locations[:, s]) for s, c in enumerate(coords)]
         inside = np.all([j < n for j, n in zip(at, shape)], axis=0)
         np.add.at(expect, tuple(j[inside] for j in at), m.weights[inside])
         for s in range(d):
@@ -825,6 +826,10 @@ class TestCdfTableColumns:
                               rows(0, 3, np.empty((3, 4)), [np.arange(4)])[:, :3])
         with pytest.raises(ValueError, match="two atom columns in one gap"):
             rows(0, 3, np.empty((3, 2)), [np.array([0, 2])])
+        # nor is a left limit: the atoms lie on the exact grid, which reads
+        # a discrete table at closed corners only
+        with pytest.raises(ValueError, match="closed corners only"):
+            m._cdf_table(coords, [np.zeros(3, dtype=bool), np.arange(4) == 2])
 
 
 class TestUfuncBufferScope:

@@ -30,6 +30,10 @@ def test_invalid_arguments():
         van_der_corput(0, 2)
     with pytest.raises(ValidationError):
         halton(4, 9)
+    # past memory, or past what one array can address: refused, named
+    for n in (10**16, 10**20):
+        with pytest.raises(ValidationError, match=f"{n} x 2 coordinates"):
+            halton(n, 2)
 
 
 def test_halton_equals_the_scalar_radical_inverse():
