@@ -40,7 +40,6 @@ from .transforms import (
     chelson_conditional,
     chelson_identity_check,
     chelson_measure,
-    conditional_transform_2d,
     forward_cdf_map,
     product_transform,
 )
@@ -314,8 +313,8 @@ def _run_counterexample(args) -> dict:
     cdf = chelson_conditional()
     m = chelson_measure()
     ps = PointSet(2, [x])
-    z = conditional_transform_2d(x, cdf)
     report = chelson_identity_check(ps, cdf, m, probe=probe, tol=args.tolerance)
+    z = report.transformed.points[0].tolist()
 
     if args.boundary_csv:
         # boundary of the image of [0, probe]: the curve y1 -> G(y1, probe_2)

@@ -31,9 +31,9 @@ positive weights); for :class:`~nuqmc.measures.AnalyticCdfMeasure` it is
 part of the callback contract.
 
 Slabs hold about 2^16 compressed cells, at least one row.  Peak memory is
-two float64 slab buffers of at most ``max(2^16, m_1 ... m_{d-1})`` cells,
-the int64 carried row and, in d = 2, a float64 step row of two grid rows,
-so the cell budget bounds time, and memory only through the row length (300
+three float64 buffers, two of a slab of at most ``max(2^16, m_1 ... m_{d-1})``
+cells and the carried row, and, in d = 2, a step row of two grid rows, so
+the cell budget bounds time, and memory only through the row length (300
 points in d=4 on one axis-0 coordinate: rows of 302^3 cells, about 630
 MiB); slab buffers larger than one array can address, or than memory
 holds, end in :class:`~nuqmc.errors.BudgetExceededError`, not a traceback.
@@ -133,7 +133,8 @@ class DiscrepancyResult:
     ``witness_box`` is the anchored box realizing ``value``; when
     ``attained`` is False the witness is a one-sided limit and
     ``witness_flags`` records which axes approach the corner from below.
-    An exact result under a discrete measure is always attained.
+    An exact result under a discrete measure is always attained, and so is
+    a searched one unless its box is empty (a value of 0).
     """
 
     value: float
@@ -225,8 +226,8 @@ def _slab_maxima(ps: PointSet, m, grids):
     * moving a cell up to the end of its run keeps its count and cannot
       lower ``F(upper-)``: the one-sided term's dense first occurrence lies
       in the row of its first compressed maximum, but maybe not at a run's
-      end (``F(upper-)`` can be flat there), so that one row is read densely
-      to name the witness.
+      end (``F(upper-)`` can be flat there), so that one row is read again,
+      on every column, to name the witness.
 
     A slab whose active columns are all its columns (every slab once every
     point has been read, so every grid that fits one slab) names its
@@ -239,25 +240,22 @@ def _slab_maxima(ps: PointSet, m, grids):
     row, widened by an index gather when columns activate) plus 1 on the
     orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds, if any; a d = 2
     row is one add of a window of a step row (see ``_orthant_counts``).
-    When ``N = 2^m`` those rows count in units of ``2^-m``: each ``k/N`` is
-    ``k * 2^-m`` exactly, so the rows are the shares and the divide pass
-    goes; the carried row stays in whole points, converted by one exact
-    multiply at each end of a slab.  For any other ``N`` the rows count
-    whole points and are divided by ``N``.  Slabs of compressed rows shorter
-    than ``_ROW_LOOP_CELLS``, or with a row holding several points,
-    histogram their points and sum along every axis instead, and their
-    shares are ``count * 2^-m`` or ``count / N``, the same floats.  Memory
-    is two slab buffers, the carried row and, in d = 2, a step row of two
-    dense rows; an earlier slab keeps a tie, as one argmax over the whole
-    grid would.
+    Slabs of compressed rows shorter than ``_ROW_LOOP_CELLS``, or with a row
+    holding several points, histogram their points and sum along every axis
+    instead.  Every count, carried row included, is a float64 in units of
+    ``unit``: ``2^-m`` when ``N = 2^m``, where each ``k/N`` is ``k * 2^-m``
+    exactly, so the counts are the shares and no divide pass follows; a
+    whole point for any other ``N``, the counts then divided by ``N``.  Sums
+    of those units are exact either way, so both count paths give the same
+    floats.  Memory is two slab buffers, the carried row and, in d = 2, a
+    step row of two dense rows; an earlier slab keeps a tie, as one argmax
+    over the whole grid would.
     """
     d = ps.dimension
     sizes = [g.size for g in grids]
     n_rows, row_cells = sizes[0], math.prod(sizes[1:])
-    # two float64 slab buffers for the whole walk: the counts, as shares
-    # count/N, and the CDF tables (the histogram's int64 scratch before
-    # that); a dense row, for the re-read, fits in each.  The carried row
-    # lives in a third, int64 buffer of one dense row.
+    # three float64 buffers for the whole walk: the counts and the CDF tables,
+    # each holding a slab or a dense row, and the carried row
     counts, table, carried = _slab_buffers(min(math.prod(sizes), max(_SLAB_CELLS, row_cells)),
                                            row_cells)
     f_lo = m._cdf_table(grids, [np.zeros(g.size, dtype=bool) for g in grids])
@@ -265,39 +263,33 @@ def _slab_maxima(ps: PointSet, m, grids):
 
     # grid cell of every point
     cells = [np.searchsorted(g, ps.points[:, s], side="right") - 1 for s, g in enumerate(grids)]
-    # the orthant rows count in units of `unit`: for N = 2^m every k/N is
-    # k * 2^-m exactly, so those rows hold the shares themselves; a d = 2
-    # row adds a window of `step`, a dense row of zeros, then one of units
+    # every count is in units of `unit`: for N = 2^m every k/N is k * 2^-m
+    # exactly, so the counts are the shares themselves; a d = 2 row adds a
+    # window of `step`, a dense row of zeros, then one of units
     n = ps.n
     exact_unit = n & (n - 1) == 0
     unit = 1.0 / n if exact_unit else 1.0
     step = np.repeat([0.0, unit], row_cells) if d == 2 and row_cells >= _ROW_LOOP_CELLS else None
     every = [np.arange(size) for size in sizes[1:]]
 
-    def shares(c, out):  # c/N of integer counts c, the same floats either way
-        return np.multiply(c, unit, out=out) if exact_unit else np.divide(c, n, out=out)
-
     def read(start, stop, carry, active, hi_cols, slab_cells, orthant):
         """Rows ``start:stop`` on the ``active`` columns (``hi_cols`` for
-        the upper corners), counted on from ``carry``, the whole-point
-        counts of row ``start - 1``, which it leaves holding those of row
-        ``stop - 1``.  ``slab_cells`` are the slab cells of the slab's
-        points, in row order where ``orthant`` counts from their orthants.
-        Returns each term's largest deviation as ``(value, slab index of its
-        first occurrence, attained)``."""
+        the upper corners), counted on from ``carry``, the counts of row
+        ``start - 1``, which it leaves holding those of row ``stop - 1``.
+        ``slab_cells`` are the slab cells of the slab's points, in row order
+        where ``orthant`` counts from their orthants.  Returns each term's
+        largest deviation as ``(value, slab index of its first occurrence,
+        attained)``."""
         shape = (stop - start,) + carry.shape
         n_cells = math.prod(shape)
+        share = counts[:n_cells].reshape(shape)
         if orthant:
-            share = _orthant_counts(counts[:n_cells].reshape(shape), carry, slab_cells, unit, step)
-            if exact_unit:  # back to whole points, exactly
-                np.multiply(share[-1], n, out=carry, casting="unsafe")
-            else:
-                carry[...] = share[-1]
-                np.divide(share, n, out=share)
+            _orthant_counts(share, carry, slab_cells, unit, step)
         else:
-            c = _histogram_counts(table[:n_cells].view(np.int64).reshape(shape), carry, slab_cells)
-            carry[...] = c[-1]
-            share = shares(c, counts[:n_cells].reshape(shape))
+            _histogram_counts(share, carry, slab_cells, unit)
+        carry[...] = share[-1]
+        if not exact_unit:  # whole points, as shares count/N
+            np.divide(share, n, out=share)
         t = table[:n_cells].reshape(shape)
         dev = np.subtract(share, f_lo(start, stop, t, active), out=t)
         if f_hi is None:  # F(u-) = F(l) and A(u-) = A(l) on a cell [l, u)
@@ -366,7 +358,7 @@ def _slab_maxima(ps: PointSet, m, grids):
             staged = carry
             for s, (opens, a) in enumerate(zip(since, active)):
                 shape = staged.shape[:s] + (a.size,) + staged.shape[s + 1:]
-                out = (table, counts)[s % 2].view(np.int64)[:math.prod(shape)].reshape(shape)
+                out = (table, counts)[s % 2][:math.prod(shape)].reshape(shape)
                 # every index is in range; mode "raise" would copy through a temporary
                 staged = np.take(staged, _carried_columns(opens, a, start), axis=s, out=out,
                                  mode="clip")
@@ -387,16 +379,13 @@ def _slab_maxima(ps: PointSet, m, grids):
         start = stop
 
     value, (row, at), attained = max(candidates, key=_RANK)
-    if at is None:  # a row of a compressed slab: read it densely
-        shape = (1,) + tuple(sizes[1:])
-        upto = before[row + 1]  # the points of rows <= row
-        c = _histogram_counts(table[:row_cells].view(np.int64).reshape(shape),
-                              np.zeros((), dtype=np.int64),
-                              [np.zeros(upto, dtype=np.intp)] + [j[:upto] for j in cells[1:]])
-        share = shares(c, counts[:row_cells].reshape(shape))
-        t = table[:row_cells].reshape(shape)
-        dev = np.subtract(f_hi(row, row + 1, t, every), share, out=share)
-        at = np.unravel_index(int(np.argmax(dev)), sizes[1:])
+    if at is None:  # a row of a compressed slab: read it on every column,
+        # counted from zero with the points of rows <= row folded into it
+        carry = carried.reshape(sizes[1:])
+        carry.fill(0)
+        upto = before[row + 1]
+        folded = [np.zeros(upto, dtype=np.intp)] + [j[:upto] for j in cells[1:]]
+        _, (_, *at), _ = read(row, row + 1, carry, every, every, folded, False)[1]
     return float(value), tuple(int(j) for j in (row, *at)), attained
 
 
@@ -413,19 +402,19 @@ def _carried_columns(opens: np.ndarray, active: np.ndarray, start: int) -> np.nd
 
 
 def _slab_buffers(cells: int, row_cells: int):
-    """Two float64 buffers of ``cells`` cells and an int64 buffer of
-    ``row_cells`` cells (one grid row), or :class:`BudgetExceededError` when
-    they cannot be allocated."""
+    """Two float64 buffers of ``cells`` cells and one of ``row_cells`` cells
+    (one grid row), or :class:`BudgetExceededError` when they cannot be
+    allocated."""
     with _allocation(8 * cells, BudgetExceededError(
             f"critical grid rows have {row_cells} cells; two slab buffers of "
             f"{cells} cells and a carried row do not fit in memory")):
-        return np.empty(cells), np.empty(cells), np.empty(row_cells, dtype=np.int64)
+        return np.empty(cells), np.empty(cells), np.empty(row_cells)
 
 
 def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float,
                     step: np.ndarray | None) -> np.ndarray:
     """Prefix counts of a slab, in multiples of ``unit``, written into ``c``:
-    each row is the row before it (``carry``, counts, for the first) plus
+    each row is the row before it (``carry`` for the first) plus
     ``unit`` on the orthant of the point it holds, if any.  ``point_cells[s]``
     are the slab cells of the slab's points on axis ``s``, ordered by row.
 
@@ -435,8 +424,6 @@ def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float,
     point add on a view of their orthant."""
     prev, r = c[0, ...], 1
     prev[...] = carry  # row -1, staged in row 0
-    if unit != 1.0:
-        np.multiply(prev, unit, out=prev)
     if step is not None:
         half = step.size // 2
         w = c.shape[1]
@@ -455,13 +442,13 @@ def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float,
     return c
 
 
-def _histogram_counts(c: np.ndarray, carry: np.ndarray, point_cells) -> np.ndarray:
-    """Prefix counts of a slab written into the int64 array ``c``: the
-    points at the slab cells ``point_cells`` (one array per axis)
+def _histogram_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float) -> np.ndarray:
+    """Prefix counts of a slab, in multiples of ``unit``, written into ``c``:
+    the points at the slab cells ``point_cells`` (one array per axis)
     histogrammed, summed along axes 1..d-1, then along axis 0 starting from
     the row ``carry``."""
     c.fill(0)
-    np.add.at(c.reshape(-1), np.ravel_multi_index(point_cells, c.shape), 1)
+    np.add.at(c.reshape(-1), np.ravel_multi_index(point_cells, c.shape), unit)
     for s in range(1, c.ndim):
         np.cumsum(c, axis=s, out=c)
     c[0] += carry
@@ -481,13 +468,11 @@ def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> Discrep
     d = ps.dimension
     grids = _critical_grids(ps, m, cell_budget)
     value, index, attained = _slab_maxima(ps, m, grids)
-    if attained:
-        witness = tuple(float(g[j]) for g, j in zip(grids, index))
-        flags = (AT_POINT,) * d
-    else:  # the upper corner, approached from below except on the last column
-        last = [j == g.size - 1 for g, j in zip(grids, index)]
-        witness = tuple(1.0 if end else float(g[j + 1]) for g, j, end in zip(grids, index, last))
-        flags = tuple(AT_POINT if end else LEFT_LIMIT for end in last)
+    # the lower corner, or the upper one, approached from below but on the
+    # last column: the axes of the table the maximum was read from
+    axes = [(g, np.zeros(g.size, dtype=bool)) if attained else _upper_axis(g[1:]) for g in grids]
+    witness = tuple(float(coords[j]) for (coords, _), j in zip(axes, index))
+    flags = tuple(LEFT_LIMIT if left[j] else AT_POINT for (_, left), j in zip(axes, index))
 
     return DiscrepancyResult(
         value=value,
@@ -510,8 +495,10 @@ def random_search_lower_bound(
     exceeds the exact star-discrepancy.  Deterministic for a fixed seed, and
     the corners come in blocks of ``_SEARCH_BLOCK`` trials, so the first
     trials of a seed are the same corners whatever the trial count: more
-    trials never lower the bound.  A signed measure has no star-discrepancy
-    to bound: :class:`~nuqmc.errors.UnsupportedMeasureError`.
+    trials never lower the bound.  Under a discrete measure the best corner
+    is reported as the closed box holding the same points and atoms, so the
+    result is attained.  A signed measure has no star-discrepancy to bound:
+    :class:`~nuqmc.errors.UnsupportedMeasureError`.
     """
     trials = _int(trials, "trials", 1)
     _check_measure(ps, m)
@@ -549,9 +536,19 @@ def random_search_lower_bound(
             if dev[i] > best:  # the first trial to reach the maximum keeps it
                 best, best_corner, best_left = float(dev[i]), corners[lo + i], left[lo + i]
 
+    if m._mass_on_grid and not np.any(best_left & (best_corner == 0.0)):
+        # the points and atoms lie on the pool coordinates, so on an axis
+        # [0, a) holds what [0, b] does, b the largest pool coordinate below
+        # a (0.0 if none is): the same count and F.  A left-flagged 0.0
+        # bounds an empty box, which only wins at 0, and is kept as drawn
+        below = [p[np.searchsorted(p, a) - 1] if p[0] < a else 0.0
+                 for p, a in zip(pools, best_corner)]
+        best_corner = np.where(best_left, below, best_corner)
+        best_left = np.zeros(d, dtype=bool)
+
     return DiscrepancyResult(
         value=best,
-        # pool coordinates, 1.0 or a draw in [0, 1), as drawn
+        # pool coordinates, 0.0, 1.0 or a draw in [0, 1)
         witness_box=Box._unchecked((0.0,) * d, tuple(float(c) for c in best_corner)),
         witness_flags=tuple(LEFT_LIMIT if f else AT_POINT for f in best_left),
         attained=not best_left.any(),

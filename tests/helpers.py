@@ -311,7 +311,9 @@ def reference_random_search(ps: PointSet, m, trials: int, seed: int):
     """The randomized lower bound one trial at a time, on the library's
     draws: whole blocks of ``_SEARCH_BLOCK`` trials, each drawn as the
     selectors, the pool indices, the free coordinates and the limit flags
-    in that order.  Returns ``(value, witness, flags, attained)``."""
+    in that order.  Under a discrete measure the best corner is named as the
+    closed box holding the same points and atoms, unless a left-flagged 0.0
+    makes its box empty.  Returns ``(value, witness, flags, attained)``."""
     d = ps.dimension
     rng = np.random.default_rng(seed)
     pools = [
@@ -342,6 +344,12 @@ def reference_random_search(ps: PointSet, m, trials: int, seed: int):
             dev = reference_one_sided_deviation(corner, ps, m, flags)
             if dev > best:
                 best, best_corner, best_flags = dev, tuple(corner), flags
+    if isinstance(m, DiscreteSignedMeasure) and (0.0, "left") not in zip(best_corner, best_flags):
+        # the points and atoms lie on the pool coordinates: [0, a) on an axis
+        # holds what the closed [0, b] does, b the last pool coordinate below a
+        best_corner = tuple(float(max((x for x in p if x < a), default=0.0)) if f == "left" else a
+                            for p, a, f in zip(pools, best_corner, best_flags))
+        best_flags = ("at",) * d
     return best, best_corner, best_flags, all(f == "at" for f in best_flags)
 
 

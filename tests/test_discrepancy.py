@@ -76,6 +76,17 @@ class TestLocalDiscrepancy:
             one_sided_deviation((0.5, 0.5), PointSet(1, [[0.5]]), UniformMeasure(1))
 
 
+def _discrete_cases():
+    """300 random point sets of 1 to 39 points in d = 1..3, each with a
+    discrete measure of 1 to 39 equal atoms."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        d = int(rng.integers(1, 4))
+        ps = PointSet(d, rng.random((int(rng.integers(1, 40)), d)))
+        k = int(rng.integers(1, 40))
+        yield ps, DiscreteMeasure.from_points(d, rng.random((k, d)), np.full(k, 1.0 / k))
+
+
 class TestStarDiscrepancyExact:
     def test_single_point_uniform_unattained(self):
         ps = PointSet(2, [[56 / 81, 20 / 23]])
@@ -149,12 +160,8 @@ class TestStarDiscrepancyExact:
         # the atoms lie on the grid, so the supremum is a closed-box maximum:
         # attained, and |#{x <= w}/N - F(w)| at the witness, which the exact
         # rational sum bounds within the rounding of the float sums
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            d = int(rng.integers(1, 4))
-            ps = PointSet(d, rng.random((int(rng.integers(1, 40)), d)))
-            k = int(rng.integers(1, 40))
-            m = DiscreteMeasure.from_points(d, rng.random((k, d)), np.full(k, 1.0 / k))
+        for ps, m in _discrete_cases():
+            d, k = ps.dimension, len(m)
             res = star_discrepancy(ps, m)
             w = np.array(res.witness_box.upper)
             assert res.attained and res.witness_flags == ("at",) * d
@@ -806,6 +813,28 @@ class TestCountUnits:
                     assert got == expect, (ps.n, points, slab_cells)
 
 
+class TestWitnessRecheck:
+    """The one-sided deviation at an exact witness, with its flags, is the
+    reported value itself: the walk's counts in units of ``2^-m`` or whole
+    points and its CDF tables give the floats the point evaluation gives.
+    (A discrete measure's table sums its atoms in another order.)"""
+
+    @pytest.mark.parametrize("slab_cells", [None, 97])
+    @pytest.mark.parametrize("kind", ["uniform", "product", "chelson"])
+    def test_equals_the_value(self, kind, slab_cells, monkeypatch):
+        if slab_cells is not None:  # streamed, with witness rows read again
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        rng = np.random.default_rng(["uniform", "product", "chelson"].index(kind) + 40)
+        for case in range(50):
+            d = 2 if kind == "chelson" else case % 3 + 1
+            e = int(rng.integers(0, 9 if d < 3 else 6))
+            n = max(1, 2**e + int(rng.integers(-1, 2)))  # 2^e - 1, 2^e, 2^e + 1
+            ps, m = _unit_case(kind, d, n, ("random", "eighths", "paired")[case % 3], rng)
+            res = star_discrepancy(ps, m)
+            local = one_sided_deviation(res.witness_box.upper, ps, m, res.witness_flags)
+            assert local == res.value, (n, d, res)
+
+
 class TestRandomSearch:
     def test_never_exceeds_exact(self):
         rng = np.random.default_rng(10)
@@ -908,6 +937,16 @@ class TestRandomSearch:
                 flags = tuple(rng.choice(["at", "left"], d))
                 assert one_sided_deviation(a, ps, m, flags) == \
                     reference_one_sided_deviation(a, ps, m, flags)
+
+    def test_discrete_search_names_closed_boxes(self):
+        # a discrete measure's atoms and the points lie on the pool
+        # coordinates, so the best corner is named as a closed box with the
+        # same count and F: attained, and re-checked to the same float
+        for ps, m in _discrete_cases():
+            res = random_search_lower_bound(ps, m, 256, 0)
+            assert res.attained and res.witness_flags == ("at",) * ps.dimension
+            assert one_sided_deviation(res.witness_box.upper, ps, m) == res.value
+            assert _summary(res) == reference_random_search(ps, m, 256, 0)
 
     def test_witness_reproduces_value(self):
         ps = PointSet(2, [[0.3, 0.7], [0.6, 0.2], [0.9, 0.9]])
