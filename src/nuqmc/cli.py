@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -75,7 +76,7 @@ def _mode_flag(args, flag: str, default, read: bool, where: str) -> None:
     if getattr(args, flag) is None:
         setattr(args, flag, default)
     elif not read:
-        raise ValidationError(f"--{flag} is read {where}")
+        raise ValidationError(f"--{flag.replace('_', '-')} is read {where}")
 
 
 def _exact_budget(args, exact: bool) -> None:
@@ -133,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", default="1.0,0.8", help="probe corner as 'a1,a2'")
     p.add_argument("--boundary-csv", default=None,
                    help="write a CSV sampling of the image-set boundary here")
-    p.add_argument("--boundary-samples", type=int, default=256)
+    p.add_argument("--boundary-samples", type=int, default=None,
+                   help="boundary samples (default 256; with --boundary-csv only)")
     p.add_argument("--tolerance", type=float, default=1e-12)
     _output_flags(p)
 
@@ -283,16 +285,7 @@ def _run_integrate(args) -> dict:
     ps = load_points(args.points)
     if not args.certify:
         return {"estimate": qmc_estimate(f, ps)}
-    cert = kh_certificate(f, ps, m, cell_budget=args.budget)
-    return {
-        "estimate": cert.estimate,
-        "reference_integral": cert.reference_integral,
-        "observed_error": cert.observed_error,
-        "variation": cert.variation,
-        "discrepancy": cert.discrepancy,
-        "bound": cert.bound,
-        "satisfied": cert.satisfied,
-    }
+    return dataclasses.asdict(kh_certificate(f, ps, m, cell_budget=args.budget))
 
 
 def _run_generate(args) -> dict:
@@ -306,6 +299,7 @@ def _run_generate(args) -> dict:
 def _run_counterexample(args) -> dict:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValidationError("--tolerance must be finite and > 0")
+    _mode_flag(args, "boundary_samples", 256, bool(args.boundary_csv), "with --boundary-csv only")
     if args.boundary_samples < 0:
         raise ValidationError("--boundary-samples must be >= 0")
     x = DEFAULT_POINT if args.point is None else _parse_pair(args.point, "--point")

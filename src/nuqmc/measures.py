@@ -23,25 +23,28 @@ increasing index array per axis ``1..d-1`` (``np.arange`` for every column),
 and ``out`` has the shape ``(stop - start, len(cols[0]), ...)``.  Every entry
 read through a selection is the same float as the full table's entry at those
 indices: product tables gather their per-axis factors (evaluated once per
-``_cdf_table`` call, see ``_factor``), an analytic table builds its corners
-from the selected coordinates, and a discrete table moves each atom to the
-first selected column at or after its own.  A discrete selection that
-leaves two atom columns in one gap ``(s_{k-1}, s_k]`` between consecutive
-selected columns (selecting every atom's column leaves none) raises
-``ValueError``: its prefix sums would add those atoms in another order.  The
-exact discrepancy engine reads only the columns where a count can change; the
-exact cell masses of :mod:`nuqmc.integrate` read whole tables.  Every table
-read works on whole arrays: an analytic measure calls its callback once per
-read, never once per cell.  Product tables are read with NumPy's ufunc buffer
-cut to one row where that is faster, restored before the read returns or
-raises (see ``_product_table``); a discrete table's axis-0 prefix sums add
-long rows one at a time, by the rule the exact engine's counts share
-(``_prefix_rows``).  Of the signed measures only a DiscreteMeasure has a
-table.  Only the discrete measures add ``axis_coordinates`` to the exact
-grids: their atoms' columns, so that the engine's selections keep every one.
-A DiscreteMeasure's mass thus lies on the grid lines (``_mass_on_grid``,
-False elsewhere): its table reads closed corners only, a left limit raising
-``ValueError``.
+``_cdf_table`` call, see ``_factor``), and an analytic table builds its
+corners from the selected coordinates.  The exact discrepancy engine reads
+only the columns where a count can change; the exact cell masses of
+:mod:`nuqmc.integrate` read whole tables.  Every table read works on whole
+arrays: an analytic measure calls its callback once per read, never once per
+cell.  Product tables are read with NumPy's ufunc buffer cut to one row where
+that is faster, restored before the read returns or raises (see
+``_product_table``).  Of the signed measures only a DiscreteMeasure has a
+table, and only the exact engine reads it.  Only the discrete measures add
+``axis_coordinates`` to the exact grids: their atoms' columns, which every
+selection of the engine keeps, on grids that end at 1.0.  A
+DiscreteMeasure's mass thus lies on the grid lines (``_mass_on_grid``, False
+elsewhere): its table reads closed corners only, a left limit raising
+``ValueError``, and each atom lands in its own column.
+
+The distribution function of atoms on a grid, ``F(x) = nu([0, x])``, has one
+implementation, ``_prefix_table``: each atom's weight added at its cell in
+atom order, then prefix sums along every axis, axis 0 first (``_prefix_sums``,
+whose axis-0 pass adds long rows one at a time by the rule the exact engine's
+counts share, ``_prefix_rows``).  A discrete table's rows, the step function
+of :func:`~nuqmc.variation.measure_to_function` and the prefix variation of
+:func:`~nuqmc.variation.hk0_prefix_grid` are built by it.
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -279,6 +282,25 @@ def _prefix_rows(c: np.ndarray) -> np.ndarray:
         np.add(row, prev, out=row)
         prev = row
     return c
+
+
+def _prefix_sums(c: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``c`` along every axis, in place: axis 0 by
+    ``_prefix_rows``, then the others in order."""
+    _prefix_rows(c)
+    for s in range(1, c.ndim):
+        np.cumsum(c, axis=s, out=c)
+    return c
+
+
+def _prefix_table(out: np.ndarray, cells, weights: np.ndarray) -> np.ndarray:
+    """The distribution function on a grid of the atoms ``weights`` at the
+    cells ``cells`` (one index array per axis of the C-contiguous ``out``),
+    written into ``out``: each weight added at its cell in atom order,
+    starting from 0.0, then ``_prefix_sums``."""
+    out.fill(0.0)
+    np.add.at(out.reshape(-1), np.ravel_multi_index(cells, out.shape), weights)
+    return _prefix_sums(out)
 
 
 def _product_table(factors: Sequence[np.ndarray]):
@@ -551,47 +573,25 @@ class DiscreteMeasure(DiscreteSignedMeasure):
         return cls.from_points(pts.shape[1], pts, np.full(len(pts), 1.0 / len(pts)))
 
     def _cdf_table(self, coords, left):
-        """CDF table on a product grid (see the module docstring).
+        """CDF table on a product grid (see the module docstring), read as
+        the exact walk reads it: on grids that end at 1.0, at closed corners
+        only (a left limit raises ``ValueError``), and on column selections
+        that keep every atom's column.
 
-        Each atom lands in the first table cell at or after it (a left
-        limit raises ``ValueError``); the rows read are prefix sums along
-        axis 0, then axis 1, and so on.  Atoms covered only by earlier rows
-        are summed into the first row read, in the atoms' axis-0 order,
-        which reproduces the axis-0 prefix sum of the whole table bit for
-        bit.  Under a column selection an atom moves
-        to the first selected column at or after its cell, and atoms past
-        the last selected column drop out; a selection that leaves two atom
-        columns in one gap raises ``ValueError``.
+        Each atom lands in the first table cell at or after it, and the
+        rows read are ``_prefix_table`` of those cells.  Atoms of earlier
+        rows are added into the first row read, in atom order, which
+        reproduces the axis-0 prefix sum of the whole table bit for bit.
         """
         if any(np.any(f) for f in left):
             raise ValueError("a discrete table reads closed corners only")
-        shape = tuple(len(c) for c in coords)
-        locations, weights = self.locations, self.weights
-        cells = [np.searchsorted(c, locations[:, s], side="left") for s, c in enumerate(coords)]
-        covered = np.all([j < n for j, n in zip(cells, shape)], axis=0)
-        cells = [j[covered] for j in cells]
-        weights = weights[covered]
-        atom_cols = [np.unique(j) for j in cells[1:]]
+        cells = [np.searchsorted(c, self.locations[:, s]) for s, c in enumerate(coords)]
 
         def rows(start: int, stop: int, out: np.ndarray, cols) -> np.ndarray:
-            for c, u in zip(cols, atom_cols):
-                gaps = np.searchsorted(c, u)
-                gaps = gaps[gaps < c.size]
-                if np.any(gaps[1:] == gaps[:-1]):
-                    raise ValueError("column selection leaves two atom columns in one gap")
-            at = [np.searchsorted(c, j) for c, j in zip(cols, cells[1:])]
             keep = cells[0] < stop
-            for j, c in zip(at, cols):
-                keep &= j < c.size
-            flat = np.ravel_multi_index(
-                [np.maximum(cells[0][keep] - start, 0)] + [j[keep] for j in at], out.shape
-            )
-            out.fill(0.0)
-            np.add.at(out.reshape(-1), flat, weights[keep])  # in atom order
-            _prefix_rows(out)
-            for s in range(1, out.ndim):
-                np.cumsum(out, axis=s, out=out)
-            return out
+            at = [np.maximum(cells[0][keep] - start, 0)]
+            at += [np.searchsorted(c, j[keep]) for c, j in zip(cols, cells[1:])]
+            return _prefix_table(out, at, self.weights[keep])
 
         return rows
 
@@ -643,7 +643,8 @@ class AnalyticCdfMeasure(_PointCdf):
     The callbacks work on batches of points.  ``cdf(a)`` takes a ``(k, d)``
     float array and returns the ``(k,)`` values ``F(a[i])``.
     ``continuous=True`` declares that the CDF has no atoms so that left
-    limits coincide with point values; otherwise a ``left_limit(a, left)``
+    limits coincide with point values, and a ``left_limit`` given with it
+    raises ``ValidationError``; otherwise a ``left_limit(a, left)``
     callback must be supplied for one-sided evaluation.  It takes ``(k, d)``
     points and a ``(k, d)`` boolean array, True where the limit from the left
     is taken on that axis, and returns ``(k,)`` values; a row with no True
@@ -667,6 +668,9 @@ class AnalyticCdfMeasure(_PointCdf):
         self.dimension = _int(dimension, "dimension", 1)
         self._cdf = cdf
         self.continuous = bool(continuous)
+        if self.continuous and left_limit is not None:
+            raise ValidationError("left_limit is never called with continuous=True: "
+                                  "pass continuous=False with a left_limit callback")
         self._left_limit = left_limit
         self.label = label
         norm = self.cdf(np.ones(self.dimension))

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import DiscreteSignedMeasure, _breakpoints, _float, _floats, _int, _unit
+from .measures import (DiscreteSignedMeasure, _breakpoints, _float, _floats, _int,
+                       _prefix_sums, _prefix_table, _unit)
 
 #: Interpretation flags for :class:`GridFunction`.
 STEP = "step"
@@ -294,9 +295,7 @@ def hk0_prefix_grid(f: GridFunction) -> np.ndarray:
     """
     prefix = np.abs(_differences(f.values, 0))
     prefix[(0,) * f.dimension] = 0.0
-    for s in range(f.dimension):
-        np.cumsum(prefix, axis=s, out=prefix)
-    return prefix
+    return _prefix_sums(prefix)
 
 
 def hk0_prefix(f: GridFunction, x) -> float:
@@ -389,13 +388,8 @@ def measure_to_function(nu: DiscreteSignedMeasure) -> GridFunction:
     """
     bps = [np.unique(np.concatenate([[0.0, 1.0], nu.axis_coordinates(s)]))
            for s in range(nu.dimension)]
-    shape = tuple(b.size for b in bps)
-    cells = np.ravel_multi_index(
-        [np.searchsorted(b, nu.locations[:, s]) for s, b in enumerate(bps)], shape)
-    # bincount adds each vertex's weights in atom order, starting from 0.0
-    vals = np.bincount(cells, nu.weights, math.prod(shape)).astype(float).reshape(shape)
-    for s in range(nu.dimension):
-        np.cumsum(vals, axis=s, out=vals)
+    cells = [np.searchsorted(b, nu.locations[:, s]) for s, b in enumerate(bps)]
+    vals = _prefix_table(np.empty(tuple(b.size for b in bps)), cells, nu.weights)
     return GridFunction(bps, vals, STEP)
 
 

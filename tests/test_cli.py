@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from nuqmc import chelson_conditional, cli, forward_cdf_map, halton
 from nuqmc.cli import main
+from nuqmc.errors import ValidationError
 
 
 #: a step function whose breakpoints hold NaN
@@ -137,24 +138,28 @@ class TestDiscrepancyCommand:
         assert str(3**39) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("measure, points", [
-        ({"type": "uniform", "d": "x"}, None),
-        ({"type": "uniform", "d": 2.7}, None),
-        ({"type": "discrete", "atoms": [5]}, None),
-        ({"type": "product", "axes": [3]}, None),
-        (None, {"d": 2, "points": [[0.1, "a"]]}),
+    @pytest.mark.parametrize("measure, points, field", [
+        ({"type": "uniform", "d": "x"}, None, ".d:"),
+        ({"type": "uniform", "d": 2.7}, None, ".d:"),
+        ({"type": "discrete", "atoms": [5]}, None, ".atoms[0]:"),
+        ({"type": "product", "axes": [3]}, None, ".axes[0]:"),
+        (None, {"d": 2, "points": [[0.1, "a"]]}, ".points:"),
         ({"type": "product", "axes": [{"breakpoints": [0, 0.5, 1], "values": [0, float("nan"), 1]}]},
-         {"d": 1, "points": [[0.25]]}),
-        ({"type": "discrete", "atoms": [{"x": [0.5, 0.5], "w": 0.5}, {"x": [0.5], "w": 0.5}]}, None),
+         {"d": 1, "points": [[0.25]]}, "CDF values"),
+        ({"type": "discrete", "atoms": [{"x": [0.5, 0.5], "w": 0.5}, {"x": [0.5], "w": 0.5}]}, None,
+         ".atoms[1].x"),
+        ({"type": "discrete", "atoms": []}, None, ".atoms: expected a nonempty list"),
+        ({"type": "product", "axes": []}, None, ".axes: expected a nonempty list"),
+        ({"type": "gaussian", "d": 2}, None, ".type: unknown measure type 'gaussian'"),
     ], ids=["string-d", "fractional-d", "atom-not-object", "axis-not-object", "text-coordinate",
-            "nan-axis-value", "ragged-atoms"])
+            "nan-axis-value", "ragged-atoms", "no-atoms", "no-axes", "unknown-type"])
     def test_malformed_schema_exit_code(self, capsys, tmp_path, points_file, uniform_file,
-                                        measure, points):
+                                        measure, points, field):
         mfile = uniform_file if measure is None else write_json(tmp_path / "m.json", measure)
         pfile = points_file if points is None else write_json(tmp_path / "p.json", points)
         code, _, err = run_cli(capsys, "discrepancy", "--points", pfile, "--measure", mfile)
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and field in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -285,6 +290,14 @@ class TestVariationAndDecompose:
         assert err.startswith("error:") and err.count("\n") == 1  # no warning either
         if key is not None:
             assert key in err
+
+
+    def test_non_finite_list_entry_is_named_by_its_index(self, capsys):
+        report = {"result": {"values": [0.5, [1.0, float("-inf")]], "x": float("nan")}}
+        with pytest.raises(ValidationError) as err:
+            cli._emit(report, "json", None)
+        assert str(err.value) == "report is not finite: result.values[1][1] = -inf"
+        assert capsys.readouterr().out == ""
 
 
 class TestTransformAndGenerate:
@@ -431,6 +444,15 @@ class TestCounterexampleCommand:
         assert out == ""
         assert err.startswith("error:") and argv[1] in err and "fit in memory" in err
         assert not csv_path.exists()
+
+    def test_boundary_samples_without_a_csv_are_refused(self, capsys):
+        # never read without --boundary-csv; the report's config still lists
+        # the default
+        code, out, err = run_cli(capsys, "counterexample", "--boundary-samples", "16")
+        assert (code, out) == (2, "")
+        assert err == "error: --boundary-samples is read with --boundary-csv only\n"
+        code, out, _ = run_cli(capsys, "counterexample")
+        assert code == 0 and json.loads(out)["config"]["boundary_samples"] == 256
 
     def test_negative_boundary_samples(self, capsys, tmp_path):
         csv_path = tmp_path / "boundary.csv"

@@ -30,18 +30,22 @@ from nuqmc import (
     conditional_transform_2d,
     corner_indicator,
     chelson_identity_check,
+    forward_cdf_map,
     function_to_measure,
     halton,
+    hk_variation,
     importance_sampling_estimate,
     is_completely_monotone,
     jordan_decompose_measure,
     kh_certificate,
     one_sided_deviation,
     pseudo_inverse,
+    quasi_volume,
     random_search_lower_bound,
     star_discrepancy,
     total_variation,
     van_der_corput,
+    vitali_variation,
 )
 from nuqmc.jsonio import measure_from_dict
 from nuqmc.measures import _upper_axis
@@ -628,12 +632,65 @@ _MALFORMED.update({
 })
 
 
+#: the documented refusals of each entry point, with the error each raises
+#: and the words of its rule
+_REFUSED = {
+    "breakpoints-not-1d": (lambda: AxisCdf([[0.0, 1.0]], [[0.0, 1.0]]), ValidationError,
+                           "1-d array of size >= 2"),
+    "breakpoints-one-entry": (lambda: GridFunction([[1.0]], [1.0]), ValidationError,
+                              "1-d array of size >= 2"),
+    "breakpoints-repeated": (lambda: AxisCdf([0.0, 0.5, 0.5, 1.0], [0.0, 0.5, 0.5, 1.0]),
+                             ValidationError, "strictly increasing"),
+    "AxisCdf-values-length": (lambda: AxisCdf([0.0, 0.5, 1.0], [0.0, 1.0]), ValidationError,
+                              "values must match breakpoints"),
+    "AxisCdf-values-left-length": (
+        lambda: AxisCdf([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, 1.0]), ValidationError,
+        "values_left must match breakpoints"),
+    "AxisCdf-values-left-start": (lambda: AxisCdf([0.0, 1.0], [0.5, 1.0], [0.25, 1.0]),
+                                  ValidationError, "values_left[0] must be 0"),
+    "AxisCdf-mass": (lambda: AxisCdf([0.0, 1.0], [0.0, 0.5]), ValidationError,
+                     "G(1) must equal 1"),
+    "AnalyticCdfMeasure-mass": (lambda: AnalyticCdfMeasure(1, lambda a: 0.5 * a[:, 0]),
+                                ValidationError, "F(1,...,1) must equal 1"),
+    "AnalyticCdfMeasure-left-limit-continuous": (
+        lambda: AnalyticCdfMeasure(2, chelson_cdf, continuous=True,
+                                   left_limit=lambda a, left: chelson_cdf(a)),
+        ValidationError, "left_limit is never called with continuous=True"),
+    "box_measure-order": (lambda: box_measure(UniformMeasure(2), (0.5, 0.5), (0.25, 1.0)),
+                          ValidationError, "lower <= upper"),
+    "Box-dimensions": (lambda: Box((0.0,), (1.0, 1.0)), ValidationError, "equal dimension"),
+    "FaceSelector-no-axes": (lambda: FaceSelector(()), ValidationError, "at least one free axis"),
+    "FaceSelector-anchor": (lambda: FaceSelector((0,), "middle"), ValidationError,
+                            "unknown anchor"),
+    "GridFunction-no-axes": (lambda: GridFunction([], []), ValidationError, "dimension"),
+    "vertex_index-dimension": (lambda: _STEP.vertex_index((0.5,)), DimensionMismatchError,
+                               "1 coordinates, expected 2"),
+    "evaluate-dimension": (lambda: _STEP.evaluate([[0.5, 0.5, 0.5]]), DimensionMismatchError,
+                           "3 coordinates, expected 2"),
+    "quasi_volume-dimension": (lambda: quasi_volume(_STEP, Box((0.0,), (0.5,))),
+                               DimensionMismatchError, "dimensions differ"),
+    "vitali_variation-face-axis": (lambda: vitali_variation(_STEP, FaceSelector((2,))),
+                                   ValidationError, "face axis out of range"),
+    "hk_variation-anchor": (lambda: hk_variation(_STEP, "middle"), ValidationError,
+                            "unknown anchor"),
+    "forward_cdf_map-type": (lambda: forward_cdf_map((0.5, 0.5), chelson_measure()),
+                             ValidationError, "ConditionalCdf2D or ProductMeasure"),
+    "identity-check-dimension": (
+        lambda: chelson_identity_check(PointSet(1, [[0.5]]), chelson_conditional(),
+                                       chelson_measure()),
+        DimensionMismatchError, "two-dimensional"),
+}
+_MALFORMED.update({entry: (call, error) for entry, (call, error, _) in _REFUSED.items()})
+
+
 @pytest.mark.parametrize("entry", sorted(_MALFORMED))
 def test_malformed_input_raises_a_validation_error(entry):
     call, error = _MALFORMED[entry]
     with pytest.raises(ValidationError) as err:
         call()
     assert err.type is error
+    if entry in _REFUSED:  # refused by its own rule, not by an earlier check
+        assert _REFUSED[entry][2] in str(err.value)
 
 
 @pytest.mark.parametrize("callback", ["cdf", "left_limit"])
@@ -816,18 +873,11 @@ class TestCdfTableColumns:
         out = np.empty((shape[0] - 2,) + shape[1:])
         assert np.array_equal(rows(2, shape[0], out, cols), expect[2:])
 
-    def test_two_atom_columns_in_one_gap_are_refused(self):
-        # atoms on axis-1 columns 1 and 2; selecting columns 0 and 2 leaves
-        # both in the gap (0, 2], where they would be summed out of order
+    def test_a_left_limit_is_refused(self):
+        # a left limit is refused: the atoms lie on the exact grid, which
+        # reads a discrete table at closed corners only
         m = DiscreteMeasure.from_points(2, [[0.5, 0.25], [0.5, 0.5]], [0.5, 0.5])
         coords = [np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 0.5, 1.0])]
-        rows = m._cdf_table(coords, [np.zeros(c.size, dtype=bool) for c in coords])
-        assert np.array_equal(rows(0, 3, np.empty((3, 3)), [np.array([0, 1, 2])]),
-                              rows(0, 3, np.empty((3, 4)), [np.arange(4)])[:, :3])
-        with pytest.raises(ValueError, match="two atom columns in one gap"):
-            rows(0, 3, np.empty((3, 2)), [np.array([0, 2])])
-        # nor is a left limit: the atoms lie on the exact grid, which reads
-        # a discrete table at closed corners only
         with pytest.raises(ValueError, match="closed corners only"):
             m._cdf_table(coords, [np.zeros(3, dtype=bool), np.arange(4) == 2])
 
