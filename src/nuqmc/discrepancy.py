@@ -80,9 +80,11 @@ CELL_BUDGET = 10**8
 
 #: Cells per slab of the streamed critical grid (rounded down to whole
 #: axis-0 rows, at least one row).  Slabs of compressed rows of at least
-#: ``measures._ROW_LOOP_CELLS`` cells are counted one row at a time: from
-#: the point's orthant when each row holds at most one point, else by a
-#: row-by-row axis-0 prefix sum of the slab's histogram.
+#: ``measures._ROW_LOOP_CELLS`` (256) cells are counted one row at a time:
+#: from the point's orthant when each row holds at most one point, else by
+#: a row-by-row axis-0 prefix sum of the slab's histogram.  Shorter rows
+#: histogram the slab and take a ``cumsum`` along axis 0, which costs less
+#: than one NumPy call a row there.
 _SLAB_CELLS = 2**16
 
 #: Trials of the randomized search drawn together, as one array call per

@@ -38,13 +38,18 @@ from .variation import GridFunction, STEP
 
 
 def load_json(path) -> object:
-    text = Path(path).read_text()
+    """The JSON document in the file ``path``, read as UTF-8 (RFC 8259).  A
+    file that is not UTF-8, not JSON, nested past Python's recursion limit,
+    or holds an integer past Python's integer-string limit raises
+    ``ValidationError`` naming the file."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ValidationError(
             f"{path}: malformed JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except (ValueError, RecursionError) as err:  # not UTF-8, an integer too long, nesting
+        raise ValidationError(f"{path}: {err}") from err
 
 
 def _require(obj: dict, field: str, where: str):

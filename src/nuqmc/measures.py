@@ -104,9 +104,15 @@ TOLERANCE = 1e-12
 AT_POINT = "at"
 LEFT_LIMIT = "left"
 
-#: Tables whose rows have at least this many cells are prefix-summed along
-#: axis 0 one row at a time (see ``_prefix_rows``).
-_ROW_LOOP_CELLS = 512
+#: Rows of at least this many cells are prefix-summed along axis 0 one row
+#: at a time (see ``_prefix_rows``), and the exact walk counts uncrowded
+#: slabs of such rows from their points' orthants
+#: (``discrepancy._slab_maxima``).  Both pay from about 160 cells on: the
+#: row loop took 1.7 ns a cell against 3.3 for a strided ``cumsum`` on rows
+#: of 256 cells, and the orthant counts cut uniform d = 2 walks of
+#: N = 300-1024 by 14-30 %.  Below 256, uncrowded d = 2 walks still gain,
+#: but walks of crowded rows lose about as much.
+_ROW_LOOP_CELLS = 256
 #: Last-axis lengths of a product table read with a ufunc buffer of one row
 #: (see ``_product_table``).
 _ROW_BUFFER = range(256, 8192)
@@ -115,10 +121,11 @@ _ROW_BUFFER = range(256, 8192)
 def _floats(values, name: str) -> np.ndarray:
     """``values`` as a float array.  Ragged nesting raises
     ``DimensionMismatchError`` and other input that is not numbers
-    ``ValidationError``, never NumPy's ``ValueError`` or ``TypeError``."""
+    ``ValidationError``, never NumPy's ``ValueError`` or ``TypeError``, nor
+    the ``OverflowError`` of an integer past the float range."""
     try:
         return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         # NumPy's message when nesting puts a sequence where a number belongs
         ragged = str(err).startswith("setting an array element with a sequence")
         error = DimensionMismatchError if ragged else ValidationError
@@ -158,7 +165,10 @@ def _float(value, name: str) -> float:
         value = value[()]
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{name}: expected one number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as err:  # an integer past the float range
+        raise ValidationError(f"{name}: {err}") from None
 
 
 def _unit(values, name: str) -> np.ndarray:
@@ -272,9 +282,10 @@ def _upper_axis(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _prefix_rows(c: np.ndarray) -> np.ndarray:
     """Prefix sums of ``c`` along axis 0, in place.  Rows of at least
-    ``_ROW_LOOP_CELLS`` cells are added one row at a time: a cumsum along
-    axis 0 strides across them and is several times slower.  Both add the
-    rows in the same order, so the sums are the same floats."""
+    ``_ROW_LOOP_CELLS`` (256) cells are added one row at a time: a cumsum
+    along axis 0 strides across them and is about 2x slower there, more on
+    longer rows; on rows under about 160 cells the per-row call costs more.
+    Both add the rows in the same order, so the sums are the same floats."""
     if math.prod(c.shape[1:]) < _ROW_LOOP_CELLS:
         return np.cumsum(c, axis=0, out=c)
     prev = c[0]

@@ -103,14 +103,22 @@ class TestDiscrepancyCommand:
         assert code == 3
         assert "budget" in err
 
-    def test_malformed_json_exit_code(self, capsys, tmp_path, uniform_file):
+    @pytest.mark.parametrize("content, says", [
+        (b'{"d": 2, "points": [[0.1, ', "line 1 column"),
+        (b"\xff\xfe", "can't decode byte 0xff"),  # once a UnicodeDecodeError traceback
+        (b"[" * 200000, "recursion depth"),  # once a RecursionError traceback
+        # once a ValueError traceback: Python refuses to convert the integer
+        (b'{"d": ' + b"1" * 5000 + b', "points": [[0.1, 0.2]]}', "5000 digits"),
+    ], ids=["truncated", "not-utf8", "deep", "long-integer"])
+    def test_malformed_json_exit_code(self, capsys, tmp_path, uniform_file, content, says):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"d": 2, "points": [[0.1, ')
-        code, _, err = run_cli(
+        bad.write_bytes(content)
+        code, out, err = run_cli(
             capsys, "discrepancy", "--points", str(bad), "--measure", uniform_file
         )
-        assert code == 2
-        assert "line" in err
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: ") and says in err
+        assert "Traceback" not in err
 
     def test_exact_in_five_dimensions(self, capsys, tmp_path):
         # 3^5 cells: the cell budget, not the dimension, decides
@@ -151,8 +159,12 @@ class TestDiscrepancyCommand:
         ({"type": "discrete", "atoms": []}, None, ".atoms: expected a nonempty list"),
         ({"type": "product", "axes": []}, None, ".axes: expected a nonempty list"),
         ({"type": "gaussian", "d": 2}, None, ".type: unknown measure type 'gaussian'"),
+        # integers past the float range, once an OverflowError traceback
+        (None, {"d": 2, "points": [[10**400, 0.5]]}, ".points:"),
+        ({"type": "discrete", "atoms": [{"x": [0.5, 0.5], "w": 10**400}]}, None, ".atoms[0].w:"),
     ], ids=["string-d", "fractional-d", "atom-not-object", "axis-not-object", "text-coordinate",
-            "nan-axis-value", "ragged-atoms", "no-atoms", "no-axes", "unknown-type"])
+            "nan-axis-value", "ragged-atoms", "no-atoms", "no-axes", "unknown-type",
+            "huge-coordinate", "huge-weight"])
     def test_malformed_schema_exit_code(self, capsys, tmp_path, points_file, uniform_file,
                                         measure, points, field):
         mfile = uniform_file if measure is None else write_json(tmp_path / "m.json", measure)
@@ -656,6 +668,10 @@ _DOCUMENTS = {"points": _points_doc, "measure": _measure_doc, "function": _funct
 _BAD_FILE = st.one_of(
     _JUNK,
     st.just('{"d": 2, "points": [[0.1, '),  # malformed JSON, written as is
+    # bytes, written as is: not UTF-8, nested past the recursion limit, an
+    # integer past Python's integer-string limit
+    st.sampled_from([b"\xff\xfe", b"[" * 200000,
+                     b'{"type": "uniform", "d": ' + b"1" * 5000 + b"}"]),
     st.just("missing"),  # no such file
 )
 
@@ -754,6 +770,9 @@ class TestCliFuzz:
             paths = {name: str(Path(tmp) / name) for name in where}
             for kind, doc in files.items():
                 if doc == "missing":
+                    continue
+                if isinstance(doc, bytes):
+                    Path(paths[kind]).write_bytes(doc)
                     continue
                 text = doc if isinstance(doc, str) and doc.startswith("{") else json.dumps(doc)
                 Path(paths[kind]).write_text(text)

@@ -1,5 +1,6 @@
 """Exact star-discrepancy engine and the randomized lower-bound search."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -450,11 +451,12 @@ class TestSlabEngine:
     @pytest.mark.parametrize("kind, slab_cells, histogram_calls", [
         # rows r >= 1 hold one point each, on distinct axis-1 columns, so
         # compressed row r has r + 2 cells (column 0, the last, r point
-        # columns): the default slabs are rows 0-254 (255 x 256 cells), rows
-        # 255-412 (158 x 414), then rows of 536 cells and more; the first two
-        # take the histogram
-        ("uniform-d2", None, "geometry"),
-        ("uniform-d2", 1, "geometry"),  # one row per slab: rows 0-509 are under 512 cells
+        # columns): slabs of 2^14 cells are rows 0-126 (127 x 128 cells),
+        # rows 127-205 (79 x 207), then rows of 268 cells and more; the first
+        # two take the histogram (every default slab has rows of 256 cells
+        # or more)
+        ("uniform-d2", 2**14, "geometry"),
+        ("uniform-d2", 1, "geometry"),  # one row per slab: rows 0-253 are under 256 cells
         # rows 1-22 hold 22^2 points each, so every column is active from row
         # 1 on: one dense slab of all 24 rows
         ("tensor-d3", None, 1),
@@ -492,6 +494,36 @@ class TestSlabEngine:
             histogram_calls = sum(takes) + reread
         star_discrepancy(ps, m)
         assert len(calls) == histogram_calls
+
+    @pytest.mark.parametrize("n, slab_cells, short, long", [
+        # one slab: rows of 255 cells (253 points on distinct columns) take
+        # the histogram, rows of 256 (254 points) the orthant counts
+        (253, None, 255, None),
+        (254, None, None, 256),
+        # one row per slab: compressed row r has r + 2 cells, so the slab of
+        # row 253 (255 cells) takes the histogram and that of row 254 (256
+        # cells) the orthant counts
+        (600, 1, 255, 256),
+    ])
+    def test_count_path_at_the_row_loop_cut_off(self, n, slab_cells, short, long, monkeypatch):
+        widths = {"histogram": [], "orthant": []}
+
+        def spy(path, counts):
+            def count(c, *args):
+                widths[path].append(math.prod(c.shape[1:]))
+                return counts(c, *args)
+            return count
+
+        monkeypatch.setattr(engine, "_histogram_counts", spy("histogram", engine._histogram_counts))
+        monkeypatch.setattr(engine, "_orthant_counts", spy("orthant", engine._orthant_counts))
+        if slab_cells is not None:
+            monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
+        assert engine._ROW_LOOP_CELLS == 256
+        ps, m = PointSet(2, np.random.default_rng(n).random((n, 2))), UniformMeasure(2)
+        assert _summary(star_discrepancy(ps, m)) == dense_star_discrepancy(ps, m)
+        assert min(widths["orthant"], default=256) >= 256
+        assert (short in widths["histogram"]) == (short is not None)
+        assert (long in widths["orthant"]) == (long is not None)
 
     @settings(max_examples=150, deadline=None)
     @given(
