@@ -165,14 +165,15 @@ def importance_sampling_estimate(
 
     When ``f`` and ``g`` are step grid functions the ratio is formed exactly
     on the union of their breakpoints: its variation, the reference integral
-    of ``f``, and the certificate are all exact.  Any other pair is
-    certified with the caller's ``variation=`` bound, and refused with
+    of ``f``, and the certificate are all exact, and a caller's
+    ``variation=`` or ``reference_integral=`` raises
+    :class:`ValidationError`.  Any other pair is certified with the caller's
+    ``variation=`` bound, and refused with
     :class:`UnsupportedIntegrandError` without one; its reference integral
     must then be supplied by the caller for the observed error to be
-    reported.  A caller's ``variation=`` or ``reference_integral=`` replaces
-    the exact one of a step pair too; each is one number, the variation
-    ``>= 0``.  ``cell_budget`` gates the exact D*, before the union grid or
-    anything else grid-sized is built.
+    reported.  Each is one number, the variation ``>= 0``.  ``cell_budget``
+    gates the exact D*, before the union grid or anything else grid-sized is
+    built.
     """
     if variation is not None:
         variation = _float(variation, "variation")
@@ -180,14 +181,16 @@ def importance_sampling_estimate(
             raise ValidationError(f"variation must be >= 0, got {variation}")
     if reference_integral is not None:
         reference_integral = _float(reference_integral, "reference_integral")
+    step_pair = all(isinstance(h, GridFunction) and h.interp == STEP for h in (f, g))
+    if step_pair and (variation is not None or reference_integral is not None):
+        raise ValidationError("a step pair is certified with its exact factors: "
+                              "pass neither variation= nor reference_integral=")
     _critical_grids(ps, m_g, cell_budget)
-    if all(isinstance(h, GridFunction) and h.interp == STEP for h in (f, g)):
+    if step_pair:
         ratio = _step_ratio(f, g)
         estimate = qmc_estimate(ratio, ps)
-        if variation is None:
-            variation = hk_variation(ratio, ANCHOR_ONE)
-        if reference_integral is None:
-            reference_integral = integral_under_measure(f, UniformMeasure(f.dimension))
+        variation = hk_variation(ratio, ANCHOR_ONE)
+        reference_integral = integral_under_measure(f, UniformMeasure(f.dimension))
     elif variation is None:
         raise UnsupportedIntegrandError(
             "no exact variation of f/g unless f and g are both step grid functions; "

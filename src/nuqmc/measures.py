@@ -452,33 +452,34 @@ class AxisCdf:
         values_left: Sequence[float] | None = None,
     ) -> None:
         bp = _breakpoints(breakpoints, "breakpoints")
-        va = np.array(_floats(values, "CDF values"))
+        va = _floats(values, "CDF values")
         if va.shape != bp.shape:
             raise ValidationError("values must match breakpoints in length")
+        # the one-sided values in order vl[0], va[0], vl[1], va[1], ...
+        chain = np.empty(2 * bp.size)
+        chain[1::2] = va
         if values_left is None:
-            vl = va.copy()
-            vl[0] = 0.0
+            chain[0::2] = va
+            chain[0] = 0.0
         else:
-            vl = np.array(_floats(values_left, "CDF left values"))
+            vl = _floats(values_left, "CDF left values")
             if vl.shape != bp.shape:
                 raise ValidationError("values_left must match breakpoints in length")
-        if not (np.all(np.isfinite(va)) and np.all(np.isfinite(vl))):
+            chain[0::2] = vl
+        if not np.all(np.isfinite(chain)):
             # NaN slips through the ordering checks below: every comparison is False
             raise ValidationError("CDF values must be finite")
-        if vl[0] != 0.0:
+        if chain[0] != 0.0:
             raise ValidationError("values_left[0] must be 0 (no mass below 0)")
-        chain = np.empty(2 * bp.size)
-        chain[0::2] = vl
-        chain[1::2] = va
         if np.any(np.diff(chain) < 0):
             raise ValidationError("CDF data must be nondecreasing")
-        if abs(va[-1] - 1.0) > TOLERANCE:
-            raise ValidationError(f"G(1) must equal 1, got {va[-1]}")
-        for arr in (va, vl):
-            arr.flags.writeable = False
+        if abs(chain[-1] - 1.0) > TOLERANCE:
+            raise ValidationError(f"G(1) must equal 1, got {chain[-1]}")
+        chain.flags.writeable = False
         self.breakpoints = bp
-        self.values = va
-        self.values_left = vl
+        self._chain = chain
+        self.values = chain[1::2]
+        self.values_left = chain[0::2]
 
     @staticmethod
     def identity() -> "AxisCdf":
@@ -530,13 +531,11 @@ class AxisCdf:
         """Vectorized :meth:`pseudo_inverse`."""
         ys = _unit(ys, "pseudo-inverse argument")
         bp, va, vl = self.breakpoints, self.values, self.values_left
-        # nondecreasing chain va[0], vl[1], va[1], ..., vl[n-1], va[n-1]: its
+        # the chain past vl[0]: va[0], vl[1], va[1], ..., vl[n-1], va[n-1]; its
         # first entry >= y is va[0] (index 0, answer 0), the end vl[j] of the
         # ramp over (bp[j-1], bp[j]) (odd index 2j-1), or the top va[j] of the
         # jump at bp[j] (even index 2j); past the end only when G(1) < y
-        chain = np.empty(2 * bp.size - 1)
-        chain[0::2] = va
-        chain[1::2] = vl[1:]
+        chain = self._chain[1:]
         k = np.searchsorted(chain, ys, side="left")
         inside = k < chain.size
         j = np.minimum((k + 1) // 2, bp.size - 1)

@@ -23,7 +23,6 @@ from .discrepancy import PointSet, star_discrepancy
 from .errors import DimensionMismatchError, ValidationError
 from .measures import (
     AnalyticCdfMeasure,
-    AxisCdf,
     ProductMeasure,
     UniformMeasure,
     _float,
@@ -53,20 +52,17 @@ class ConditionalCdf2D:
 
 
 def pseudo_inverse(g, y: float) -> float:
-    """Generalized inverse ``min{x in [0,1] : G(x) >= y}``.
-
-    ``g`` is an :class:`AxisCdf` (solved exactly on its piecewise data) or a
-    nondecreasing callback with ``G(1) = 1`` (solved by bisection to 1e-14).
-    Jumps map the whole jump range to the jump location; plateaus map to
-    their left edge.
+    """Generalized inverse ``min{x in [0,1] : G(x) >= y}`` of a
+    nondecreasing callback ``g`` with ``G(1) = 1``, solved by bisection to
+    1e-14.  Jumps map the whole jump range to the jump location; plateaus
+    map to their left edge.  An :class:`AxisCdf` is inverted exactly on its
+    piecewise data by its own :meth:`AxisCdf.pseudo_inverse`.
     """
     return _inverse(g, float(_unit(y, "pseudo-inverse argument")))
 
 
 def _inverse(g, y: float) -> float:
     """:func:`pseudo_inverse` at a Python float ``y`` in ``[0, 1]``."""
-    if isinstance(g, AxisCdf):
-        return g.pseudo_inverse(y)
     if g(0.0) >= y:
         return 0.0
     lo, hi = 0.0, 1.0  # invariant: G(lo) < y <= G(hi)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .measures import (DiscreteSignedMeasure, _breakpoints, _float, _floats, _int,
+from .measures import (DiscreteSignedMeasure, _breakpoints, _floats, _int,
                        _prefix_sums, _prefix_table, _unit)
 
 #: Interpretation flags for :class:`GridFunction`.
@@ -224,21 +224,11 @@ class JordanPair:
 def _differences(values: np.ndarray, pin: int | None = None) -> np.ndarray:
     """Mixed first differences along every axis, unpadded (the quasi-volumes
     of adjacent cells) or padded with a zero before (``pin`` 0) or after (-1)
-    each axis: padded, the atoms of the measure of a step function.  As
-    ``x - 0 = x`` and ``0 - x = -x`` exactly, a face is one block of it: bit
-    for bit at 0, up to sign at -1."""
+    each axis: padded, the atoms of the measure of a step function."""
     pad = {} if pin is None else {"prepend" if pin == 0 else "append": 0.0}
     for s in range(values.ndim):
         values = np.diff(values, axis=s, **pad)
     return values
-
-
-def _face_block(diffs: np.ndarray, axes: tuple[int, ...], pin: int) -> np.ndarray:
-    """The block of ``_differences(values, pin)`` of the face with free axes
-    ``axes`` (pad index on the others).  ``np.abs`` of it is C-contiguous, so
-    its pairwise sum groups terms as the face's own array would, unlike a view."""
-    free, pinned = (slice(1, None), slice(0, 1)) if pin == 0 else (slice(0, -1), slice(-1, None))
-    return diffs[tuple(free if s in axes else pinned for s in range(diffs.ndim))]
 
 
 def quasi_volume(f: GridFunction, box: Box) -> float:
@@ -268,7 +258,8 @@ def vitali_variation(f: GridFunction, face: FaceSelector | None = None) -> float
     if face.axes[-1] >= f.dimension:
         raise ValidationError("face axis out of range")
     pin = -1 if face.anchor == ANCHOR_ONE else 0
-    return float(np.abs(_face_block(_differences(f.values, pin), face.axes, pin)).sum())
+    values = f.values[tuple(slice(None) if s in face.axes else pin for s in range(f.dimension))]
+    return float(np.abs(_differences(values)).sum())
 
 
 def hk_variation(f: GridFunction, anchor: str = ANCHOR_ONE) -> float:
@@ -336,20 +327,17 @@ def jordan_decompose_function(f: GridFunction) -> JordanPair:
     )
 
 
-def is_completely_monotone(f: GridFunction, tol: float = MONOTONE_TOL) -> bool:
+def is_completely_monotone(f: GridFunction) -> bool:
     """True iff every atom of ``nu`` with ``f(x) = nu([0, x])`` but the
-    origin's ``f(0)`` is ``>= -tol``: every quasi-volume of every face is a
-    sum of atoms.  In floats an atom is bit for bit the quasi-volume of one
-    adjacent cell of a face pinned at 0, so this reads a subset of the values
-    a walk over every face at every pinned position reads.  ``tol`` must be
-    one finite number ``>= 0``.
+    origin's ``f(0)`` is ``>= -MONOTONE_TOL``: every quasi-volume of every
+    face is a sum of atoms.  In floats an atom is bit for bit the
+    quasi-volume of one adjacent cell of a face pinned at 0, so this reads a
+    subset of the values a walk over every face at every pinned position
+    reads.
     """
-    tol = _float(tol, "tol")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     atoms = _differences(f.values, 0)
     atoms[(0,) * f.dimension] = 0.0
-    return bool(atoms.min() >= -tol)
+    return bool(atoms.min() >= -MONOTONE_TOL)
 
 
 def mirror(f: GridFunction) -> GridFunction:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -162,9 +163,16 @@ class TestDiscrepancyCommand:
         # integers past the float range, once an OverflowError traceback
         (None, {"d": 2, "points": [[10**400, 0.5]]}, ".points:"),
         ({"type": "discrete", "atoms": [{"x": [0.5, 0.5], "w": 10**400}]}, None, ".atoms[0].w:"),
+        # one number where a list of numbers belongs
+        (None, {"d": 2, "points": 5}, ".points: expected a list of numbers"),
+        ({"type": "product", "axes": [{"breakpoints": 5, "values": [0, 1]}]},
+         {"d": 1, "points": [[0.25]]}, ".axes[0].breakpoints: expected a list of numbers"),
+        ({"type": "product", "axes": [{"breakpoints": [0, 1], "values": [0, 1], "values_left": 5}]},
+         {"d": 1, "points": [[0.25]]}, ".axes[0].values_left: expected a list of numbers"),
     ], ids=["string-d", "fractional-d", "atom-not-object", "axis-not-object", "text-coordinate",
             "nan-axis-value", "ragged-atoms", "no-atoms", "no-axes", "unknown-type",
-            "huge-coordinate", "huge-weight"])
+            "huge-coordinate", "huge-weight", "points-not-a-list", "breakpoints-not-a-list",
+            "values-left-not-a-list"])
     def test_malformed_schema_exit_code(self, capsys, tmp_path, points_file, uniform_file,
                                         measure, points, field):
         mfile = uniform_file if measure is None else write_json(tmp_path / "m.json", measure)
@@ -196,6 +204,17 @@ class TestDiscrepancyCommand:
         )
         assert code == 2
         assert "atoms" in err
+
+    def test_module_guard_runs_main(self, capsys, monkeypatch, points_file, uniform_file):
+        # the guard `python -m nuqmc.cli` runs, here in this process: runpy
+        # warns that it executes the imported module a second time
+        argv = ["discrepancy", "--points", points_file, "--measure", uniform_file]
+        monkeypatch.setattr(sys, "argv", ["nuqmc", *argv])
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            with pytest.raises(SystemExit) as done:
+                runpy.run_module("nuqmc.cli", run_name="__main__")
+        out = capsys.readouterr().out
+        assert done.value.code == 0 and out == run_cli(capsys, *argv)[1]
 
     def test_module_entry_point(self, capsys, tmp_path, uniform_file):
         # `python -m nuqmc.cli` in a fresh interpreter: its report is the
@@ -438,6 +457,15 @@ class TestCounterexampleCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "--tolerance" in err
+
+    @pytest.mark.parametrize("argv, says", [
+        (["--point", "abc"], "--point must be 'a,b', got 'abc'"),
+        (["--point", "1,2,3"], "--point must be 'a,b', got '1,2,3'"),
+        (["--box", "a,b"], "--box: could not convert string to float: 'a'"),
+    ], ids=["point-text", "point-three-numbers", "box-text"])
+    def test_malformed_pair_exit_code(self, capsys, argv, says):
+        code, out, err = run_cli(capsys, "counterexample", *argv)
+        assert (code, out, err) == (2, "", f"error: {says}\n")
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--n", str(10**16), "--d", "2"],

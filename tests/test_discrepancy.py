@@ -990,6 +990,9 @@ class TestRandomSearch:
 
 
 class TestPointSetValidation:
+    def test_repr(self):
+        assert repr(PointSet(3, np.full((5, 3), 0.5))) == "PointSet(d=3, n=5)"
+
     def test_rejects_out_of_cube(self):
         with pytest.raises(ValidationError):
             PointSet(1, [[1.5]])

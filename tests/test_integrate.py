@@ -434,6 +434,24 @@ class TestImportanceSampling:
             importance_sampling_estimate(f, g, PointSet(1, [[0.25], [0.75]]), UniformMeasure(1),
                                          **args)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"variation": 0.0}, {"variation": 1e9}, {"reference_integral": 2.0},
+        {"variation": 1.0, "reference_integral": 2.0},
+    ], ids=["variation-zero", "variation-large", "reference", "both"])
+    def test_step_pair_takes_neither_override(self, kwargs):
+        # its variation and reference integral are exact: an override once
+        # replaced them, and a variation below hk_variation(f/g) could read
+        # satisfied=True against a bound that is not the theorem's
+        f = GridFunction([[0.0, 0.5, 1.0]], [1.0, 2.0, 3.0])
+        g = GridFunction([[0.0, 1.0]], [1.0, 1.0])
+        ps = PointSet(1, [[0.25], [0.75]])
+        with pytest.raises(ValidationError) as err:
+            importance_sampling_estimate(f, g, ps, UniformMeasure(1), **kwargs)
+        assert "variation=" in str(err.value) and "reference_integral=" in str(err.value)
+        _, cert = importance_sampling_estimate(f, g, ps, UniformMeasure(1))
+        assert (cert.variation, cert.reference_integral) == (
+            hk_variation(f, ANCHOR_ONE), integral_under_measure(f, UniformMeasure(1)))
+
     def test_callers_bound_from_numpy(self):
         estimate, cert = importance_sampling_estimate(
             lambda x: float(x[0]), lambda x: 1.0, PointSet(1, [[0.25], [0.75]]),

@@ -617,8 +617,6 @@ _MALFORMED.update({
     "identity-tol-none": (
         lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(), tol=None),
         ValidationError),
-    "monotone-tol-text": (lambda: is_completely_monotone(_STEP, tol="abc"), ValidationError),
-    "monotone-tol-none": (lambda: is_completely_monotone(_STEP, tol=None), ValidationError),
     "ProductMeasure-axis-text": (lambda: ProductMeasure(["a"]), ValidationError),
     "cdf-callback-nan": (
         lambda: star_discrepancy(_PS, AnalyticCdfMeasure(2, _nan_below_top)), ValidationError),
@@ -934,7 +932,6 @@ _INGEST = {
     "AxisCdf.left_value": lambda x: AxisCdf.identity().left_value(x),
     "AxisCdf.values_at": lambda x: AxisCdf.identity().values_at(np.array([0.5, x])),
     "AxisCdf.pseudo_inverse": lambda x: AxisCdf.identity().pseudo_inverse(x),
-    "pseudo_inverse-axis": lambda x: pseudo_inverse(AxisCdf.identity(), x),
     "pseudo_inverse-callback": lambda x: pseudo_inverse(lambda t: t, x),
     "GridFunction": lambda x: GridFunction([[0.0, x, 1.0]], [0.0, 1.0, 2.0]),
     "GridFunction.evaluate": lambda x: GridFunction(

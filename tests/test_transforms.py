@@ -52,28 +52,35 @@ class TestPseudoInverse:
     def test_identity(self):
         ax = AxisCdf.identity()
         for y in (0.0, 0.3, 1.0):
-            assert pseudo_inverse(ax, y) == pytest.approx(y, abs=TOL)
+            assert ax.pseudo_inverse(y) == pytest.approx(y, abs=TOL)
 
     def test_jump_maps_to_the_jump_location(self):
         ax = dirac_half_cdf()
-        assert pseudo_inverse(ax, 0.3) == 0.5
-        assert pseudo_inverse(ax, 0.0) == 0.0
+        assert ax.pseudo_inverse(0.3) == 0.5
+        assert ax.pseudo_inverse(0.0) == 0.0
 
     def test_plateau_maps_to_its_left_edge(self):
         ax = AxisCdf([0.0, 0.25, 0.75, 1.0], [0.0, 0.5, 0.5, 1.0])
-        assert pseudo_inverse(ax, 0.5) == pytest.approx(0.25, abs=TOL)
+        assert ax.pseudo_inverse(0.5) == pytest.approx(0.25, abs=TOL)
 
     def test_square_cdf_callback(self):
         assert pseudo_inverse(lambda x: x * x, 0.25) == pytest.approx(0.5, abs=1e-12)
+
+    def test_an_axis_is_inverted_by_its_method_only(self):
+        # pseudo_inverse is the callback inverse; an AxisCdf is no callback
+        with pytest.raises(TypeError):
+            pseudo_inverse(AxisCdf.identity(), 0.5)
+        assert AxisCdf.identity().pseudo_inverse(0.5) == 0.5
+        assert pseudo_inverse(AxisCdf.identity().value, 0.5) == pytest.approx(0.5, abs=1e-14)
 
     @settings(max_examples=150, deadline=None)
     @given(st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**31 - 1))
     def test_hypothesis_galois(self, y, x, seed):
         rng = np.random.default_rng(seed)
         ax = random_general_axis_cdf(rng)
-        inv = pseudo_inverse(ax, y)
+        inv = ax.pseudo_inverse(y)
         assert ax.value(inv) >= y - TOL
-        assert pseudo_inverse(ax, ax.value(x)) <= x + TOL
+        assert ax.pseudo_inverse(ax.value(x)) <= x + TOL
 
     def test_array_path_matches_the_segment_loop(self):
         rng = np.random.default_rng(64)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nuqmc.variation as bv
 from nuqmc import (
     ANCHOR_ONE,
     ANCHOR_ZERO,
@@ -215,6 +216,10 @@ class TestWithValues:
             assert np.array_equal(g.values, expect.values)
             assert not g.values.flags.writeable and not np.shares_memory(g.values, values)
 
+    def test_repr(self):
+        f = GridFunction([[0.0, 0.5, 1.0], [0.0, 1.0]], np.zeros((3, 2)), MULTILINEAR)
+        assert repr(f) == "GridFunction(d=2, shape=(3, 2), interp='multilinear')"
+
     @pytest.mark.parametrize("values", [[0.0, np.nan, 1.0], [0.0, np.inf, 1.0], [0.0, 1.0]])
     def test_values_are_still_checked(self, values):
         f = GridFunction([[0.0, 0.5, 1.0]], [0.0, 1.0, 2.0])
@@ -327,14 +332,16 @@ class TestCompleteMonotonicity:
         f = GridFunction([[0.0, 0.5, 1.0]] * 2, vals, STEP)
         assert not is_completely_monotone(f)
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
-    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
-        # a NaN or infinite tolerance would pass every function
-        f = GridFunction([[0.0, 1.0]] * 2, [[0.0, 1.0], [1.0, 0.0]], STEP)
+    def test_the_slack_is_a_constant_not_a_parameter(self, monkeypatch):
+        # an atom of -1e-13 passes the module's slack of 1e-12 and fails 0
+        f = GridFunction([[0.0, 1.0]] * 2, [[0.0, 1.0], [1.0, 2.0 - 1e-13]], STEP)
+        assert bv.MONOTONE_TOL == 1e-12 and is_completely_monotone(f)
+        monkeypatch.setattr(bv, "MONOTONE_TOL", 0.0)
         assert not is_completely_monotone(f)
-        assert not is_completely_monotone(f, 0.0)
-        with pytest.raises(ValidationError):
-            is_completely_monotone(f, tol)
+        with pytest.raises(TypeError):
+            is_completely_monotone(f, 0.0)
+        with pytest.raises(TypeError):
+            is_completely_monotone(f, tol=0.0)
 
 
 class TestMirror:
@@ -625,16 +632,17 @@ class TestSharedFaceKernel:
             assert bit_equal(pair.f_plus.values, 0.5 * (prefix + centered))
             assert bit_equal(pair.f_minus.values, 0.5 * (prefix - centered))
 
-    def test_complete_monotonicity(self, d):
+    def test_complete_monotonicity(self, d, monkeypatch):
         verdicts = set()
         for f in kernel_cases(d):
             for tol in (0.0, 1e-12):
+                monkeypatch.setattr(bv, "MONOTONE_TOL", tol)
                 verdict = reference_is_completely_monotone(f, tol)
-                assert is_completely_monotone(f, tol) is verdict
+                assert is_completely_monotone(f) is verdict
                 verdicts.add(verdict)
         assert verdicts == {True, False}
 
-    def test_complete_monotonicity_reads_the_atoms(self, d):
+    def test_complete_monotonicity_reads_the_atoms(self, d, monkeypatch):
         # the atoms are a subset of the face walk's floats: its verdict on
         # whole numbers, never False where it says True, and in floats the
         # exact atoms' verdict wherever rounding cannot flip it
@@ -647,7 +655,8 @@ class TestSharedFaceKernel:
         decided = set()
         for f in cases:
             for tol in (0.0, 1e-12):
-                got = is_completely_monotone(f, tol)
+                monkeypatch.setattr(bv, "MONOTONE_TOL", tol)
+                got = is_completely_monotone(f)
                 walk = reference_is_completely_monotone(f, tol)
                 if integer_valued(f):
                     assert got is walk
