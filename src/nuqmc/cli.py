@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a CSV sampling of the image-set boundary here")
     p.add_argument("--boundary-samples", type=int, default=None,
                    help="boundary samples (default 256; with --boundary-csv only)")
-    p.add_argument("--tolerance", type=float, default=1e-12)
     _output_flags(p)
 
     return parser
@@ -297,8 +296,6 @@ def _run_generate(args) -> dict:
 
 
 def _run_counterexample(args) -> dict:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise ValidationError("--tolerance must be finite and > 0")
     _mode_flag(args, "boundary_samples", 256, bool(args.boundary_csv), "with --boundary-csv only")
     if args.boundary_samples < 0:
         raise ValidationError("--boundary-samples must be >= 0")
@@ -307,7 +304,7 @@ def _run_counterexample(args) -> dict:
     cdf = chelson_conditional()
     m = chelson_measure()
     ps = PointSet(2, [x])
-    report = chelson_identity_check(ps, cdf, m, probe=probe, tol=args.tolerance)
+    report = chelson_identity_check(ps, cdf, m, probe=probe)
     z = report.transformed.points[0].tolist()
 
     if args.boundary_csv:

@@ -188,8 +188,7 @@ def _critical_grids(ps: PointSet, m, cell_budget) -> list[np.ndarray]:
     :class:`BudgetExceededError` past ``cell_budget`` cells: exact mode's gate."""
     cell_budget = _int(cell_budget, "cell_budget", 1)
     _check_measure(ps, m)
-    grids = [np.unique(np.concatenate([[0.0, 1.0], ps.points[:, s],
-                                       np.asarray(m.axis_coordinates(s), dtype=float)]))
+    grids = [np.unique(np.concatenate([[0.0, 1.0], ps.points[:, s], m.axis_coordinates(s)]))
              for s in range(ps.dimension)]
     n_cells = math.prod(g.size for g in grids)  # exact: an int64 product wraps past 2^63
     if n_cells > cell_budget:
@@ -333,7 +332,7 @@ def _slab_maxima(ps: PointSet, m, grids):
     width = np.ones(n_rows, dtype=np.int64)
     for s, opens in enumerate(since, start=1):
         opens[[0, -1]] = 0
-        opens[np.searchsorted(grids[s], np.asarray(m.axis_coordinates(s), dtype=float))] = 0
+        opens[np.searchsorted(grids[s], m.axis_coordinates(s))] = 0
         np.minimum.at(opens, cells[s], cells[0])
         width *= np.cumsum(np.bincount(opens, minlength=n_rows + 1))[:n_rows]
     active = hi_cols = every
@@ -494,7 +493,9 @@ def random_search_lower_bound(
     Maximizes the one-sided deviation over random corners, corners snapped
     to point/measure coordinates, and random per-axis limit flags.  Every
     evaluation is a limit of actual local discrepancies, so the result never
-    exceeds the exact star-discrepancy.  Deterministic for a fixed seed, and
+    exceeds the exact star-discrepancy.  ``trials`` (at least 1) and
+    ``seed`` (at least 0) are whole numbers, read as every count is, so
+    ``seed=None`` is refused.  Deterministic for a fixed seed, and
     the corners come in blocks of ``_SEARCH_BLOCK`` trials, so the first
     trials of a seed are the same corners whatever the trial count: more
     trials never lower the bound.  Under a discrete measure the best corner
@@ -504,19 +505,10 @@ def random_search_lower_bound(
     """
     trials = _int(trials, "trials", 1)
     _check_measure(ps, m)
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"invalid seed {seed!r}: {err}") from err
+    rng = np.random.default_rng(_int(seed, "seed", 0))
     d = ps.dimension
-    pools = [
-        np.unique(
-            np.concatenate(
-                [[1.0], ps.points[:, s], np.asarray(m.axis_coordinates(s), dtype=float)]
-            )
-        )
-        for s in range(d)
-    ]
+    pools = [np.unique(np.concatenate([[1.0], ps.points[:, s], m.axis_coordinates(s)]))
+             for s in range(d)]
     sizes = np.array([p.size for p in pools])
     flat_pools, offsets = np.concatenate(pools), np.cumsum(sizes) - sizes
 

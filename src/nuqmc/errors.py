@@ -23,9 +23,8 @@ class BudgetExceededError(NuqmcError):
 
 
 class UnsupportedMeasureError(NuqmcError):
-    """The measure cannot supply the requested evaluation (e.g. one-sided
-    limits of an analytic CDF that was declared discontinuous without a
-    limit callback)."""
+    """The measure cannot supply the requested evaluation (e.g. a
+    star-discrepancy under a signed measure, which has no CDF table)."""
 
 
 class UnsupportedIntegrandError(NuqmcError):

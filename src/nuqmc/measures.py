@@ -74,11 +74,16 @@ check: ``_unit`` (``0 <= x <= 1``, which NaN and the infinities fail) or
 ``_breakpoints`` (a strictly increasing grid from 0.0 to 1.0).  Constructors
 store copies of the arrays they are given.
 
-All numeric comparisons in this package use a documented floating point
-tolerance of ``1e-12`` (non-dyadic rational fixtures make bit-exact
-comparisons impossible).  Every object is immutable after construction and
-every operation is a pure function, so concurrent evaluation needs no
-synchronization.
+Five slacks, each a module constant read at call time, decide the
+package's floating point comparisons (non-dyadic rational fixtures make
+bit-exact ones impossible): ``TOLERANCE`` (``1e-12``) a measure's total mass
+against 1; ``variation.MONOTONE_TOL`` (``1e-12``) the sign of each atom in
+``is_completely_monotone``; ``integrate.CERTIFICATE_TOL`` (``1e-10``) a
+certificate's ``satisfied`` verdict; ``transforms.IDENTITY_TOL`` (``1e-10``)
+the verdict of ``chelson_identity_check``; and ``transforms.INVERSE_TOL``
+(``1e-14``) where the bisection of a callback CDF's inverse stops.  Every
+object is immutable after construction and every operation is a pure
+function, so concurrent evaluation needs no synchronization.
 """
 
 from __future__ import annotations
@@ -654,10 +659,11 @@ class AnalyticCdfMeasure(_PointCdf):
     float array and returns the ``(k,)`` values ``F(a[i])``.
     ``continuous=True`` declares that the CDF has no atoms so that left
     limits coincide with point values, and a ``left_limit`` given with it
-    raises ``ValidationError``; otherwise a ``left_limit(a, left)``
-    callback must be supplied for one-sided evaluation.  It takes ``(k, d)``
-    points and a ``(k, d)`` boolean array, True where the limit from the left
-    is taken on that axis, and returns ``(k,)`` values; a row with no True
+    raises ``ValidationError``; ``continuous=False`` needs a
+    ``left_limit(a, left)`` callback for one-sided evaluation (without one
+    it raises ``ValidationError`` too), which takes ``(k, d)`` points and a
+    ``(k, d)`` boolean array, True where the limit from the left is taken on
+    that axis, and returns ``(k,)`` values; a row with no True
     entry asks for ``F`` itself; a callback that returns another number of
     values, or one that is not finite, raises ``ValidationError``.  Both
     must compute each value from its own point alone, and nondecreasing in
@@ -681,6 +687,9 @@ class AnalyticCdfMeasure(_PointCdf):
         if self.continuous and left_limit is not None:
             raise ValidationError("left_limit is never called with continuous=True: "
                                   "pass continuous=False with a left_limit callback")
+        if not self.continuous and left_limit is None:
+            raise ValidationError("continuous=False needs a left_limit callback "
+                                  "for the one-sided limits")
         self._left_limit = left_limit
         self.label = label
         norm = self.cdf(np.ones(self.dimension))
@@ -693,10 +702,6 @@ class AnalyticCdfMeasure(_PointCdf):
         takes a left limit."""
         if self.continuous or not left.any():
             return _callback_values("cdf", self._cdf(points), len(points))
-        if self._left_limit is None:
-            raise UnsupportedMeasureError(
-                "analytic CDF declared discontinuous has no one-sided limit callback"
-            )
         return _callback_values("left_limit", self._left_limit(points, left), len(points))
 
     def _cdf_table(self, coords, left):
@@ -704,8 +709,6 @@ class AnalyticCdfMeasure(_PointCdf):
         callback call per read, on all the corners of the rows read, in C
         order.  A continuous measure never reads the left-limit flags, so
         they are only built for the others."""
-        coords = [np.asarray(c, dtype=float) for c in coords]
-        left = [np.asarray(f, dtype=bool) for f in left]
         d = self.dimension
 
         def corners(axes, dtype):

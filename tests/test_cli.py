@@ -451,12 +451,14 @@ class TestCounterexampleCommand:
         assert result["probe_box_image"] == list(image)
         assert "forward_map_fixed_point_check" not in result
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.5"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, value):
-        code, out, err = run_cli(capsys, "counterexample", "--tolerance", value)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "--tolerance" in err
+    def test_config_has_no_tolerance(self, capsys):
+        # the identity verdict's slack is transforms.IDENTITY_TOL, not a flag
+        code, out, _ = run_cli(capsys, "counterexample")
+        assert code == 0
+        report = json.loads(out)
+        assert set(report["config"]) == {"subcommand", "point", "box", "boundary_csv",
+                                         "boundary_samples", "format", "out"}
+        assert report["result"]["identity_holds"] is False
 
     @pytest.mark.parametrize("argv, says", [
         (["--point", "abc"], "--point must be 'a,b', got 'abc'"),
@@ -591,6 +593,7 @@ class TestReportPlumbing:
     ["transform", "--points", "p.json", "--measure", "m.json", "--tolerance", "1e-9"],
     ["integrate", "--f", "f.json", "--measure", "m.json", "--points", "p.json", "--seed", "1"],
     ["counterexample", "--budget", "5"],
+    ["counterexample", "--tolerance", "1e-9"],
     ["discrepancy", "--points", "p.json", "--measure", "m.json", "--tolerance", "1e-9"],
     ["discrepancy", "--points", "p.json", "--measure", "m.json", "--max-exact-dim", "4"],
     ["integrate", "--f", "f.json", "--measure", "m.json", "--points", "p.json",
@@ -604,7 +607,8 @@ class TestReportPlumbing:
     # retired: its one choice selected nothing
     ["generate", "--kind", "halton", "--n", "4", "--d", "2"],
 ], ids=["generate-seed", "variation-budget", "decompose-max-exact-dim", "transform-tolerance",
-        "integrate-seed", "counterexample-budget", "discrepancy-tolerance",
+        "integrate-seed", "counterexample-budget", "counterexample-tolerance",
+        "discrepancy-tolerance",
         "discrepancy-max-exact-dim", "integrate-max-exact-dim",
         "integrate-uncertified-budget", "discrepancy-search-budget",
         "discrepancy-exact-seed", "generate-kind"])
@@ -731,7 +735,6 @@ _FLAGS = {
     "generate": ([], {"--n": _int_flag(1, 40), "--d": _int_flag(1, 8)}),
     "counterexample": ([], {
         "--boundary-samples": _int_flag(0, 20),
-        "--tolerance": st.floats(allow_nan=True, allow_infinity=True).map(repr),
         "--point": _PAIR_FLAG, "--box": _PAIR_FLAG}),
 }
 

@@ -14,6 +14,7 @@ from nuqmc import (
     AxisCdf,
     Box,
     BudgetExceededError,
+    DimensionMismatchError,
     DiscreteMeasure,
     DiscreteSignedMeasure,
     PointSet,
@@ -609,7 +610,7 @@ class TestSlabEngine:
             batches.append(a.shape)
             return chelson_cdf(a)
 
-        m = AnalyticCdfMeasure(2, counting_cdf, continuous=True, label="chelson")
+        m = AnalyticCdfMeasure(2, counting_cdf)
         ps = PointSet(2, np.random.default_rng(24).random((48, 2)))
         batches.clear()
         res = star_discrepancy(ps, m)
@@ -900,6 +901,25 @@ class TestRandomSearch:
     def test_negative_seed_is_a_validation_error(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             random_search_lower_bound(PointSet(1, [[0.5]]), UniformMeasure(1), 5, seed)
+
+    @pytest.mark.parametrize("seed", [True, None, [1, 2], 1.5], ids=repr)
+    def test_seed_is_a_whole_number(self, seed):
+        # read like every count: seed=None would draw a new bound each call
+        with pytest.raises(ValidationError, match="^seed: expected an integer"):
+            random_search_lower_bound(PointSet(1, [[0.5]]), UniformMeasure(1), 5, seed)
+
+    @pytest.mark.parametrize("seed", [2.0, np.int64(2)], ids=repr)
+    def test_an_integral_seed_is_that_integer(self, seed):
+        ps = PointSet(2, [[0.3, 0.7], [0.6, 0.2]])
+        expect = _summary(random_search_lower_bound(ps, chelson_measure(), 300, 2))
+        assert _summary(random_search_lower_bound(ps, chelson_measure(), 300, seed)) == expect
+
+    def test_trials_then_measure_then_seed(self):
+        ps = PointSet(1, [[0.5]])
+        with pytest.raises(ValidationError, match="^trials"):
+            random_search_lower_bound(ps, UniformMeasure(2), 0, None)
+        with pytest.raises(DimensionMismatchError):
+            random_search_lower_bound(ps, UniformMeasure(2), 5, None)
 
     @pytest.mark.parametrize("slab_cells", [None, 97, 1])
     @pytest.mark.parametrize("kind", ["uniform", "product", "discrete", "chelson"])

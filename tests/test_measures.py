@@ -21,7 +21,6 @@ from nuqmc import (
     ProductMeasure,
     UniformMeasure,
     ValidationError,
-    UnsupportedMeasureError,
     box_indicator,
     box_measure,
     chelson_cdf,
@@ -220,9 +219,24 @@ class TestBoxMeasure:
         assert box_measure(m, (0.5, 0.0), (0.5, 0.5)) == pytest.approx(0.5)
 
     def test_analytic_without_limits_raises(self):
-        m = AnalyticCdfMeasure(1, lambda a: a[:, 0], continuous=False)
-        with pytest.raises(UnsupportedMeasureError):
-            box_measure(m, (0.2,), (0.7,), upper_open=(True,))
+        # refused when built, not at the first one-sided read
+        with pytest.raises(ValidationError, match="continuous=False needs a left_limit"):
+            AnalyticCdfMeasure(1, lambda a: a[:, 0], continuous=False)
+
+    @pytest.mark.parametrize("continuous", [True, False])
+    @pytest.mark.parametrize("limit", [None, lambda a, left: chelson_cdf(a)],
+                             ids=["no-left-limit", "left-limit"])
+    def test_continuity_goes_with_left_limit(self, continuous, limit):
+        # continuous=True without left_limit and False with it build; the
+        # other two are refused, naming both parameters
+        if continuous == (limit is not None):
+            with pytest.raises(ValidationError) as err:
+                AnalyticCdfMeasure(2, chelson_cdf, continuous=continuous, left_limit=limit)
+            assert "continuous=" in str(err.value) and "left_limit" in str(err.value)
+            return
+        m = AnalyticCdfMeasure(2, chelson_cdf, continuous=continuous, left_limit=limit)
+        assert box_measure(m, (0.2, 0.3), (0.7, 0.9), upper_open=(True, True)) == \
+            box_measure(chelson_measure(), (0.2, 0.3), (0.7, 0.9))
 
     def test_additive_across_a_splitting_plane(self):
         rng = np.random.default_rng(33)
@@ -574,7 +588,7 @@ def _nan_below_top(a):
     return np.where(np.all(a == 1.0, axis=1), 1.0, np.nan)
 
 
-#: whole numbers, cell budgets, callback results and tolerances that once
+#: whole numbers, cell budgets and callback results that once
 #: ended in Python's or NumPy's error, or were silently truncated or ignored
 _MALFORMED.update({
     "search-trials-float": (lambda: random_search_lower_bound(_PS, UniformMeasure(2), 2.5, 0),
@@ -606,16 +620,6 @@ _MALFORMED.update({
     "left-limit-callback-size": (
         lambda: star_discrepancy(_PS, AnalyticCdfMeasure(
             2, chelson_cdf, continuous=False, left_limit=lambda a, left: _one_value_cdf(a))),
-        ValidationError),
-    "identity-tol-nan": (
-        lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(),
-                                       tol=float("nan")),
-        ValidationError),
-    "identity-tol-text": (
-        lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(), tol="abc"),
-        ValidationError),
-    "identity-tol-none": (
-        lambda: chelson_identity_check(_PS, chelson_conditional(), chelson_measure(), tol=None),
         ValidationError),
     "ProductMeasure-axis-text": (lambda: ProductMeasure(["a"]), ValidationError),
     "cdf-callback-nan": (

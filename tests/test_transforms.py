@@ -270,6 +270,24 @@ class TestChelsonFixture:
         assert report.mu_discrepancy == pytest.approx(report.uniform_discrepancy, abs=TOL)
         assert report.identity_holds
 
+    def test_the_slack_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            chelson_identity_check(PointSet(2, [[0.5, 0.5]]), chelson_conditional(),
+                                   chelson_measure(), tol=0.0)
+
+    def test_verdict_reads_identity_tol(self, monkeypatch):
+        # the Chelson fixture misses the identity by 550/16767, about 0.0328
+        ps = PointSet(2, [[56 / 81, 20 / 23]])
+        check = lambda: chelson_identity_check(ps, chelson_conditional(), chelson_measure())
+        assert transforms.IDENTITY_TOL == 1e-10
+        report = check()
+        assert not report.identity_holds
+        assert report.difference == pytest.approx(-550 / 16767, abs=TOL)
+        monkeypatch.setattr(transforms, "IDENTITY_TOL", 0.033)
+        assert check().identity_holds
+        monkeypatch.setattr(transforms, "IDENTITY_TOL", 0.032)
+        assert not check().identity_holds
+
 
 class TestIdentityCheckMapsValidatedPoints:
     """The identity check maps its point set's points, validated when the
