@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="QMC estimate, optionally certified")
     p.add_argument("--f", "--function", dest="function", required=True)
-    p.add_argument("--measure", required=True)
+    p.add_argument("--measure", default=None, help="the measure (with --certify only)")
     p.add_argument("--points", required=True)
     p.add_argument("--certify", action="store_true")
     _exact_flags(p)
@@ -279,11 +279,14 @@ def _run_transform(args) -> dict:
 
 def _run_integrate(args) -> dict:
     _exact_budget(args, args.certify)
+    _mode_flag(args, "measure", None, args.certify, "with --certify only")
+    if args.certify and args.measure is None:
+        raise ValidationError("--certify needs --measure")
     f = load_grid_function(args.function)
+    if not args.certify:  # the estimate (1/N) sum f(x_n) reads no measure
+        return {"estimate": qmc_estimate(f, load_points(args.points))}
     m = load_measure(args.measure)
     ps = load_points(args.points)
-    if not args.certify:
-        return {"estimate": qmc_estimate(f, ps)}
     return dataclasses.asdict(kh_certificate(f, ps, m, cell_budget=args.budget))
 
 

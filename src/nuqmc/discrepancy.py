@@ -69,11 +69,11 @@ from .measures import (
     _floats,
     _inside,
     _int,
-    _prefix_rows,
+    _prefix_table,
     _unit,
     _upper_axis,
 )
-from .variation import Box
+from .variation import Box, _differences
 
 #: Default gate for exact cell enumeration.
 CELL_BUDGET = 10**8
@@ -82,9 +82,9 @@ CELL_BUDGET = 10**8
 #: axis-0 rows, at least one row).  Slabs of compressed rows of at least
 #: ``measures._ROW_LOOP_CELLS`` (256) cells are counted one row at a time:
 #: from the point's orthant when each row holds at most one point, else by
-#: a row-by-row axis-0 prefix sum of the slab's histogram.  Shorter rows
-#: histogram the slab and take a ``cumsum`` along axis 0, which costs less
-#: than one NumPy call a row there.
+#: ``measures._prefix_table``, whose axis-0 pass adds such rows one at a
+#: time.  On shorter rows that pass is a ``cumsum``, which costs less than
+#: one NumPy call a row there.
 _SLAB_CELLS = 2**16
 
 #: Trials of the randomized search drawn together, as one array call per
@@ -242,15 +242,17 @@ def _slab_maxima(ps: PointSet, m, grids):
     orthant ``[j_1:, ..., j_{d-1}:]`` of the point it holds, if any; a d = 2
     row is one add of a window of a step row (see ``_orthant_counts``).
     Slabs of compressed rows shorter than ``_ROW_LOOP_CELLS``, or with a row
-    holding several points, histogram their points and sum along every axis
-    instead.  Every count, carried row included, is a float64 in units of
-    ``unit``: ``2^-m`` when ``N = 2^m``, where each ``k/N`` is ``k * 2^-m``
-    exactly, so the counts are the shares and no divide pass follows; a
-    whole point for any other ``N``, the counts then divided by ``N``.  Sums
-    of those units are exact either way, so both count paths give the same
-    floats.  Memory is two slab buffers, the carried row and, in d = 2, a
-    step row of two dense rows; an earlier slab keeps a tie, as one argmax
-    over the whole grid would.
+    holding several points, are the distribution function of their points
+    instead (``_prefix_table``), seeded with the carried row's atoms, its
+    mixed differences along axes ``1..d-1``.  Every count, carried row
+    included, is a float64 in units of ``unit``: ``2^-m`` when ``N = 2^m``,
+    where each ``k/N`` is ``k * 2^-m`` exactly, so the counts are the shares
+    and no divide pass follows; a whole point for any other ``N``, the
+    counts then divided by ``N``.  Sums of those units are exact either
+    way, so both count paths give the same floats, in whatever order a
+    slab's sums run.  Memory is two slab buffers, the carried row and, in
+    d = 2, a step row of two dense rows; an earlier slab keeps a tie, as one
+    argmax over the whole grid would.
     """
     d = ps.dimension
     sizes = [g.size for g in grids]
@@ -273,21 +275,21 @@ def _slab_maxima(ps: PointSet, m, grids):
     step = np.repeat([0.0, unit], row_cells) if d == 2 and row_cells >= _ROW_LOOP_CELLS else None
     every = [np.arange(size) for size in sizes[1:]]
 
-    def read(start, stop, carry, active, hi_cols, slab_cells, orthant):
+    def read(start, stop, carry, active, hi_cols, slab_cells, orthant, fresh=False):
         """Rows ``start:stop`` on the ``active`` columns (``hi_cols`` for
         the upper corners), counted on from ``carry``, the counts of row
-        ``start - 1``, which it leaves holding those of row ``stop - 1``.
-        ``slab_cells`` are the slab cells of the slab's points, in row order
-        where ``orthant`` counts from their orthants.  Returns each term's
-        largest deviation as ``(value, slab index of its first occurrence,
-        attained)``."""
+        ``start - 1``, or from zero when ``fresh``; ``carry`` is left holding
+        the counts of row ``stop - 1``.  ``slab_cells`` are the slab cells of
+        the slab's points, in row order where ``orthant`` counts from their
+        orthants.  Returns each term's largest deviation as ``(value, slab
+        index of its first occurrence, attained)``."""
         shape = (stop - start,) + carry.shape
         n_cells = math.prod(shape)
         share = counts[:n_cells].reshape(shape)
         if orthant:
-            _orthant_counts(share, carry, slab_cells, unit, step)
+            _orthant_counts(share, 0.0 if fresh else carry, slab_cells, unit, step)
         else:
-            _histogram_counts(share, carry, slab_cells, unit)
+            _prefix_table(share, slab_cells, unit, None if fresh else _differences(carry, 0))
         carry[...] = share[-1]
         if not exact_unit:  # whole points, as shares count/N
             np.divide(share, n, out=share)
@@ -311,9 +313,8 @@ def _slab_maxima(ps: PointSet, m, grids):
             order = np.argsort(cells[0], kind="stable")
             cells = [c[order] for c in cells]
             orthant = not np.any(cells[0][1:] == cells[0][:-1])
-        carry = carried.reshape(sizes[1:])
-        carry.fill(0)  # the counts of row -1
-        value, index, attained = max(read(0, n_rows, carry, every, every, cells, orthant), key=_RANK)
+        value, index, attained = max(read(0, n_rows, carried.reshape(sizes[1:]), every, every,
+                                          cells, orthant, fresh=True), key=_RANK)
         return float(value), tuple(int(j) for j in index), attained
 
     # the points ordered by axis-0 row; per row r: the points of rows < r,
@@ -382,11 +383,10 @@ def _slab_maxima(ps: PointSet, m, grids):
     value, (row, at), attained = max(candidates, key=_RANK)
     if at is None:  # a row of a compressed slab: read it on every column,
         # counted from zero with the points of rows <= row folded into it
-        carry = carried.reshape(sizes[1:])
-        carry.fill(0)
         upto = before[row + 1]
         folded = [np.zeros(upto, dtype=np.intp)] + [j[:upto] for j in cells[1:]]
-        _, (_, *at), _ = read(row, row + 1, carry, every, every, folded, False)[1]
+        _, (_, *at), _ = read(row, row + 1, carried.reshape(sizes[1:]), every, every, folded,
+                              False, fresh=True)[1]
     return float(value), tuple(int(j) for j in (row, *at)), attained
 
 
@@ -412,11 +412,11 @@ def _slab_buffers(cells: int, row_cells: int):
         return np.empty(cells), np.empty(cells), np.empty(row_cells)
 
 
-def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float,
+def _orthant_counts(c: np.ndarray, carry: np.ndarray | float, point_cells, unit: float,
                     step: np.ndarray | None) -> np.ndarray:
     """Prefix counts of a slab, in multiples of ``unit``, written into ``c``:
-    each row is the row before it (``carry`` for the first) plus
-    ``unit`` on the orthant of the point it holds, if any.  ``point_cells[s]``
+    each row is the row before it (``carry``, a row or 0.0, for the first)
+    plus ``unit`` on the orthant of the point it holds, if any.  ``point_cells[s]``
     are the slab cells of the slab's points on axis ``s``, ordered by row.
 
     A d = 2 row with a point is one add of a window of ``step`` (zeros, then
@@ -441,19 +441,6 @@ def _orthant_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float,
             np.add(v, unit, out=v)  # `+=` would copy v back onto itself
     c[r:] = prev
     return c
-
-
-def _histogram_counts(c: np.ndarray, carry: np.ndarray, point_cells, unit: float) -> np.ndarray:
-    """Prefix counts of a slab, in multiples of ``unit``, written into ``c``:
-    the points at the slab cells ``point_cells`` (one array per axis)
-    histogrammed, summed along axes 1..d-1, then along axis 0 starting from
-    the row ``carry``."""
-    c.fill(0)
-    np.add.at(c.reshape(-1), np.ravel_multi_index(point_cells, c.shape), unit)
-    for s in range(1, c.ndim):
-        np.cumsum(c, axis=s, out=c)
-    c[0] += carry
-    return _prefix_rows(c)
 
 
 def star_discrepancy(ps: PointSet, m, cell_budget: int = CELL_BUDGET) -> DiscrepancyResult:

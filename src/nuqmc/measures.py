@@ -40,11 +40,11 @@ elsewhere): its table reads closed corners only, a left limit raising
 
 The distribution function of atoms on a grid, ``F(x) = nu([0, x])``, has one
 implementation, ``_prefix_table``: each atom's weight added at its cell in
-atom order, then prefix sums along every axis, axis 0 first (``_prefix_sums``,
-whose axis-0 pass adds long rows one at a time by the rule the exact engine's
-counts share, ``_prefix_rows``).  A discrete table's rows, the step function
-of :func:`~nuqmc.variation.measure_to_function` and the prefix variation of
-:func:`~nuqmc.variation.hk0_prefix_grid` are built by it.
+atom order, then prefix sums along every axis, axis 0 first
+(``_prefix_sums``).  A discrete table's rows, the step function of
+:func:`~nuqmc.variation.measure_to_function`, the prefix variation of
+:func:`~nuqmc.variation.hk0_prefix_grid` and the exact engine's counts of
+short or crowded slabs, seeded with its carried row, are built by it.
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -110,7 +110,7 @@ AT_POINT = "at"
 LEFT_LIMIT = "left"
 
 #: Rows of at least this many cells are prefix-summed along axis 0 one row
-#: at a time (see ``_prefix_rows``), and the exact walk counts uncrowded
+#: at a time (see ``_prefix_sums``), and the exact walk counts uncrowded
 #: slabs of such rows from their points' orthants
 #: (``discrepancy._slab_maxima``).  Both pay from about 160 cells on: the
 #: row loop took 1.7 ns a cell against 3.3 for a strided ``cumsum`` on rows
@@ -124,17 +124,24 @@ _ROW_BUFFER = range(256, 8192)
 
 
 def _floats(values, name: str) -> np.ndarray:
-    """``values`` as a float array.  Ragged nesting raises
-    ``DimensionMismatchError`` and other input that is not numbers
-    ``ValidationError``, never NumPy's ``ValueError`` or ``TypeError``, nor
-    the ``OverflowError`` of an integer past the float range."""
+    """``values`` as a float array, an object array (``Fraction``, integers
+    past int64) read entry by entry.  Ragged nesting raises
+    ``DimensionMismatchError`` and other input that is not numbers (text,
+    booleans, ``None``) ``ValidationError``, never NumPy's ``ValueError`` or
+    ``TypeError``, nor the ``OverflowError`` of an integer past the float
+    range.  NumPy reads a boolean among numbers as a number."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as err:
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as err:
         # NumPy's message when nesting puts a sequence where a number belongs
         ragged = str(err).startswith("setting an array element with a sequence")
         error = DimensionMismatchError if ragged else ValidationError
         raise error(f"{name}: expected a list of numbers ({err})") from None
+    if arr.dtype.kind in "iuf":
+        return arr.astype(float, copy=False)
+    if arr.dtype != object:  # booleans, text, bytes, complex numbers
+        raise ValidationError(f"{name}: expected a list of numbers, got {arr.dtype.name} entries")
+    return np.array([_float(v, name) for v in arr.flat]).reshape(arr.shape)
 
 
 def _int(value, name: str, minimum: int | None = None) -> int:
@@ -285,36 +292,33 @@ def _upper_axis(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords, np.arange(coords.size) < xs.size
 
 
-def _prefix_rows(c: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``c`` along axis 0, in place.  Rows of at least
-    ``_ROW_LOOP_CELLS`` (256) cells are added one row at a time: a cumsum
-    along axis 0 strides across them and is about 2x slower there, more on
-    longer rows; on rows under about 160 cells the per-row call costs more.
-    Both add the rows in the same order, so the sums are the same floats."""
-    if math.prod(c.shape[1:]) < _ROW_LOOP_CELLS:
-        return np.cumsum(c, axis=0, out=c)
-    prev = c[0]
-    for row in c[1:]:
-        np.add(row, prev, out=row)
-        prev = row
-    return c
-
-
 def _prefix_sums(c: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``c`` along every axis, in place: axis 0 by
-    ``_prefix_rows``, then the others in order."""
-    _prefix_rows(c)
+    """Prefix sums of ``c`` along every axis, in place, axis 0 first.  Along
+    axis 0, rows of ``_ROW_LOOP_CELLS`` (256) cells or more are added one at
+    a time: a cumsum strides across them and is about 2x slower; on rows
+    under about 160 cells the per-row call costs more.  Both add the rows in
+    the same order, so the sums are the same floats."""
+    if math.prod(c.shape[1:]) < _ROW_LOOP_CELLS:
+        np.cumsum(c, axis=0, out=c)
+    else:
+        prev = c[0]
+        for row in c[1:]:
+            np.add(row, prev, out=row)
+            prev = row
     for s in range(1, c.ndim):
         np.cumsum(c, axis=s, out=c)
     return c
 
 
-def _prefix_table(out: np.ndarray, cells, weights: np.ndarray) -> np.ndarray:
+def _prefix_table(out: np.ndarray, cells, weights, seed: np.ndarray | None = None) -> np.ndarray:
     """The distribution function on a grid of the atoms ``weights`` at the
     cells ``cells`` (one index array per axis of the C-contiguous ``out``),
     written into ``out``: each weight added at its cell in atom order,
-    starting from 0.0, then ``_prefix_sums``."""
+    starting from 0.0, or on the first row from the atoms ``seed`` (one row
+    of ``out``), then ``_prefix_sums``."""
     out.fill(0.0)
+    if seed is not None:
+        out[0] = seed
     np.add.at(out.reshape(-1), np.ravel_multi_index(cells, out.shape), weights)
     return _prefix_sums(out)
 

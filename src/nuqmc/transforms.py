@@ -242,7 +242,7 @@ def chelson_identity_check(
     left = star_discrepancy(images, m).value
     right = star_discrepancy(ps, UniformMeasure(2)).value
 
-    probe = _unit_point(probe, 2)
+    probe = _unit_point(probe, 2, "probe")
     probe_image = forward_cdf_map(probe, cdf)
     mu_mass = m.cdf(probe)
     uniform_mass = float(np.prod(probe_image))

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nuqmc import chelson_conditional, cli, forward_cdf_map, halton
+from nuqmc import chelson_conditional, cli, forward_cdf_map, halton, qmc_estimate
 from nuqmc.cli import main
 from nuqmc.errors import ValidationError
+from nuqmc.jsonio import load_grid_function, load_points
 
 
 #: a step function whose breakpoints hold NaN
@@ -169,10 +170,20 @@ class TestDiscrepancyCommand:
          {"d": 1, "points": [[0.25]]}, ".axes[0].breakpoints: expected a list of numbers"),
         ({"type": "product", "axes": [{"breakpoints": [0, 1], "values": [0, 1], "values_left": 5}]},
          {"d": 1, "points": [[0.25]]}, ".axes[0].values_left: expected a list of numbers"),
+        # text and booleans are not numbers, even among numbers (once exit 0)
+        (None, {"d": 2, "points": [["0.1", 0.2]]}, ".points: expected a list of numbers"),
+        (None, {"d": 2, "points": [["0.1", "0.2"]]}, ".points: expected a list of numbers"),
+        (None, {"d": 2, "points": [[True, 0.2]]}, ".points: expected a list of numbers"),
+        (None, {"d": 2, "points": [[0.5, 0.2], [1, False]]}, ".points: expected a list of numbers"),
+        ({"type": "product", "axes": [{"breakpoints": [0, 1], "values": [False, 1]}]},
+         {"d": 1, "points": [[0.25]]}, ".axes[0].values: expected a list of numbers"),
+        (None, {"d": 2, "points": [[None, 0.2]]}, ".points: expected one number, got None"),
     ], ids=["string-d", "fractional-d", "atom-not-object", "axis-not-object", "text-coordinate",
             "nan-axis-value", "ragged-atoms", "no-atoms", "no-axes", "unknown-type",
             "huge-coordinate", "huge-weight", "points-not-a-list", "breakpoints-not-a-list",
-            "values-left-not-a-list"])
+            "values-left-not-a-list", "text-among-numbers", "text-coordinates",
+            "true-among-numbers", "false-among-numbers", "false-among-cdf-values",
+            "null-coordinate"])
     def test_malformed_schema_exit_code(self, capsys, tmp_path, points_file, uniform_file,
                                         measure, points, field):
         mfile = uniform_file if measure is None else write_json(tmp_path / "m.json", measure)
@@ -420,6 +431,24 @@ class TestIntegrateCommand:
         assert result["satisfied"] is True
         assert 0.0 < result["discrepancy"] < 1.0
 
+    def test_estimate_reads_no_measure(self, capsys, tmp_path, points_file):
+        ffile = write_json(tmp_path / "f.json", {"breakpoints": [[0.0, 0.5, 1.0]] * 2,
+                                                 "values": list(range(9))})
+        code, out, err = run_cli(capsys, "integrate", "--function", ffile, "--points", points_file)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["config"]["measure"] is None
+        assert report["result"] == {"estimate": qmc_estimate(load_grid_function(ffile),
+                                                             load_points(points_file))}
+
+    def test_certify_needs_a_measure(self, capsys, tmp_path, points_file):
+        ffile = write_json(tmp_path / "f.json", {"breakpoints": [[0.0, 1.0]] * 2,
+                                                 "values": [0] * 4})
+        code, out, err = run_cli(capsys, "integrate", "--function", ffile, "--points", points_file,
+                                 "--certify")
+        assert (code, out) == (2, "")
+        assert err == "error: --certify needs --measure\n"
+
 
 class TestCounterexampleCommand:
     def test_report_values(self, capsys, tmp_path):
@@ -464,7 +493,9 @@ class TestCounterexampleCommand:
         (["--point", "abc"], "--point must be 'a,b', got 'abc'"),
         (["--point", "1,2,3"], "--point must be 'a,b', got '1,2,3'"),
         (["--box", "a,b"], "--box: could not convert string to float: 'a'"),
-    ], ids=["point-text", "point-three-numbers", "box-text"])
+        # once "point must lie in [0,1]", naming the input point
+        (["--box", "1.5,0.5"], "probe must lie in [0,1], got 1.5"),
+    ], ids=["point-text", "point-three-numbers", "box-text", "box-outside"])
     def test_malformed_pair_exit_code(self, capsys, argv, says):
         code, out, err = run_cli(capsys, "counterexample", *argv)
         assert (code, out, err) == (2, "", f"error: {says}\n")
@@ -604,6 +635,8 @@ class TestReportPlumbing:
     ["discrepancy", "--points", "p.json", "--measure", "m.json", "--search", "5",
      "--budget", "0"],
     ["discrepancy", "--points", "p.json", "--measure", "m.json", "--seed", "0"],
+    # the estimate (1/N) sum f(x_n) reads no measure
+    ["integrate", "--f", "f.json", "--points", "p.json", "--measure", "m.json"],
     # retired: its one choice selected nothing
     ["generate", "--kind", "halton", "--n", "4", "--d", "2"],
 ], ids=["generate-seed", "variation-budget", "decompose-max-exact-dim", "transform-tolerance",
@@ -611,7 +644,7 @@ class TestReportPlumbing:
         "discrepancy-tolerance",
         "discrepancy-max-exact-dim", "integrate-max-exact-dim",
         "integrate-uncertified-budget", "discrepancy-search-budget",
-        "discrepancy-exact-seed", "generate-kind"])
+        "discrepancy-exact-seed", "integrate-uncertified-measure", "generate-kind"])
 def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
     try:
         code = main(argv)
@@ -623,6 +656,8 @@ def test_flag_the_subcommand_does_not_read_is_rejected(capsys, argv):
         assert err.startswith("error: --budget is read in exact mode only")
     elif argv[0] == "discrepancy" and "--seed" in argv:
         assert err.startswith("error: --seed is read with --search only")
+    elif argv[0] == "integrate" and argv[-2] == "--measure":
+        assert err.startswith("error: --measure is read with --certify only")
     else:
         assert "unrecognized arguments" in err
 
@@ -731,7 +766,7 @@ _FLAGS = {
     "variation": (["function"], {}),
     "decompose": (["function"], {}),
     "transform": (["points", "measure"], {}),
-    "integrate": (["function", "measure", "points"], {"--budget": _int_flag(1, 10**6)}),
+    "integrate": (["function", "points"], {"--budget": _int_flag(1, 10**6)}),
     "generate": ([], {"--n": _int_flag(1, 40), "--d": _int_flag(1, 8)}),
     "counterexample": ([], {
         "--boundary-samples": _int_flag(0, 20),
@@ -745,6 +780,9 @@ def _request(draw):
     ``files`` maps a kind to the document to write there."""
     sub = draw(st.sampled_from(sorted(_FLAGS)))
     inputs, numeric = _FLAGS[sub]
+    certify = sub == "integrate" and draw(st.booleans())
+    if certify:  # --measure is read with --certify only
+        inputs = inputs + ["measure"]
     d = draw(st.integers(1, 3))
     argv, files = [sub], {}
     for kind in inputs:
@@ -754,7 +792,7 @@ def _request(draw):
     for flag, values in numeric.items():
         if draw(st.integers(0, 2)):  # two times in three
             argv += [flag, draw(values)]
-    if sub == "integrate" and draw(st.booleans()):
+    if certify:
         argv.append("--certify")
     if sub == "counterexample" and draw(st.booleans()):
         argv += ["--boundary-csv", "boundary.csv"]

@@ -477,8 +477,8 @@ class TestSlabEngine:
             calls.append(args)
             return histogram(*args)
 
-        histogram = engine._histogram_counts
-        monkeypatch.setattr(engine, "_histogram_counts", spy)
+        histogram = engine._prefix_table
+        monkeypatch.setattr(engine, "_prefix_table", spy)
         if slab_cells is not None:
             monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
         ps, m = _slab_case(kind)
@@ -515,7 +515,7 @@ class TestSlabEngine:
                 return counts(c, *args)
             return count
 
-        monkeypatch.setattr(engine, "_histogram_counts", spy("histogram", engine._histogram_counts))
+        monkeypatch.setattr(engine, "_prefix_table", spy("histogram", engine._prefix_table))
         monkeypatch.setattr(engine, "_orthant_counts", spy("orthant", engine._orthant_counts))
         if slab_cells is not None:
             monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
@@ -844,6 +844,54 @@ class TestCountUnits:
                     monkeypatch.setattr(engine, "_SLAB_CELLS", slab_cells)
                     got = _summary(star_discrepancy(ps, m))
                     assert got == expect, (ps.n, points, slab_cells)
+
+
+class TestSeededKernel:
+    """The walk's short or crowded slabs are ``measures._prefix_table`` of
+    their points, seeded on the first row with the atoms of the carried row:
+    bit for bit the carried row plus the prefix sums of the slab's histogram,
+    counted in int64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_matches_an_int64_reference(self, d, seed, crowded, power_of_two):
+        rng = np.random.default_rng(seed)
+        n = {1: 64, 2: 256, 3: 32, 4: 8}[d] + (0 if power_of_two else int(rng.integers(1, 7)))
+        pts = rng.random((n, d))
+        if crowded:  # about two points to an axis-0 row
+            pts[:, 0] = np.round(pts[:, 0] * (n // 2)) / (n // 2)
+        carried, slabs = [], []
+
+        def differences(values, pin=None):
+            carried.append(values.copy())
+            return differences_of(values, pin)
+
+        def table(out, cells, weights, seed=None):
+            carry = None if seed is None else carried.pop()
+            out = prefix_table(out, cells, weights, seed)
+            slabs.append((carry, [c.copy() for c in cells], weights, out.copy()))
+            return out
+
+        differences_of, prefix_table = engine._differences, engine._prefix_table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_differences", differences)
+            mp.setattr(engine, "_prefix_table", table)
+            # many slabs, so nonzero carries; in d = 2 slabs of several
+            # crowded rows of 256 cells or more, which the kernel adds one
+            # row at a time
+            mp.setattr(engine, "_SLAB_CELLS", {1: 16, 2: 1024}.get(d, 64))
+            star_discrepancy(PointSet(d, pts), UniformMeasure(d))
+        assert any(carry is not None and carry.any() for carry, *_ in slabs)
+        for carry, cells, unit, got in slabs:
+            assert unit == (1.0 / n if power_of_two else 1.0)
+            want = np.zeros(got.shape, dtype=np.int64)
+            np.add.at(want, tuple(cells), 1)
+            for s in range(d):
+                want = np.cumsum(want, axis=s)
+            if carry is not None:
+                assert np.array_equal(carry / unit, np.round(carry / unit))
+                want += (carry / unit).astype(np.int64)  # the carried row, on every row
+            assert got.tobytes() == (want * unit).tobytes()
 
 
 class TestWitnessRecheck:

@@ -2,6 +2,7 @@
 variation, and box masses via inclusion-exclusion."""
 
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -684,6 +685,21 @@ _REFUSED = {
 }
 _MALFORMED.update({entry: (call, error) for entry, (call, error, _) in _REFUSED.items()})
 
+#: text, bytes, booleans, complex numbers and None, which NumPy's float
+#: conversion once parsed, cast or read as NaN
+_MALFORMED.update({
+    "PointSet-text-coordinates": (lambda: PointSet(2, [["0.1", "0.2"]]), ValidationError),
+    "PointSet-none": (lambda: PointSet(2, [[None, 0.5]]), ValidationError),
+    "cdf-text-and-bool": (lambda: UniformMeasure(2).cdf(["0.5", True]), ValidationError),
+    "GridFunction-bool-breakpoints-text-values": (
+        lambda: GridFunction([[False, True]], ["1", "2"]), ValidationError),
+    "DiscreteSignedMeasure-bytes-weights": (
+        lambda: DiscreteSignedMeasure(1, [[0.5]], [b"1"]), ValidationError),
+    "AxisCdf-complex-values": (lambda: AxisCdf([0.0, 1.0], [0j, 1.0]), ValidationError),
+    "AxisCdf-fraction-text-values": (
+        lambda: AxisCdf([0.0, 1.0], [Fraction(0), "1"]), ValidationError),
+})
+
 
 @pytest.mark.parametrize("entry", sorted(_MALFORMED))
 def test_malformed_input_raises_a_validation_error(entry):
@@ -693,6 +709,14 @@ def test_malformed_input_raises_a_validation_error(entry):
     assert err.type is error
     if entry in _REFUSED:  # refused by its own rule, not by an earlier check
         assert _REFUSED[entry][2] in str(err.value)
+
+
+def test_object_arrays_of_numbers_are_read_entry_by_entry():
+    # Fractions and integers past int64 make NumPy build an object array
+    assert PointSet(1, [[Fraction(1, 3)], [0.5]]).points.tolist() == [[1 / 3], [0.5]]
+    nu = DiscreteSignedMeasure(1, [[0.5]], [2**70])
+    assert nu.weights.dtype == float and nu.weights.tolist() == [float(2**70)]
+    assert UniformMeasure(2).cdf([Fraction(1, 2), 1]) == 0.5
 
 
 @pytest.mark.parametrize("callback", ["cdf", "left_limit"])

@@ -1,6 +1,9 @@
-"""The public names of the package."""
+"""The public names of the package, and no import or private function in
+it that nothing uses."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import nuqmc
 import nuqmc.discrepancy
@@ -34,3 +37,38 @@ def test_signed_measures_have_one_constructor():
 def test_conditional_cdf_has_no_strictness_flag():
     fields = {f.name for f in dataclasses.fields(nuqmc.ConditionalCdf2D)}
     assert "strictly_increasing" not in fields
+
+
+_SOURCES = {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(Path(nuqmc.__file__).parent.glob("*.py"))}
+
+
+def _used_names(tree) -> set[str]:
+    """Every name the module reads, bare (``x``) or as an attribute (``.x``)."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for module, tree in _SOURCES.items():
+        if module == "__init__":  # its imports are the package's exports
+            continue
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{module}: {name}")
+    assert unused == []
+
+
+def test_every_private_function_is_called():
+    used = set().union(*map(_used_names, _SOURCES.values()))
+    private = [f"{module}.{node.name}" for module, tree in _SOURCES.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__") and node.name not in used]
+    assert private == []
