@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import CELL_BUDGET, PointSet, _critical_grids, star_discrepancy
+from .discrepancy import CELL_BUDGET, PointSet, star_discrepancy
 from .errors import DimensionMismatchError, UnsupportedIntegrandError, ValidationError
 from .measures import DiscreteMeasure, UniformMeasure, _float, _upper_axis
 from .variation import ANCHOR_ONE, STEP, GridFunction, _differences, hk_variation
@@ -104,18 +104,18 @@ def kh_certificate(f: GridFunction, ps: PointSet, m,
     estimate = qmc_estimate(f, ps)
     reference = integral_under_measure(f, m)
     variation = hk_variation(f, ANCHOR_ONE)
-    return _certificate(ps, m, cell_budget, estimate, reference, variation)
+    discrepancy = star_discrepancy(ps, m, cell_budget).value
+    return _certificate(estimate, reference, variation, discrepancy)
 
 
-def _certificate(ps, m, cell_budget, estimate, reference, variation) -> KHCertificate:
+def _certificate(estimate, reference, variation, discrepancy) -> KHCertificate:
     """The certificate of ``estimate`` against ``reference`` (None when no
-    exact reference is known): ``bound = variation * D*`` with the exact
-    star-discrepancy of ``ps`` under ``m``, satisfied when the observed error
-    is at most the bound plus :data:`CERTIFICATE_TOL`.  An infinite or NaN
-    estimate, reference, variation or bound proves nothing, so it raises
+    exact reference is known): ``bound = variation * discrepancy``, with the
+    exact star-discrepancy the caller computed, satisfied when the observed
+    error is at most the bound plus :data:`CERTIFICATE_TOL`.  An infinite or
+    NaN estimate, reference, variation or bound proves nothing, so it raises
     :class:`ValidationError` naming the first such factor."""
-    disc = star_discrepancy(ps, m, cell_budget).value
-    bound = variation * disc
+    bound = variation * discrepancy
     for name, value in (("estimate", estimate), ("reference_integral", reference),
                         ("variation", variation), ("bound", bound)):
         if value is not None and not math.isfinite(value):
@@ -126,7 +126,7 @@ def _certificate(ps, m, cell_budget, estimate, reference, variation) -> KHCertif
         reference_integral=reference,
         observed_error=observed,
         variation=variation,
-        discrepancy=disc,
+        discrepancy=discrepancy,
         bound=bound,
         satisfied=None if observed is None else observed <= bound + CERTIFICATE_TOL,
     )
@@ -172,8 +172,8 @@ def importance_sampling_estimate(
     :class:`UnsupportedIntegrandError` without one; its reference integral
     must then be supplied by the caller for the observed error to be
     reported.  Each is one number, the variation ``>= 0``.  ``cell_budget``
-    gates the exact D*, before the union grid or anything else grid-sized is
-    built.
+    gates the exact D*, which is computed before the union grid or anything
+    else grid-sized of the integrand is built.
     """
     if variation is not None:
         variation = _float(variation, "variation")
@@ -185,7 +185,7 @@ def importance_sampling_estimate(
     if step_pair and (variation is not None or reference_integral is not None):
         raise ValidationError("a step pair is certified with its exact factors: "
                               "pass neither variation= nor reference_integral=")
-    _critical_grids(ps, m_g, cell_budget)
+    discrepancy = star_discrepancy(ps, m_g, cell_budget).value
     if step_pair:
         ratio = _step_ratio(f, g)
         estimate = qmc_estimate(ratio, ps)
@@ -201,5 +201,5 @@ def importance_sampling_estimate(
         if np.any(g_vals <= 0.0):
             raise ValidationError("density must be positive at every sample point")
         estimate = float(np.mean(_sample(f, ps.points) / g_vals))
-    return estimate, _certificate(ps, m_g, cell_budget, estimate, reference_integral, variation)
+    return estimate, _certificate(estimate, reference_integral, variation, discrepancy)
 

@@ -65,15 +65,11 @@ def _integer(obj: dict, field: str, where: str) -> int:
 
 
 def _numbers(value, where: str) -> np.ndarray:
-    """A (possibly nested) list of numbers as a float array.  NumPy reads a
-    boolean among numbers as 1.0 or 0.0: the entries read so are looked up."""
+    """A (possibly nested) list of numbers as a float array: a JSON value
+    that is not a list is refused here, its entries by ``_floats``."""
     if not isinstance(value, list):
         raise ValidationError(f"{where}: expected a list of numbers")
-    arr = _floats(value, where)
-    flags = (arr == 0.0) | (arr == 1.0)
-    if flags.any() and any(isinstance(v, bool) for v in np.array(value, dtype=object)[flags]):
-        raise ValidationError(f"{where}: expected a list of numbers, got a boolean")
-    return arr
+    return _floats(value, where)
 
 
 def measure_from_dict(obj, where: str = "measure"):

@@ -66,13 +66,14 @@ float a sequential sum would give.
 
 Every number entering the package is read by ``_floats``, which turns ragged
 nesting into ``DimensionMismatchError`` and anything else that is not numbers
-into ``ValidationError``; a single number by ``_float``, never a bool or text;
-a whole number (a dimension, count, index, face axis or cell budget) by
-``_int``, an integer or an integral float, never a bool.  Every coordinate
-(points, atoms, breakpoints, corners, CDF arguments) then passes one ingest
-check: ``_unit`` (``0 <= x <= 1``, which NaN and the infinities fail) or
-``_breakpoints`` (a strictly increasing grid from 0.0 to 1.0).  Constructors
-store copies of the arrays they are given.
+into ``ValidationError``, a boolean among numbers included, from a library
+call as from the CLI's JSON reader; a single number by ``_float``, never a
+bool or text; a whole number (a dimension, count, index, face axis or cell
+budget) by ``_int``, an integer or an integral float, never a bool.  Every
+coordinate (points, atoms, breakpoints, corners, CDF arguments) then passes
+one ingest check: ``_unit`` (``0 <= x <= 1``, which NaN and the infinities
+fail) or ``_breakpoints`` (a strictly increasing grid from 0.0 to 1.0).
+Constructors store copies of the arrays they are given.
 
 Five slacks, each a module constant read at call time, decide the
 package's floating point comparisons (non-dyadic rational fixtures make
@@ -129,7 +130,9 @@ def _floats(values, name: str) -> np.ndarray:
     ``DimensionMismatchError`` and other input that is not numbers (text,
     booleans, ``None``) ``ValidationError``, never NumPy's ``ValueError`` or
     ``TypeError``, nor the ``OverflowError`` of an integer past the float
-    range.  NumPy reads a boolean among numbers as a number."""
+    range.  NumPy reads a boolean among numbers as 1.0 or 0.0, so in input
+    that is not already an array the entries read so are looked up; an
+    array's dtype says whether it holds booleans."""
     try:
         arr = np.asarray(values)
     except (TypeError, ValueError) as err:
@@ -138,6 +141,11 @@ def _floats(values, name: str) -> np.ndarray:
         error = DimensionMismatchError if ragged else ValidationError
         raise error(f"{name}: expected a list of numbers ({err})") from None
     if arr.dtype.kind in "iuf":
+        if not isinstance(values, np.ndarray):
+            flags = (arr == 0.0) | (arr == 1.0)
+            if flags.any() and any(isinstance(v, (bool, np.bool_))
+                                   for v in np.array(values, dtype=object)[flags]):
+                raise ValidationError(f"{name}: expected a list of numbers, got a boolean")
         return arr.astype(float, copy=False)
     if arr.dtype != object:  # booleans, text, bytes, complex numbers
         raise ValidationError(f"{name}: expected a list of numbers, got {arr.dtype.name} entries")
@@ -580,16 +588,6 @@ class DiscreteMeasure(DiscreteSignedMeasure):
         """Atoms at the rows of the ``(n, d)`` array ``locations`` with the
         ``(n,)`` weights ``weights``."""
         return cls(DiscreteSignedMeasure(dimension, locations, weights))
-
-    @classmethod
-    def empirical(cls, points: np.ndarray) -> "DiscreteMeasure":
-        """Empirical measure of a point set (weight 1/N per point, duplicates merge)."""
-        pts = _floats(points, "points")
-        if pts.size == 0:
-            raise ValidationError("point set must contain at least one point")
-        if pts.ndim != 2:
-            raise DimensionMismatchError(f"points must form an (N, d) array, got shape {pts.shape}")
-        return cls.from_points(pts.shape[1], pts, np.full(len(pts), 1.0 / len(pts)))
 
     def _cdf_table(self, coords, left):
         """CDF table on a product grid (see the module docstring), read as

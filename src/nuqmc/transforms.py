@@ -237,12 +237,12 @@ def chelson_identity_check(
     """
     if ps.dimension != 2:
         raise DimensionMismatchError("the conditional transform is two-dimensional")
+    probe = _unit_point(probe, 2, "probe")
     # the points were validated when ps was built: each is mapped as it is
     images = PointSet(2, [_rosenblatt(x1, x2, cdf) for x1, x2 in ps.points.tolist()])
     left = star_discrepancy(images, m).value
     right = star_discrepancy(ps, UniformMeasure(2)).value
 
-    probe = _unit_point(probe, 2, "probe")
     probe_image = forward_cdf_map(probe, cdf)
     mu_mass = m.cdf(probe)
     uniform_mass = float(np.prod(probe_image))

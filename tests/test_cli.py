@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from nuqmc import chelson_conditional, cli, forward_cdf_map, halton, qmc_estimate
+from nuqmc import chelson_conditional, cli, forward_cdf_map, halton, qmc_estimate, transforms
 from nuqmc.cli import main
 from nuqmc.errors import ValidationError
 from nuqmc.jsonio import load_grid_function, load_points
@@ -499,6 +499,17 @@ class TestCounterexampleCommand:
     def test_malformed_pair_exit_code(self, capsys, argv, says):
         code, out, err = run_cli(capsys, "counterexample", *argv)
         assert (code, out, err) == (2, "", f"error: {says}\n")
+
+    def test_probe_is_checked_before_the_walks(self, capsys, monkeypatch):
+        # a probe outside the cube is refused before the point is mapped and
+        # either star-discrepancy is computed
+        walks = []
+        walk = transforms.star_discrepancy
+        monkeypatch.setattr(transforms, "star_discrepancy",
+                            lambda *args: walks.append(args) or walk(*args))
+        code, out, err = run_cli(capsys, "counterexample", "--box", "1.5,0.5")
+        assert (code, out, err) == (2, "", "error: probe must lie in [0,1], got 1.5\n")
+        assert walks == []
 
     @pytest.mark.parametrize("argv", [
         ["generate", "--n", str(10**16), "--d", "2"],

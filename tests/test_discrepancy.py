@@ -66,9 +66,8 @@ class TestLocalDiscrepancy:
 
     def test_empirical_measure_vanishes(self):
         rng = np.random.default_rng(3)
-        pts = rng.random((8, 2))
-        ps = PointSet(2, pts)
-        m = DiscreteMeasure.empirical(pts)
+        ps = PointSet(2, rng.random((8, 2)))
+        m = DiscreteMeasure.from_points(2, ps.points, np.full(ps.n, 1 / ps.n))
         for _ in range(50):
             a = rng.random(2)
             assert one_sided_deviation(a, ps, m) <= TOL
@@ -132,8 +131,9 @@ class TestStarDiscrepancyExact:
 
     def test_empirical_self_discrepancy_is_zero(self):
         rng = np.random.default_rng(5)
-        pts = rng.random((6, 2))
-        res = star_discrepancy(PointSet(2, pts), DiscreteMeasure.empirical(pts))
+        ps = PointSet(2, rng.random((6, 2)))
+        m = DiscreteMeasure.from_points(2, ps.points, np.full(ps.n, 1 / ps.n))
+        res = star_discrepancy(ps, m)
         assert res.value <= TOL
 
     def test_value_in_unit_interval_and_duplication_invariance(self):
@@ -1081,9 +1081,8 @@ class TestPointSetValidation:
     def test_mixed_closed_count_is_not_a_lower_bound(self):
         # a closed count with a left-limit F can exceed the true supremum,
         # which is why the search uses the fully one-sided evaluation instead
-        pts = np.array([[0.5]])
-        ps = PointSet(1, pts)
-        m = DiscreteMeasure.empirical(pts)
+        ps = PointSet(1, [[0.5]])
+        m = DiscreteMeasure.from_points(1, ps.points, np.full(ps.n, 1 / ps.n))
         mixed = abs(1 / ps.n - m.cdf_one_sided((0.5,), ("left",)))
         assert mixed == 1.0  # exceeds the exact value 0
         assert star_discrepancy(ps, m).value == 0.0

@@ -535,7 +535,7 @@ class TestOneConstructor:
 
     @pytest.mark.parametrize("entry", [
         "function_to_measure", "jordan_decompose_measure", "DiscreteMeasure.from_points",
-        "DiscreteMeasure.empirical", "measure_from_dict",
+        "measure_from_dict",
     ])
     def test_internal_builds_call_the_constructor(self, entry, built):
         locs = np.array([[0.25, 0.5], [0.75, 0.25]])
@@ -548,8 +548,6 @@ class TestOneConstructor:
             results = list(jordan_decompose_measure(nu))
         elif entry == "DiscreteMeasure.from_points":
             results = [DiscreteMeasure.from_points(2, locs, [0.5, 0.5])]
-        elif entry == "DiscreteMeasure.empirical":
-            results = [DiscreteMeasure.empirical(locs)]
         else:
             atoms = [{"x": x, "w": 0.5} for x in locs.tolist()]
             results = [measure_from_dict({"type": "discrete", "atoms": atoms})]
@@ -700,6 +698,22 @@ _MALFORMED.update({
         lambda: AxisCdf([0.0, 1.0], [Fraction(0), "1"]), ValidationError),
 })
 
+#: a boolean among numbers, which NumPy reads as 1.0 or 0.0: the library
+#: refuses it as the CLI's JSON reader does
+_MALFORMED.update({
+    "PointSet-bool-among-numbers": (lambda: PointSet(2, [[True, 0.5]]), ValidationError),
+    "PointSet-bool-in-a-later-point": (lambda: PointSet(2, [[0.5, 0.2], [1, False]]),
+                                       ValidationError),
+    "cdf-bool-among-numbers": (lambda: UniformMeasure(2).cdf([True, 0.5]), ValidationError),
+    "GridFunction-bool-among-breakpoints": (
+        lambda: GridFunction([[0, 0.5, True]], [1, 2, 3]), ValidationError),
+    "AxisCdf-bool-among-values": (lambda: AxisCdf([0.0, 1.0], [False, 1]), ValidationError),
+    "DiscreteSignedMeasure-bool-among-weights": (
+        lambda: DiscreteSignedMeasure(1, [[0.25], [0.5]], [True, 0.5]), ValidationError),
+    "PointSet-numpy-bool-among-numbers": (lambda: PointSet(1, [0.25, np.True_]),
+                                          ValidationError),
+})
+
 
 @pytest.mark.parametrize("entry", sorted(_MALFORMED))
 def test_malformed_input_raises_a_validation_error(entry):
@@ -717,6 +731,13 @@ def test_object_arrays_of_numbers_are_read_entry_by_entry():
     nu = DiscreteSignedMeasure(1, [[0.5]], [2**70])
     assert nu.weights.dtype == float and nu.weights.tolist() == [float(2**70)]
     assert UniformMeasure(2).cdf([Fraction(1, 2), 1]) == 0.5
+
+
+def test_a_one_or_zero_that_is_not_a_boolean_is_a_number():
+    # the entries equal to 0 or 1 are looked up for booleans, and these pass
+    assert PointSet(2, [[1, 0], [0.5, 1]]).points.tolist() == [[1.0, 0.0], [0.5, 1.0]]
+    assert UniformMeasure(2).cdf([Fraction(1), 1]) == 1.0
+    assert AxisCdf([0, 1], (0, Fraction(1))).values_at(np.array([0.5])).tolist() == [0.5]
 
 
 @pytest.mark.parametrize("callback", ["cdf", "left_limit"])
@@ -976,14 +997,6 @@ _INGEST = {
 class TestCoordinateIngest:
     """Every coordinate entering the package goes through one check, which
     NaN and the infinities fail as surely as values outside [0,1]."""
-
-    @pytest.mark.parametrize("points, error", [
-        ([0.1, 0.2], DimensionMismatchError),  # flat: no dimension to read
-        ([], ValidationError),
-    ])
-    def test_empirical_measure_needs_an_array_of_points(self, points, error):
-        with pytest.raises(error):
-            DiscreteMeasure.empirical(points)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5, 1.5])
     @pytest.mark.parametrize("entry", sorted(_INGEST))

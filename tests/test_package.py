@@ -32,6 +32,8 @@ def test_retired_names_are_gone():
 def test_signed_measures_have_one_constructor():
     retired = ["_from_arrays", "_init_arrays", "atoms"]
     assert [name for name in retired if hasattr(nuqmc.DiscreteSignedMeasure, name)] == []
+    # the empirical measure of a PointSet is from_points(d, points, 1/N each)
+    assert not hasattr(nuqmc.DiscreteMeasure, "empirical")
 
 
 def test_conditional_cdf_has_no_strictness_flag():
@@ -72,3 +74,23 @@ def test_every_private_function_is_called():
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                and not node.name.startswith("__") and node.name not in used]
     assert private == []
+
+
+#: The kernel modules, the only ones whose private names another module may
+#: import: the input rules and the distribution function of atoms
+#: (``measures``), and the mixed differences (``variation``).  Any other
+#: private name is its module's own, so a rule it holds has one owner.
+KERNELS = {"measures", "variation"}
+
+
+def test_private_names_are_imported_from_the_kernels_only():
+    imports = []
+    for module, tree in _SOURCES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "nuqmc"
+                                                     or node.module.startswith("nuqmc.")):
+                source = (node.module or "").rpartition(".")[2]
+                imports += [f"{module} <- {source}.{alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.startswith("__")
+                            and source not in KERNELS]
+    assert imports == []
