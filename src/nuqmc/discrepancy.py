@@ -73,7 +73,7 @@ from .measures import (
     _unit,
     _upper_axis,
 )
-from .variation import Box, _differences
+from .variation import Box
 
 #: Default gate for exact cell enumeration.
 CELL_BUDGET = 10**8
@@ -243,8 +243,8 @@ def _slab_maxima(ps: PointSet, m, grids):
     row is one add of a window of a step row (see ``_orthant_counts``).
     Slabs of compressed rows shorter than ``_ROW_LOOP_CELLS``, or with a row
     holding several points, are the distribution function of their points
-    instead (``_prefix_table``), seeded with the carried row's atoms, its
-    mixed differences along axes ``1..d-1``.  Every count, carried row
+    instead (``_prefix_table``), counted from zero, the carried row then
+    added to every row in place.  Every count, carried row
     included, is a float64 in units of ``unit``: ``2^-m`` when ``N = 2^m``,
     where each ``k/N`` is ``k * 2^-m`` exactly, so the counts are the shares
     and no divide pass follows; a whole point for any other ``N``, the
@@ -275,22 +275,25 @@ def _slab_maxima(ps: PointSet, m, grids):
     step = np.repeat([0.0, unit], row_cells) if d == 2 and row_cells >= _ROW_LOOP_CELLS else None
     every = [np.arange(size) for size in sizes[1:]]
 
-    def read(start, stop, carry, active, hi_cols, slab_cells, orthant, fresh=False):
+    def read(start, stop, carry, active, hi_cols, slab_cells, orthant):
         """Rows ``start:stop`` on the ``active`` columns (``hi_cols`` for
         the upper corners), counted on from ``carry``, the counts of row
-        ``start - 1``, or from zero when ``fresh``; ``carry`` is left holding
-        the counts of row ``stop - 1``.  ``slab_cells`` are the slab cells of
+        ``start - 1``, left holding the counts of row ``stop - 1``, or from
+        zero when ``carry`` is None.  ``slab_cells`` are the slab cells of
         the slab's points, in row order where ``orthant`` counts from their
         orthants.  Returns each term's largest deviation as ``(value, slab
         index of its first occurrence, attained)``."""
-        shape = (stop - start,) + carry.shape
+        shape = (stop - start, *(a.size for a in active))
         n_cells = math.prod(shape)
         share = counts[:n_cells].reshape(shape)
         if orthant:
-            _orthant_counts(share, 0.0 if fresh else carry, slab_cells, unit, step)
+            _orthant_counts(share, 0.0 if carry is None else carry, slab_cells, unit, step)
         else:
-            _prefix_table(share, slab_cells, unit, None if fresh else _differences(carry, 0))
-        carry[...] = share[-1]
+            _prefix_table(share, slab_cells, unit)
+            if carry is not None:  # the carried row, on every row of the slab
+                np.add(share, carry, out=share)
+        if carry is not None:
+            carry[...] = share[-1]
         if not exact_unit:  # whole points, as shares count/N
             np.divide(share, n, out=share)
         t = table[:n_cells].reshape(shape)
@@ -313,8 +316,8 @@ def _slab_maxima(ps: PointSet, m, grids):
             order = np.argsort(cells[0], kind="stable")
             cells = [c[order] for c in cells]
             orthant = not np.any(cells[0][1:] == cells[0][:-1])
-        value, index, attained = max(read(0, n_rows, carried.reshape(sizes[1:]), every, every,
-                                          cells, orthant, fresh=True), key=_RANK)
+        value, index, attained = max(read(0, n_rows, None, every, every, cells, orthant),
+                                     key=_RANK)
         return float(value), tuple(int(j) for j in index), attained
 
     # the points ordered by axis-0 row; per row r: the points of rows < r,
@@ -385,8 +388,7 @@ def _slab_maxima(ps: PointSet, m, grids):
         # counted from zero with the points of rows <= row folded into it
         upto = before[row + 1]
         folded = [np.zeros(upto, dtype=np.intp)] + [j[:upto] for j in cells[1:]]
-        _, (_, *at), _ = read(row, row + 1, carried.reshape(sizes[1:]), every, every, folded,
-                              False, fresh=True)[1]
+        _, (_, *at), _ = read(row, row + 1, None, every, every, folded, False)[1]
     return float(value), tuple(int(j) for j in (row, *at)), attained
 
 

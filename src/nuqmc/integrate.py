@@ -168,8 +168,8 @@ def importance_sampling_estimate(
     of ``f``, and the certificate are all exact, and a caller's
     ``variation=`` or ``reference_integral=`` raises
     :class:`ValidationError`.  Any other pair is certified with the caller's
-    ``variation=`` bound, and refused with
-    :class:`UnsupportedIntegrandError` without one; its reference integral
+    ``variation=`` bound, and refused without one, before D* is computed
+    (:class:`UnsupportedIntegrandError`); its reference integral
     must then be supplied by the caller for the observed error to be
     reported.  Each is one number, the variation ``>= 0``.  ``cell_budget``
     gates the exact D*, which is computed before the union grid or anything
@@ -185,17 +185,17 @@ def importance_sampling_estimate(
     if step_pair and (variation is not None or reference_integral is not None):
         raise ValidationError("a step pair is certified with its exact factors: "
                               "pass neither variation= nor reference_integral=")
+    if not step_pair and variation is None:
+        raise UnsupportedIntegrandError(
+            "no exact variation of f/g unless f and g are both step grid functions; "
+            "pass a variation= bound"
+        )
     discrepancy = star_discrepancy(ps, m_g, cell_budget).value
     if step_pair:
         ratio = _step_ratio(f, g)
         estimate = qmc_estimate(ratio, ps)
         variation = hk_variation(ratio, ANCHOR_ONE)
         reference_integral = integral_under_measure(f, UniformMeasure(f.dimension))
-    elif variation is None:
-        raise UnsupportedIntegrandError(
-            "no exact variation of f/g unless f and g are both step grid functions; "
-            "pass a variation= bound"
-        )
     else:
         g_vals = _sample(g, ps.points)
         if np.any(g_vals <= 0.0):

@@ -44,7 +44,7 @@ atom order, then prefix sums along every axis, axis 0 first
 (``_prefix_sums``).  A discrete table's rows, the step function of
 :func:`~nuqmc.variation.measure_to_function`, the prefix variation of
 :func:`~nuqmc.variation.hk0_prefix_grid` and the exact engine's counts of
-short or crowded slabs, seeded with its carried row, are built by it.
+short or crowded slabs, before the carried row is added, are built by it.
 
 Scattered points go through a second private method,
 ``_cdf_points(points, left)``: the CDF at the rows of the ``(k, d)`` array
@@ -318,15 +318,12 @@ def _prefix_sums(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _prefix_table(out: np.ndarray, cells, weights, seed: np.ndarray | None = None) -> np.ndarray:
+def _prefix_table(out: np.ndarray, cells, weights) -> np.ndarray:
     """The distribution function on a grid of the atoms ``weights`` at the
     cells ``cells`` (one index array per axis of the C-contiguous ``out``),
     written into ``out``: each weight added at its cell in atom order,
-    starting from 0.0, or on the first row from the atoms ``seed`` (one row
-    of ``out``), then ``_prefix_sums``."""
+    starting from 0.0, then ``_prefix_sums``."""
     out.fill(0.0)
-    if seed is not None:
-        out[0] = seed
     np.add.at(out.reshape(-1), np.ravel_multi_index(cells, out.shape), weights)
     return _prefix_sums(out)
 
@@ -698,10 +695,10 @@ class AnalyticCdfMeasure(_PointCdf):
         if abs(norm - 1.0) > TOLERANCE:
             raise ValidationError(f"F(1,...,1) must equal 1, got {norm}")
 
-    def _cdf_points(self, points: np.ndarray, left: np.ndarray) -> np.ndarray:
+    def _cdf_points(self, points: np.ndarray, left: np.ndarray | None) -> np.ndarray:
         """CDF at scattered points (see the module docstring): one callback
         call for the whole batch, to ``left_limit`` if any axis of any point
-        takes a left limit."""
+        takes a left limit; a continuous measure never reads ``left``."""
         if self.continuous or not left.any():
             return _callback_values("cdf", self._cdf(points), len(points))
         return _callback_values("left_limit", self._left_limit(points, left), len(points))
@@ -723,11 +720,8 @@ class AnalyticCdfMeasure(_PointCdf):
         def rows(start: int, stop: int, out: np.ndarray, cols) -> np.ndarray:
             picks = [slice(start, stop)] + list(cols)
             points = corners([c[j] for c, j in zip(coords, picks)], float)
-            if self.continuous:
-                values = _callback_values("cdf", self._cdf(points), len(points))
-            else:
-                values = self._cdf_points(points, corners([f[j] for f, j in zip(left, picks)], bool))
-            out[...] = values.reshape(out.shape)
+            flags = None if self.continuous else corners([f[j] for f, j in zip(left, picks)], bool)
+            out[...] = self._cdf_points(points, flags).reshape(out.shape)
             return out
 
         return rows

@@ -129,14 +129,16 @@ def forward_cdf_map(y, cdf) -> tuple[float, ...]:
     which is exactly what breaks the transformed-discrepancy identity.
     """
     if isinstance(cdf, ConditionalCdf2D):
-        y = _unit_point(y, 2)
-        g1 = float(cdf.marginal(y[0]))
-        g2 = float(cdf.conditional(y[1], y[0]))
-        return (g1, g2)
+        return _conditional_cdfs(*_unit_point(y, 2).tolist(), cdf)
     if isinstance(cdf, ProductMeasure):
         y = _unit_point(y, cdf.dimension)
         return tuple(float(ax.value(c)) for ax, c in zip(cdf.axes, y))
     raise ValidationError("forward_cdf_map needs ConditionalCdf2D or ProductMeasure")
+
+
+def _conditional_cdfs(y1: float, y2: float, cdf: ConditionalCdf2D) -> tuple[float, float]:
+    """:func:`forward_cdf_map` of ``(y1, y2)``, two Python floats in ``[0, 1]``."""
+    return (float(cdf.marginal(y1)), float(cdf.conditional(y2, y1)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +245,9 @@ def chelson_identity_check(
     left = star_discrepancy(images, m).value
     right = star_discrepancy(ps, UniformMeasure(2)).value
 
-    probe_image = forward_cdf_map(probe, cdf)
-    mu_mass = m.cdf(probe)
+    # the probe is checked, and m is a measure of dimension 2 with a table
+    probe_image = _conditional_cdfs(*probe.tolist(), cdf)
+    mu_mass = float(m._cdf_points(probe[None, :], np.zeros((1, 2), dtype=bool))[0])
     uniform_mass = float(np.prod(probe_image))
     in_probe = int(np.all(images.points <= probe, axis=1).sum())
     in_image = int(np.all(ps.points <= np.asarray(probe_image), axis=1).sum())

@@ -583,6 +583,22 @@ class TestSlabEngine:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_peak_memory_of_one_long_crowded_row(self):
+        # every point on one axis-0 coordinate: one row of 62^3 cells, counted
+        # by _prefix_table and then given the carried row, so the peak is the
+        # walk's three buffers of a row, with no row-sized temporary beside them
+        pts = np.random.default_rng(0).random((60, 4))
+        pts[:, 0] = 0.5
+        star_discrepancy(PointSet(4, pts[:2]), UniformMeasure(4))  # first-call allocations
+        ps = PointSet(4, pts)
+        tracemalloc.start()
+        try:
+            star_discrepancy(ps, UniformMeasure(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 3 * 8 * 62**3
+
     @pytest.mark.parametrize("kind", ["jump-plateau-run", "ulp-run"])
     def test_one_sided_maximum_first_occurs_inside_a_run(self, kind, monkeypatch):
         # read one row per slab, the row of the supremum is compressed, and
@@ -846,52 +862,58 @@ class TestCountUnits:
                     assert got == expect, (ps.n, points, slab_cells)
 
 
-class TestSeededKernel:
+def _crowded_walk_case(d, seed, crowded, power_of_two):
+    """Random points, about two to an axis-0 row when ``crowded``, N a power
+    of two or not, and a slab size that splits the walk into many slabs."""
+    rng = np.random.default_rng(seed)
+    n = {1: 64, 2: 256, 3: 32, 4: 8}[d] + (0 if power_of_two else int(rng.integers(1, 7)))
+    pts = rng.random((n, d))
+    if crowded:  # about two points to an axis-0 row
+        pts[:, 0] = np.round(pts[:, 0] * (n // 2)) / (n // 2)
+    # many slabs, so nonzero carried rows; in d = 2 slabs of several crowded
+    # rows of 256 cells or more, which the kernel adds one row at a time
+    return PointSet(d, pts), {1: 16, 2: 1024}.get(d, 64)
+
+
+class TestCarriedKernel:
     """The walk's short or crowded slabs are ``measures._prefix_table`` of
-    their points, seeded on the first row with the atoms of the carried row:
-    bit for bit the carried row plus the prefix sums of the slab's histogram,
-    counted in int64."""
+    their points, counted from zero, the carried row then added to every
+    row of the slab: each table is the int64 prefix of its cells, and the
+    walk, carried rows included, is the whole-grid reduction bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-    def test_matches_an_int64_reference(self, d, seed, crowded, power_of_two):
-        rng = np.random.default_rng(seed)
-        n = {1: 64, 2: 256, 3: 32, 4: 8}[d] + (0 if power_of_two else int(rng.integers(1, 7)))
-        pts = rng.random((n, d))
-        if crowded:  # about two points to an axis-0 row
-            pts[:, 0] = np.round(pts[:, 0] * (n // 2)) / (n // 2)
-        carried, slabs = [], []
+    def test_each_table_is_an_int64_prefix(self, d, seed, crowded, power_of_two):
+        ps, slab_cells = _crowded_walk_case(d, seed, crowded, power_of_two)
+        slabs = []
 
-        def differences(values, pin=None):
-            carried.append(values.copy())
-            return differences_of(values, pin)
-
-        def table(out, cells, weights, seed=None):
-            carry = None if seed is None else carried.pop()
-            out = prefix_table(out, cells, weights, seed)
-            slabs.append((carry, [c.copy() for c in cells], weights, out.copy()))
+        def table(out, cells, weights):
+            out = prefix_table(out, cells, weights)
+            slabs.append(([c.copy() for c in cells], weights, out.copy()))
             return out
 
-        differences_of, prefix_table = engine._differences, engine._prefix_table
+        prefix_table = engine._prefix_table
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_differences", differences)
             mp.setattr(engine, "_prefix_table", table)
-            # many slabs, so nonzero carries; in d = 2 slabs of several
-            # crowded rows of 256 cells or more, which the kernel adds one
-            # row at a time
-            mp.setattr(engine, "_SLAB_CELLS", {1: 16, 2: 1024}.get(d, 64))
-            star_discrepancy(PointSet(d, pts), UniformMeasure(d))
-        assert any(carry is not None and carry.any() for carry, *_ in slabs)
-        for carry, cells, unit, got in slabs:
-            assert unit == (1.0 / n if power_of_two else 1.0)
+            mp.setattr(engine, "_SLAB_CELLS", slab_cells)
+            star_discrepancy(ps, UniformMeasure(d))
+        assert len(slabs) > 1  # later slabs carry a row
+        for cells, unit, got in slabs:
+            assert unit == (1.0 / ps.n if power_of_two else 1.0)
             want = np.zeros(got.shape, dtype=np.int64)
             np.add.at(want, tuple(cells), 1)
             for s in range(d):
                 want = np.cumsum(want, axis=s)
-            if carry is not None:
-                assert np.array_equal(carry / unit, np.round(carry / unit))
-                want += (carry / unit).astype(np.int64)  # the carried row, on every row
             assert got.tobytes() == (want * unit).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_walk_is_the_dense_reduction(self, d, seed, crowded, power_of_two):
+        ps, slab_cells = _crowded_walk_case(d, seed, crowded, power_of_two)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_SLAB_CELLS", slab_cells)
+            got = _summary(star_discrepancy(ps, UniformMeasure(d)))
+        assert got == dense_star_discrepancy(ps, UniformMeasure(d))
 
 
 class TestWitnessRecheck:

@@ -345,15 +345,21 @@ class TestImportanceSampling:
                       MULTILINEAR), [0.1, 0.2]),
         (lambda x: float(x[0]), lambda x: 2.0 * x[0], [0.5]),
     ], ids=["multilinear", "callback"])
-    def test_pair_without_an_exact_variation_is_refused(self, f, g, point):
+    def test_pair_without_an_exact_variation_is_refused(self, f, g, point, monkeypatch):
         # no proxy: without variation= there is nothing to certify, and the
-        # density (0 on the face x = 0 for the callback) is never read
+        # density (0 on the face x = 0 for the callback) is never read, nor
+        # is D* computed
+        walks = []
+        walk = integrate.star_discrepancy
+        monkeypatch.setattr(integrate, "star_discrepancy",
+                            lambda *args: walks.append(args) or walk(*args))
         ps, m = PointSet(len(point), [point]), UniformMeasure(len(point))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UnsupportedIntegrandError) as err:
                 importance_sampling_estimate(f, g, ps, m)
         assert "variation=" in str(err.value)
+        assert walks == []
         estimate, cert = importance_sampling_estimate(f, g, ps, m, variation=1.0)
         at = np.asarray(point)
         direct = [h.evaluate(at) if isinstance(h, GridFunction) else h(at) for h in (f, g)]

@@ -3,6 +3,7 @@ it that nothing uses."""
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import nuqmc
@@ -94,3 +95,16 @@ def test_private_names_are_imported_from_the_kernels_only():
                             if alias.name.startswith("_") and not alias.name.startswith("__")
                             and source not in KERNELS]
     assert imports == []
+
+
+def test_the_atom_kernel_takes_no_seed():
+    # the walk adds its carried row to a slab counted from zero
+    assert "seed" not in inspect.signature(nuqmc.measures._prefix_table).parameters
+
+
+def test_the_walk_imports_nothing_private_from_variation():
+    private = [alias.name for node in ast.walk(_SOURCES["discrepancy"])
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").rpartition(".")[2] == "variation"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
